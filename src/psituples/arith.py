@@ -87,6 +87,10 @@ def build_sieve(limit: int) -> PsiSieve:
     """
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
+    if limit >= 2**32:
+        raise ValueError(
+            f"sieve limit {limit} must be below 2**32: spf and the index are uint32"
+        )
     spf = np.zeros(limit + 1, dtype=np.uint32)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:

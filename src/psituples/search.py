@@ -1,9 +1,12 @@
 """Exhaustive, deterministic search for tuple solutions up to a bound.
 
 The fast path indexes 1..N by psi value, enumerates equal-class multisets
-per class, and decomposes each residual into a sum of f k-th powers.  The
-brute-force oracle at the bottom re-derives the same sets with plain
-nested loops and no shared machinery; differential tests compare the two.
+per class, and decomposes each residual into a sum of f k-th powers.  Kinds
+with a single free entry run a batched numpy kernel instead: it enumerates
+the multisets of every class as arrays and tests all residuals for perfect
+powers at once.  The brute-force oracle at the bottom re-derives the same
+sets with plain nested loops and no shared machinery; differential tests
+compare the two.
 
 Bound semantics: N limits equal-class entries only; free entries are
 bounded by the residual automatically.  Output is always the canonical
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Sequence
@@ -41,6 +45,15 @@ _UINT128_MAX = (1 << 128) - 1
 # Above this many (b1, b2) prefix pairs, a four-entry decomposition switches
 # from recursive descent to the sorted pair-sum table.
 _MITM_PAIR_THRESHOLD = 2_000
+
+# Multisets per block of the batched equal-class kernel.  A block holds a
+# few int64 arrays of about this length, so the kernel's memory does not
+# grow with the search bound.
+_KERNEL_BLOCK = 1 << 14
+
+_INT64_MAX = 2**63 - 1
+# Largest r with r**p <= _INT64_MAX, for each power p.
+_INT64_ROOT_MAX = {p: int_kth_root(_INT64_MAX, p) for p in (2, 3, 4, 5)}
 
 
 def max_safe_bound(power: int) -> int:
@@ -126,13 +139,26 @@ class _PairSumTable:
 
 
 def _floor_root_vec(vals: np.ndarray, power: int) -> np.ndarray:
-    """Vectorized floor(vals ** (1/power)) for nonnegative int64 input."""
+    """Vectorized floor(v ** (1/power)) for int64 v, exact on its whole domain.
+
+    Domain: 0 <= v <= 2**63 - 1 for every power in 2..5 (negative v give
+    0).  Roots are clamped to R_p = floor((2**63 - 1) ** (1/p)), which is
+    3037000499, 2097151, 55108 and 6208 for p = 2..5, so r**p never
+    overflows, and (r+1)**p is only formed for r < R_p.  The float seed
+    is a few units off at most; the correction loop repeats until
+    r**p <= v < (r+1)**p holds for every element, so the result does not
+    rest on the seed's accuracy.
+    """
+    top = _INT64_ROOT_MAX[power]
     r = np.power(np.maximum(vals, 0).astype(np.float64), 1.0 / power).astype(np.int64)
-    r = np.maximum(r, 0)
-    for _ in range(3):
-        r += (r + 1) ** power <= vals
-        r -= np.minimum(r, 1) * (r**power > vals)
-    return r
+    np.clip(r, 0, top, out=r)
+    while True:
+        up = (r < top) & (np.minimum(r + 1, top) ** power <= vals)
+        down = (r > 0) & (r**power > vals)
+        if not (up.any() or down.any()):
+            return r
+        r += up
+        r -= down
 
 
 def _two_pointer(residual: int, power: int, lo: int, cap: int) -> list[tuple[int, int]]:
@@ -336,25 +362,154 @@ def _search_classes(
     return out
 
 
-# Worker-side state for process pools: each worker builds the sieve (and
-# index/table as needed) once, keyed by the search bound.
+# --- batched kernel for one free entry --------------------------------------
+
+
+def _kernel_fits_int64(max_psi: int, power: int, equal: int) -> bool:
+    """Whether the batched kernel's int64 arithmetic is exact.
+
+    The kernel forms psi**p and subtracts `equal` terms a**p, where every
+    class member has a <= psi(a) <= max_psi.  When equal * max_psi**p fits,
+    so do both, and every partial residual lies in (-2**63, 2**63).
+    """
+    return equal * max_psi**power <= _INT64_MAX
+
+
+@dataclass(frozen=True)
+class _ClassRuns:
+    """1..bound sorted by (psi, n), so that each psi class is one run.
+
+    ns and psis are the entries and their psi values (int64).  run_end[i]
+    is one past the last position of the run holding position i.
+    tuple_start[i] counts the non-decreasing equal-tuples of positions
+    inside one run whose first position is below i; it has one more entry
+    than ns, the total.
+    """
+
+    ns: np.ndarray
+    psis: np.ndarray
+    run_end: np.ndarray
+    tuple_start: np.ndarray
+
+
+def _build_class_runs(sieve: PsiSieve, bound: int, equal: int) -> _ClassRuns:
+    psi = sieve.psi[1 : bound + 1].astype(np.int64)
+    order = np.argsort(psi, kind="stable")
+    psis = psi[order]
+    starts = np.flatnonzero(np.diff(psis, prepend=-1))
+    lengths = np.diff(starts, append=psis.size)
+    run_end = np.repeat(starts + lengths, lengths)
+    # With m positions left in the run, C(m + equal - 2, equal - 1) tuples
+    # start at a position; the product below steps through C(m - 1 + j, j).
+    left = run_end - np.arange(psis.size)
+    counts = np.ones(psis.size, dtype=np.int64)
+    for j in range(1, equal):
+        counts = counts * (left - 1 + j) // j
+    tuple_start = np.concatenate(([0], np.cumsum(counts)))
+    return _ClassRuns(order + 1, psis, run_end, tuple_start)
+
+
+def _cut(tuple_start: np.ndarray, lo: int, hi: int, budget: int) -> list[int]:
+    """Edges lo = e_0 < ... < e_k = hi cutting first positions lo..hi-1.
+
+    A piece starts wherever the cumulative tuple count crosses a multiple
+    of budget, so it holds fewer than budget tuples plus those of its last
+    first position; a large class may span several pieces.
+    """
+    marks = np.arange(tuple_start[lo], tuple_start[hi], budget)
+    edges = np.unique(np.searchsorted(tuple_start[lo:hi], marks)) + lo
+    return edges.tolist() + [hi]
+
+
+def _search_runs(kind: TupleKind, runs: _ClassRuns, lo: int, hi: int) -> list[Solution]:
+    """One free entry: all equal-class multisets whose first position is in lo..hi-1.
+
+    Each block of about _KERNEL_BLOCK multisets is expanded to position
+    arrays with the repeat/offset trick of _PairSumTable.  The residuals
+    psi**p - sum(a**p) are formed in int64 and tested for perfect powers in
+    one pass.  The caller checks _kernel_fits_int64 first.
+    """
+    p, e = kind.power, kind.equal
+    out: list[Solution] = []
+    edges = _cut(runs.tuple_start, lo, hi, _KERNEL_BLOCK)
+    for b_lo, b_hi in zip(edges, edges[1:]):
+        cols = [np.arange(b_lo, b_hi, dtype=np.int64)]
+        for _ in range(e - 1):  # the next position runs from the last one to its run's end
+            last = cols[-1]
+            counts = runs.run_end[last] - last
+            owner = np.repeat(np.arange(last.size), counts)
+            offsets = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+            cols = [c[owner] for c in cols]
+            cols.append(cols[-1] + offsets)
+        entries = [runs.ns[c] for c in cols]
+        psis = runs.psis[cols[0]]
+        residual = psis**p
+        for a in entries:
+            residual -= a**p
+        live = np.flatnonzero(residual > 0)
+        residual = residual[live]
+        roots = _floor_root_vec(residual, p)
+        hits = roots**p == residual
+        for i, b in zip(live[hits].tolist(), roots[hits].tolist()):
+            v = int(psis[i])
+            out.append(Solution(kind, tuple(int(a[i]) for a in entries), (b,), v, v**p))
+    return out
+
+
+# --- planning and running chunks --------------------------------------------
+
+
+def _search_state(kind: TupleKind, sieve: PsiSieve, bound: int) -> dict:
+    """What the chunks of one search read, apart from the pair-sum table.
+
+    Kinds with one free entry take the batched kernel when its int64
+    arithmetic is exact, and the scalar path otherwise.
+    """
+    if kind.free == 1 and _kernel_fits_int64(
+        int(sieve.psi[1 : bound + 1].max()), kind.power, kind.equal
+    ):
+        return {"runs": _build_class_runs(sieve, bound, kind.equal)}
+    if kind.equal == 1:
+        return {"psi_list": sieve.psi[: bound + 1].tolist()}
+    return {"index": build_class_index(sieve, bound)}
+
+
+def _plan_chunks(bound: int, state: dict, jobs: int) -> list[tuple]:
+    """Fixed contiguous chunks of the outer space; a single one when jobs is 1."""
+    if "runs" in state:
+        tuple_start = state["runs"].tuple_start
+        edges = _cut(tuple_start, 0, tuple_start.size - 1, _chunk_len(int(tuple_start[-1]), jobs))
+        return [("runs", lo, hi) for lo, hi in zip(edges, edges[1:])]
+    if "psi_list" in state:
+        step = _chunk_len(bound, jobs)
+        return [("range", lo, min(lo + step - 1, bound)) for lo in range(1, bound + 1, step)]
+    keys = sorted(state["index"].classes)
+    step = _chunk_len(len(keys), jobs)
+    return [("classes", keys[i : i + step]) for i in range(0, len(keys), step)]
+
+
+def _search_chunk(kind: TupleKind, chunk: tuple, state: dict) -> list[Solution]:
+    if chunk[0] == "runs":
+        return _search_runs(kind, state["runs"], chunk[1], chunk[2])
+    if chunk[0] == "range":
+        return _search_a_range(kind, chunk[1], chunk[2], state["psi_list"], state["table"])
+    return _search_classes(kind, chunk[1], state["index"], state["table"])
+
+
+# Worker-side state for process pools: each worker builds the sieve, the
+# search state and the pair-sum table (when needed) once.
 _worker_state: dict = {}
 
 
 def _init_worker(kind: TupleKind, bound: int) -> None:
     sieve = build_sieve(bound)
-    _worker_state["psi_list"] = sieve.psi[: bound + 1].tolist()
-    _worker_state["index"] = build_class_index(sieve, bound) if kind.equal >= 2 else None
+    _worker_state.update(_search_state(kind, sieve, bound))
     _worker_state["table"] = _needs_pair_table(kind, sieve, bound)
 
 
 def _run_chunk(payload: tuple) -> list[Solution]:
     kind, chunk = payload
-    if chunk[0] == "range":
-        _, lo, hi = chunk
-        return _search_a_range(kind, lo, hi, _worker_state["psi_list"], _worker_state["table"])
-    _, keys = chunk
-    return _search_classes(kind, keys, _worker_state["index"], _worker_state["table"])
+    return _search_chunk(kind, chunk, _worker_state)
 
 
 def search(
@@ -365,47 +520,35 @@ def search(
     """All canonical solutions of config.kind with equal-class max <= bound.
 
     Deterministic for any jobs value: the outer space is split into fixed
-    contiguous chunks, workers return locally collected results, and the
-    merged list is sorted canonically.  progress (if given) is called with
-    (chunk_index, chunk_count, chunk_solutions) as chunks complete.
+    contiguous chunks, each chunk runs the same code in this process or in
+    a pool worker, and the merged list is sorted canonically.  progress
+    (if given) is called with (chunk_index, chunk_count, chunk_solutions)
+    as chunks complete.
     """
     kind, bound = config.kind, config.bound
     if sieve is None or sieve.limit < bound:
         sieve = build_sieve(bound)
-
-    if kind.equal == 1:
-        chunks = [("range", lo, min(lo + _chunk_len(bound, config.jobs) - 1, bound))
-                  for lo in range(1, bound + 1, _chunk_len(bound, config.jobs))]
-    else:
-        index = build_class_index(sieve, bound)
-        keys = sorted(index.classes)
-        step = _chunk_len(len(keys), config.jobs)
-        chunks = [("classes", keys[i : i + step]) for i in range(0, len(keys), step)]
+    state = _search_state(kind, sieve, bound)
+    chunks = _plan_chunks(bound, state, config.jobs)
 
     use_pool = config.jobs > 1 and len(chunks) > 1
     results: list[Solution] = []
-    if not use_pool:
-        psi_list = sieve.psi[: bound + 1].tolist()
-        index_local = build_class_index(sieve, bound) if kind.equal >= 2 else None
-        table = _needs_pair_table(kind, sieve, bound)
-        for i, chunk in enumerate(chunks):
-            if chunk[0] == "range":
-                part = _search_a_range(kind, chunk[1], chunk[2], psi_list, table)
-            else:
-                part = _search_classes(kind, chunk[1], index_local, table)
+    with (
+        ProcessPoolExecutor(
+            max_workers=config.jobs, initializer=_init_worker, initargs=(kind, bound)
+        )
+        if use_pool
+        else nullcontext()
+    ) as pool:
+        if use_pool:
+            parts = pool.map(_run_chunk, [(kind, c) for c in chunks])
+        else:
+            state["table"] = _needs_pair_table(kind, sieve, bound)
+            parts = (_search_chunk(kind, c, state) for c in chunks)
+        for i, part in enumerate(parts):
             if progress is not None:
                 progress(i, len(chunks), part)
             results.extend(part)
-    else:
-        with ProcessPoolExecutor(
-            max_workers=config.jobs,
-            initializer=_init_worker,
-            initargs=(kind, bound),
-        ) as pool:
-            for i, part in enumerate(pool.map(_run_chunk, [(kind, c) for c in chunks])):
-                if progress is not None:
-                    progress(i, len(chunks), part)
-                results.extend(part)
     return sort_solutions(results)
 
 

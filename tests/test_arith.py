@@ -50,6 +50,14 @@ def test_sieve_rejects_zero():
         build_sieve(0)
 
 
+def test_sieve_rejects_uint32_overflow():
+    # checked before anything is allocated
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        build_sieve(2**32)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        build_sieve(10**12)
+
+
 def test_sieve_prime_entries(sieve_100k):
     # psi(p) = p + 1 exactly at primes, and spf[p] = p
     spf = np.asarray(sieve_100k.spf)

@@ -120,6 +120,18 @@ def test_search_emit_partial_streams_progress(capsys):
     assert out == plain  # stdout stays deterministic
 
 
+@pytest.mark.parametrize("argv", [
+    ("--kind", "quadratic-triple", "--bound", "4096"),
+    ("--kind", "quadratic-quadruple", "--bound", "500", "--format", "csv"),
+    ("--kind", "quadratic-pair", "--bound", "3000"),
+])
+def test_search_jobs_one_and_two_byte_identical(capsys, argv):
+    code1, out1, _ = run(capsys, "search", *argv, "--jobs", "1")
+    code2, out2, _ = run(capsys, "search", *argv, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 # --- verify --------------------------------------------------------------------
 
 

@@ -1,5 +1,8 @@
 """Search engine: class index, decompositions, search vs oracle."""
 
+import importlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +19,19 @@ from psituples import (
     search,
     verify_solution,
 )
-from psituples.search import _descend, _PairSumTable
+from psituples.arith import int_kth_root
+from psituples.search import (
+    _INT64_MAX,
+    _build_class_runs,
+    _cut,
+    _descend,
+    _floor_root_vec,
+    _kernel_fits_int64,
+    _PairSumTable,
+)
 from psituples.tuples import TupleKind
+
+search_module = importlib.import_module("psituples.search")
 
 # Every cubic triple with a <= 200, frozen from a brute-force oracle run and
 # cross-checked against the fast path.  The published table lists 28 of
@@ -110,7 +124,6 @@ def test_mitm_agrees_with_recursive_descent():
     # small for low powers and large where descent stays cheap
     import random
 
-    from psituples.arith import int_kth_root
     from psituples.search import _mitm4
 
     rng = random.Random(20_240_817)
@@ -127,6 +140,145 @@ def test_mitm_agrees_with_recursive_descent():
             via_descent: list = []
             _descend(residual, 4, power, 1, cap, (), via_descent)
             assert via_table == via_descent, (power, residual)
+
+
+# --- vectorized k-th root ----------------------------------------------------
+
+ROOT_TOPS = {2: 3_037_000_499, 3: 2_097_151, 4: 55_108, 5: 6_208}
+
+
+def assert_floor_roots(values, power):
+    roots = _floor_root_vec(np.array(values, dtype=np.int64), power).tolist()
+    for v, r in zip(values, roots):
+        assert r**power <= v < (r + 1) ** power, (power, v, r)
+
+
+def test_floor_root_tops_are_the_int64_roots():
+    for power, top in ROOT_TOPS.items():
+        assert top == int_kth_root(_INT64_MAX, power)
+        assert top**power <= _INT64_MAX < (top + 1) ** power
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([2, 3, 4, 5]),
+    st.lists(st.integers(min_value=0, max_value=_INT64_MAX), min_size=1, max_size=40),
+)
+def test_floor_root_vec_exact_on_int64(power, values):
+    assert_floor_roots(values, power)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([2, 3, 4, 5]), st.data())
+def test_floor_root_vec_at_perfect_powers(power, data):
+    top = ROOT_TOPS[power]
+    r = data.draw(st.one_of(st.integers(1, 64), st.integers(top - 64, top), st.integers(1, top)))
+    values = [r**power - 1, r**power, min(r**power + 1, _INT64_MAX)]
+    assert_floor_roots(values, power)
+
+
+def test_floor_root_vec_top_of_domain():
+    for power, top in ROOT_TOPS.items():
+        values = [0, 1, 2, top**power - 1, top**power, _INT64_MAX - 1, _INT64_MAX]
+        assert_floor_roots(values, power)
+        assert _floor_root_vec(np.array([_INT64_MAX]), power).tolist() == [top]
+
+
+# --- batched equal-class kernel ---------------------------------------------
+
+
+def test_kernel_fits_int64_at_crossover():
+    for power in (2, 3, 4, 5):
+        for equal in (1, 2, 3, 7):
+            top = int_kth_root(_INT64_MAX // equal, power)
+            assert equal * top**power <= _INT64_MAX < equal * (top + 1) ** power
+            assert _kernel_fits_int64(top, power, equal)
+            assert not _kernel_fits_int64(top + 1, power, equal)
+
+
+def scalar_search(monkeypatch, cfg):
+    """The exact per-multiset path, which the kernel replaces for f == 1."""
+    with monkeypatch.context() as m:
+        m.setattr(search_module, "_kernel_fits_int64", lambda *args: False)
+        return search(cfg)
+
+
+def block_edges(kind, bound, budget):
+    """Interior block edges of a serial search, split into those on a class
+    boundary and those inside a class."""
+    runs = _build_class_runs(build_sieve(bound), bound, kind.equal)
+    edges = _cut(runs.tuple_start, 0, runs.ns.size, budget)[1:-1]
+    starts = set(np.flatnonzero(np.diff(runs.psis, prepend=-1)).tolist())
+    return [x for x in edges if x in starts], [x for x in edges if x not in starts]
+
+
+@pytest.mark.parametrize(
+    "name, bound, block_edge",
+    [
+        ("quadratic-pair", 5000, None),
+        ("quadratic-triple", 2511, "inside a class"),
+        ("quadratic-triple", 2512, "on a class boundary"),
+        ("quadratic-triple", 5000, None),
+        ("quadratic-quadruple", 720, "inside a class"),
+        ("quadratic-quadruple", 1436, "on a class boundary"),
+        ("quadratic-quadruple", 3969, None),
+    ],
+)
+def test_kernel_equals_scalar_path(monkeypatch, name, bound, block_edge):
+    kind = kind_by_name(name)
+    on, inside = block_edges(kind, bound, search_module._KERNEL_BLOCK)
+    if block_edge == "on a class boundary":
+        assert on
+    elif block_edge == "inside a class":
+        assert inside and not on
+    cfg = SearchConfig(kind, bound)
+    assert search(cfg) == scalar_search(monkeypatch, cfg)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5])
+def test_kernel_with_tiny_blocks(monkeypatch, budget):
+    for name, bound in [("quadratic-pair", 400), ("quadratic-triple", 600),
+                        ("quadratic-quadruple", 300)]:
+        kind = kind_by_name(name)
+        cfg = SearchConfig(kind, bound)
+        reference = scalar_search(monkeypatch, cfg)
+        on, inside = block_edges(kind, bound, budget)
+        assert on and (inside or kind.equal == 1)  # classes span several blocks
+        with monkeypatch.context() as m:
+            m.setattr(search_module, "_KERNEL_BLOCK", budget)
+            assert search(cfg) == reference, (name, budget)
+
+
+def test_kernel_generic_powers_and_fallback(monkeypatch):
+    # (5, 3, 1) at 2000 leaves the int64 domain (3 * 5184**5 > 2**63), so the
+    # search takes the exact scalar path there and the kernel below it
+    sieve = build_sieve(2000)
+    kind = TupleKind(5, 3, 1)
+    assert "runs" not in search_module._search_state(kind, sieve, 2000)
+    assert "runs" in search_module._search_state(kind, sieve, 1000)
+    for kind, bound in [(TupleKind(3, 2, 1), 1500), (TupleKind(3, 3, 1), 400),
+                        (TupleKind(4, 2, 1), 600), (TupleKind(5, 2, 1), 300)]:
+        cfg = SearchConfig(kind, bound)
+        assert search(cfg) == scalar_search(monkeypatch, cfg), kind
+
+
+def test_kernel_solutions_hold_python_ints():
+    out = search(SearchConfig(kind_by_name("quadratic-quadruple"), 100))
+    assert out
+    for s in out:
+        values = s.equal_entries + s.free_entries + (s.psi_value, s.target)
+        assert all(type(v) is int for v in values)
+
+
+def test_kernel_kinds_build_no_class_index(monkeypatch):
+    calls = []
+    real = search_module.build_class_index
+    monkeypatch.setattr(search_module, "build_class_index",
+                        lambda *a: calls.append(a) or real(*a))
+    search(SearchConfig(kind_by_name("quadratic-triple"), 300))
+    assert calls == []
+    search(SearchConfig(kind_by_name("cubic-quadruple"), 300))
+    assert len(calls) == 1
 
 
 # --- search ----------------------------------------------------------------
