@@ -214,3 +214,31 @@ def is_perfect_kth_power(x: int, k: int) -> int | None:
     """The exact k-th root of x when x = r**k, otherwise None."""
     r = int_kth_root(x, k)
     return r if r**k == x else None
+
+
+_INT64_MAX = 2**63 - 1
+# Largest r with r**p <= _INT64_MAX, for each power p.
+_INT64_ROOT_MAX = {p: int_kth_root(_INT64_MAX, p) for p in (2, 3, 4, 5)}
+
+
+def _floor_root_vec(vals: np.ndarray, power: int) -> np.ndarray:
+    """Vectorized floor(v ** (1/power)) for int64 v, exact on its whole domain.
+
+    Domain: 0 <= v <= 2**63 - 1 for every power in 2..5 (negative v give
+    0).  Roots are clamped to R_p = floor((2**63 - 1) ** (1/p)), which is
+    3037000499, 2097151, 55108 and 6208 for p = 2..5, so r**p never
+    overflows, and (r+1)**p is only formed for r < R_p.  The float seed
+    is a few units off at most; the correction loop repeats until
+    r**p <= v < (r+1)**p holds for every element, so the result does not
+    rest on the seed's accuracy.
+    """
+    top = _INT64_ROOT_MAX[power]
+    r = np.power(np.maximum(vals, 0).astype(np.float64), 1.0 / power).astype(np.int64)
+    np.clip(r, 0, top, out=r)
+    while True:
+        up = (r < top) & (np.minimum(r + 1, top) ** power <= vals)
+        down = (r > 0) & (r**power > vals)
+        if not (up.any() or down.any()):
+            return r
+        r += up
+        r -= down

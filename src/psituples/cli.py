@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: psi, search, verify, table, obstruct, classify, family.
-Exit codes: 0 success, 1 verification or table mismatch, 2 invalid input,
+Subcommands: psi, search, verify, table, obstruct, theorem1, classify, family.
+Exit codes: 0 success, 1 verification, table or scan failure, 2 invalid input,
 3 internal arithmetic overflow (reserved; unreachable with native big
 integers, kept for interface stability).
 """
@@ -22,6 +22,7 @@ from .theorems import (
     classify_equal_pair,
     pair_obstruction,
     triple_family,
+    verify_theorem1,
 )
 from .tuples import (
     Solution,
@@ -93,9 +94,7 @@ def _cmd_search(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             f"maximum safe bound: {safe}"
         )
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    config = SearchConfig(
-        kind=kind, bound=args.bound, jobs=jobs, emit_partial=args.emit_partial
-    )
+    config = SearchConfig(kind=kind, bound=args.bound, jobs=jobs)
 
     progress = None
     if args.emit_partial:
@@ -169,6 +168,16 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_theorem1(args: argparse.Namespace) -> int:
+    scan = verify_theorem1(args.limit)
+    print(f"checked:  {scan.checked}")
+    print(f"failures: {list(scan.failures)}")
+    print("cases:")
+    for case, count in scan.cases.items():
+        print(f"  {case + ':':<20}{count}")
+    return 1 if scan.failures else 0
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
     report = classify_equal_pair(args.a)
     print(f"a:      {report.a}")
@@ -237,6 +246,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("obstruct", help="case and witness for a pair candidate")
     p.add_argument("x", type=int)
 
+    p = sub.add_parser("theorem1", help="scan 2..LIMIT for a quadratic pair")
+    p.add_argument("limit", type=int, metavar="LIMIT")
+
     p = sub.add_parser("classify", help="equal-pair branch report for a")
     p.add_argument("a", type=int)
 
@@ -260,6 +272,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_table(args)
         if args.command == "obstruct":
             return _cmd_obstruct(args)
+        if args.command == "theorem1":
+            return _cmd_theorem1(args)
         if args.command == "classify":
             return _cmd_classify(args)
         if args.command == "family":

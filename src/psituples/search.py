@@ -24,7 +24,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .arith import PsiSieve, build_sieve, int_kth_root, is_perfect_kth_power
+from .arith import (
+    _INT64_MAX,
+    PsiSieve,
+    _floor_root_vec,
+    build_sieve,
+    int_kth_root,
+    is_perfect_kth_power,
+)
 from .tuples import Solution, TupleKind, sort_solutions
 
 __all__ = [
@@ -51,10 +58,6 @@ _MITM_PAIR_THRESHOLD = 2_000
 # grow with the search bound.
 _KERNEL_BLOCK = 1 << 14
 
-_INT64_MAX = 2**63 - 1
-# Largest r with r**p <= _INT64_MAX, for each power p.
-_INT64_ROOT_MAX = {p: int_kth_root(_INT64_MAX, p) for p in (2, 3, 4, 5)}
-
 
 def max_safe_bound(power: int) -> int:
     """Largest bound N with psi(N)**power provably inside 128 bits.
@@ -70,7 +73,6 @@ class SearchConfig:
     kind: TupleKind
     bound: int
     jobs: int = 1
-    emit_partial: bool = False
 
     def __post_init__(self) -> None:
         if self.bound < 1:
@@ -136,29 +138,6 @@ class _PairSumTable:
     def feasible(power: int, cap: int) -> bool:
         # int64 headroom plus a memory guard on the pair count
         return cap >= 2 and 4 * cap**power < 2**63 and cap * (cap + 1) // 2 <= 300_000_000
-
-
-def _floor_root_vec(vals: np.ndarray, power: int) -> np.ndarray:
-    """Vectorized floor(v ** (1/power)) for int64 v, exact on its whole domain.
-
-    Domain: 0 <= v <= 2**63 - 1 for every power in 2..5 (negative v give
-    0).  Roots are clamped to R_p = floor((2**63 - 1) ** (1/p)), which is
-    3037000499, 2097151, 55108 and 6208 for p = 2..5, so r**p never
-    overflows, and (r+1)**p is only formed for r < R_p.  The float seed
-    is a few units off at most; the correction loop repeats until
-    r**p <= v < (r+1)**p holds for every element, so the result does not
-    rest on the seed's accuracy.
-    """
-    top = _INT64_ROOT_MAX[power]
-    r = np.power(np.maximum(vals, 0).astype(np.float64), 1.0 / power).astype(np.int64)
-    np.clip(r, 0, top, out=r)
-    while True:
-        up = (r < top) & (np.minimum(r + 1, top) ** power <= vals)
-        down = (r > 0) & (r**power > vals)
-        if not (up.any() or down.any()):
-            return r
-        r += up
-        r -= down
 
 
 def _two_pointer(residual: int, power: int, lo: int, cap: int) -> list[tuple[int, int]]:

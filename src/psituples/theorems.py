@@ -16,10 +16,20 @@ m > 1, H = 9*P**2 - 8*Q**2 would have to be but is 8 or 12 mod 16.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterator, NamedTuple
 
-from .arith import PsiSieve, build_sieve, factorize, is_perfect_kth_power, psi
+import numpy as np
+
+from .arith import (
+    PsiSieve,
+    _floor_root_vec,
+    build_sieve,
+    factorize,
+    is_perfect_kth_power,
+    psi,
+)
 from .tuples import Solution, kind_by_name
 
 __all__ = [
@@ -38,6 +48,11 @@ __all__ = [
 ]
 
 _QUADRATIC_TRIPLE = kind_by_name("quadratic-triple")
+
+# x per window of the Theorem-1 scan kernel.  A window holds a few int64
+# arrays of this length, so the scan's memory does not grow with the limit
+# beyond the sieve itself.
+_SCAN_WINDOW = 1 << 14
 
 
 class PairCase(Enum):
@@ -236,33 +251,128 @@ def witness_holds(report: PairObstructionReport) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class TheoremScan:
+    """Result of verify_theorem1.
+
+    cases counts every scanned x by PairCase value, all five included.
+    witnesses counts x by the kind of witness that refutes them, only the
+    kinds that occur; a clean scan has sum(witnesses.values()) == checked.
+    """
+
     checked: int
     failures: tuple[int, ...]
+    cases: dict[str, int] = field(default_factory=dict, hash=False)
+    witnesses: dict[str, int] = field(default_factory=dict, hash=False)
+
+
+class _PairWindow(NamedTuple):
+    """Per-x arrays of the scan kernel for one window of consecutive x.
+
+    case indexes the PairCase members in definition order.  witness is 0
+    when u1 is not a square, 1 when u1 is but v1 is not (the non-square
+    witness pair_obstruction picks), and -1 when both are squares.
+    suspect marks x where an identity fails or both parts are squares.
+    """
+
+    x: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    d: np.ndarray
+    u1: np.ndarray
+    v1: np.ndarray
+    case: np.ndarray
+    witness: np.ndarray
+    suspect: np.ndarray
+
+
+def _pair_window(lo: int, psi_window: np.ndarray) -> _PairWindow:
+    """The pair_obstruction data for x = lo, lo+1, ... given their psi values.
+
+    Needs nothing but psi of the window, so a segmented sieve can feed it.
+    Below 2**32, x has at most nine distinct primes, so psi < 4x, u and v
+    stay below 2**35 and int64 is exact;
+    psi**2 - x**2 is never formed.  Because gcd(u1, v1) = 1 and u > 0,
+    psi**2 - x**2 = d**2 * u1 * v1 is a square exactly when u1 and v1 both are.
+    """
+    px = psi_window.astype(np.int64)
+    x = np.arange(lo, lo + px.size, dtype=np.int64)
+    u = px - x
+    v = px + x
+    d = np.gcd(u, v)
+    u1 = u // d
+    v1 = v // d
+    identities = (
+        (v - u == 2 * x)
+        & (u + v == 2 * px)
+        & (d * u1 == u)
+        & (d * v1 == v)
+        & (np.gcd(u1, v1) == 1)
+        & (u > 0)
+    )
+    u1_square = _floor_root_vec(u1, 2) ** 2 == u1
+    v1_square = _floor_root_vec(v1, 2) ** 2 == v1
+    witness = np.where(~u1_square, 0, np.where(~v1_square, 1, -1)).astype(np.int8)
+
+    # x = 2^k * m with m odd; psi(x) = 3 * 2^(k-1) * psi(m) for k >= 1.  An
+    # odd m > 1 is a prime power exactly when psi(m) - m divides m: p^r
+    # gives p^(r-1).  With two or more distinct primes psi(m) - m exceeds
+    # gcd(m, psi(m)), so it cannot divide m (it would divide psi(m) too,
+    # and hence that gcd).
+    two_k = x & -x
+    m = x // two_k
+    gap = np.where(two_k > 1, 2 * px // (3 * two_k), px) - m
+    prime_power = (gap > 0) & (m % np.maximum(gap, 1) == 0)
+    case = np.select(
+        [m == 1, two_k == 1, prime_power & (m % 3 == 0), prime_power],
+        [0, 1, 2, 3],
+        default=4,
+    ).astype(np.int8)
+    suspect = ~identities | (witness < 0)
+    return _PairWindow(x, u, v, d, u1, v1, case, witness, suspect)
+
+
+def _pair_windows(sieve: PsiSieve, limit: int) -> Iterator[_PairWindow]:
+    """The kernel over 2..limit, one window of _SCAN_WINDOW x at a time."""
+    for lo in range(2, limit + 1, _SCAN_WINDOW):
+        hi = min(lo + _SCAN_WINDOW, limit + 1)
+        yield _pair_window(lo, sieve.psi[lo:hi])
 
 
 def verify_theorem1(limit: int, sieve: PsiSieve | None = None) -> TheoremScan:
     """Confirm for every 2 <= x <= limit that psi(x)^2 - x^2 is not a
-    positive perfect square, and that pair_obstruction classifies x
-    without error.  failures lists any x where either check breaks."""
+    positive perfect square.
+
+    A numpy kernel checks the pair_obstruction identities and the square
+    tests window by window.  Any x it cannot clear, because an identity
+    fails or u1 and v1 are both squares, is listed in failures, and
+    pair_obstruction is asked for its report: a failure that still gets a
+    witness there means the kernel and the scalar path disagree.
+    """
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if sieve is None or sieve.limit < limit:
         sieve = build_sieve(limit)
-    psi_list = sieve.psi[: limit + 1].tolist()
-    isqrt = math.isqrt
+    cases = np.zeros(len(PairCase), dtype=np.int64)
+    cleared = 0
+    witnesses: dict[str, int] = {}
     failures: list[int] = []
-    for x in range(2, limit + 1):
-        v = psi_list[x]
-        y2 = v * v - x * x
-        r = isqrt(y2)
-        if y2 > 0 and r * r == y2:
+    for w in _pair_windows(sieve, limit):
+        cases += np.bincount(w.case, minlength=len(PairCase))
+        cleared += int(np.count_nonzero(~w.suspect))
+        for x in w.x[w.suspect].tolist():
             failures.append(x)
-            continue
-        try:
-            pair_obstruction(x, sieve)
-        except (ValueError, ArithmeticError):
-            failures.append(x)
-    return TheoremScan(checked=limit - 1, failures=tuple(failures))
+            try:
+                kind = pair_obstruction(x, sieve).obstruction.kind
+            except (ValueError, ArithmeticError):
+                continue
+            witnesses[kind] = witnesses.get(kind, 0) + 1
+    if cleared:
+        witnesses["non-square"] = witnesses.get("non-square", 0) + cleared
+    return TheoremScan(
+        checked=limit - 1,
+        failures=tuple(failures),
+        cases={c.value: int(n) for c, n in zip(PairCase, cases)},
+        witnesses=witnesses,
+    )
 
 
 def triple_family(k: int) -> Solution:

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from psituples import TheoremScan, cli
 from psituples.cli import main
 
 
@@ -202,6 +203,25 @@ def test_obstruct_command(capsys):
 
 def test_obstruct_rejects_one(capsys):
     assert run(capsys, "obstruct", "1")[0] == 2
+
+
+def test_theorem1_command(capsys, monkeypatch):
+    code, out, _ = run(capsys, "theorem1", "100")
+    assert code == 0
+    assert out.splitlines() == [
+        "checked:  99",
+        "failures: []",
+        "cases:",
+        "  PowerOfTwo:         6",
+        "  OddOnly:            49",
+        "  TwoThree:           9",
+        "  TwoTimesPrimePower: 27",
+        "  General:            8",
+    ]
+    assert run(capsys, "theorem1", "1")[0] == 2
+    monkeypatch.setattr(cli, "verify_theorem1", lambda limit: TheoremScan(limit - 1, (4,)))
+    code, out, _ = run(capsys, "theorem1", "10")
+    assert code == 1 and "failures: [4]" in out
 
 
 def test_classify_command(capsys):

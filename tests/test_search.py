@@ -19,13 +19,11 @@ from psituples import (
     search,
     verify_solution,
 )
-from psituples.arith import int_kth_root
+from psituples.arith import _INT64_MAX, _floor_root_vec, int_kth_root
 from psituples.search import (
-    _INT64_MAX,
     _build_class_runs,
     _cut,
     _descend,
-    _floor_root_vec,
     _kernel_fits_int64,
     _PairSumTable,
 )

@@ -1,6 +1,8 @@
 """Theorem lab: pair obstructions, the exhaustive scan, equal-pair branches."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +10,8 @@ from psituples import (
     EqualPairBranch,
     PairCase,
     SearchConfig,
+    TheoremScan,
+    build_sieve,
     classify_equal_pair,
     congruence_witness,
     kind_by_name,
@@ -19,7 +23,8 @@ from psituples import (
     verify_theorem1,
     witness_holds,
 )
-from psituples.theorems import PairObstructionReport
+from psituples import theorems
+from psituples.theorems import PairObstructionReport, _pair_window, _pair_windows
 
 
 # --- case classification and witnesses --------------------------------------
@@ -103,6 +108,94 @@ def test_verify_theorem1_tiny():
 def test_verify_theorem1_rejects_bad_limit():
     with pytest.raises(ValueError):
         verify_theorem1(1)
+
+
+CASES = [c.value for c in PairCase]
+
+
+def scalar_rows(sieve, limit):
+    """(x, u, v, d, u1, v1, case, witness kind, witness on v1) per x, from
+    the scalar explainer."""
+    rows = []
+    for x in range(2, limit + 1):
+        r = pair_obstruction(x, sieve)
+        w = r.obstruction
+        rows.append((x, r.u, r.v, r.d, r.u1, r.v1, r.case_id.value, w.kind, w.get("symbol_is_v1")))
+    return rows
+
+
+def kernel_rows(sieve, limit):
+    rows = []
+    for w in _pair_windows(sieve, limit):
+        assert not w.suspect.any()
+        for x, u, v, d, u1, v1, case, witness in zip(
+            *(a.tolist() for a in (w.x, w.u, w.v, w.d, w.u1, w.v1, w.case, w.witness))
+        ):
+            rows.append((x, u, v, d, u1, v1, CASES[case], "non-square", witness))
+    return rows
+
+
+def expected_scan(rows):
+    cases = Counter(row[6] for row in rows)
+    return TheoremScan(
+        checked=len(rows),
+        failures=(),
+        cases={c: cases[c] for c in CASES},
+        witnesses={"non-square": len(rows)},
+    )
+
+
+@pytest.fixture(scope="module")
+def scalar_100k(sieve_100k):
+    return scalar_rows(sieve_100k, 100_000)
+
+
+def test_scan_kernel_equals_pair_obstruction_to_100k(sieve_100k, scalar_100k):
+    assert kernel_rows(sieve_100k, 100_000) == scalar_100k
+
+
+@pytest.mark.parametrize("window", [1, 2, 7])
+@pytest.mark.parametrize("limit", [2003, 2004])
+def test_scan_kernel_window_edges(monkeypatch, sieve_100k, scalar_100k, window, limit):
+    # 2003 ends a window of 2 and of 7; 2004 opens one
+    monkeypatch.setattr(theorems, "_SCAN_WINDOW", window)
+    assert kernel_rows(sieve_100k, limit) == scalar_100k[: limit - 1]
+    assert verify_theorem1(limit, sieve_100k) == expected_scan(scalar_100k[: limit - 1])
+
+
+@pytest.mark.parametrize("limit", [2, 3, 65537])
+def test_verify_theorem1_histograms(sieve_100k, scalar_100k, limit):
+    expected = expected_scan(scalar_100k[: limit - 1])
+    assert verify_theorem1(limit, sieve_100k) == expected  # sieve.limit > limit
+    assert verify_theorem1(limit, build_sieve(limit - 1)) == expected  # rebuilt
+
+
+def test_theorem1_histograms_to_one_million(sieve_1m):
+    # frozen from the scalar _classify_shape over the same range
+    scan = verify_theorem1(1_000_000, sieve_1m)
+    assert scan.cases == {
+        "PowerOfTwo": 19,
+        "OddOnly": 499_999,
+        "TwoThree": 110,
+        "TwoTimesPrimePower": 89_581,
+        "General": 410_290,
+    }
+    assert scan.witnesses == {"non-square": 999_999}
+
+
+def test_scan_reports_planted_failures(sieve_1k):
+    # psi(4) = 5 would make 5^2 - 4^2 = 3^2 (u1 = 1, v1 = 9, both squares);
+    # psi(7) = 6 breaks the identity u > 0
+    psi = sieve_1k.psi.copy()
+    psi[4], psi[7] = 5, 6
+    fake = replace(sieve_1k, psi=psi)
+    window = _pair_window(2, psi[2:12])
+    assert window.x[window.suspect].tolist() == [4, 7]
+    assert window.witness[window.x == 4].tolist() == [-1]
+    scan = verify_theorem1(100, fake)
+    assert scan.failures == (4, 7)
+    assert scan.checked == 99 and scan.witnesses == {"non-square": 97}
+    assert sum(scan.cases.values()) == 99
 
 
 # --- power-of-two triple family ----------------------------------------------
