@@ -81,9 +81,11 @@ def build_sieve(limit: int) -> PsiSieve:
     """Build the shared sieve for 1..limit in O(N log log N).
 
     psi is computed multiplicatively: every n starts at n, and each prime
-    p <= limit rescales all of its multiples by (p+1)/p.  The division is
-    exact at every step because each multiple of p still carries the
-    factor p when its turn comes.
+    p <= sqrt(limit) rescales all of its multiples by (p+1)/p.  The division
+    is exact at every step because each multiple of p still carries the
+    factor p when its turn comes.  What is left of n once every power of
+    those primes is divided out is 1 or its single prime factor above
+    sqrt(limit); one vectorized step applies that last factor.
     """
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
@@ -101,11 +103,24 @@ def build_sieve(limit: int) -> PsiSieve:
     spf[unmarked] = idx[unmarked]  # primes, plus the 0/1 sentinels
 
     psi_vals = np.arange(limit + 1, dtype=np.uint64)
-    primes = np.flatnonzero(spf == idx)
-    for p in primes[2:].tolist():  # skip the 0 and 1 sentinel hits
+    cofactor = idx  # reused: n with the powers of every prime <= sqrt(limit) divided out
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] != p:
+            continue
         view = psi_vals[p::p]
         np.floor_divide(view, p, out=view)
         view *= p + 1
+        q = p
+        while q <= limit:
+            view = cofactor[q::q]
+            np.floor_divide(view, p, out=view)
+            q *= p
+    # n <= limit has at most one prime factor above sqrt(limit), to the first
+    # power, so the cofactor is 1 or that prime c, still a factor of psi_vals
+    c = cofactor[1:]
+    np.floor_divide(psi_vals[1:], c, out=psi_vals[1:])
+    c += c > 1
+    psi_vals[1:] *= c
     spf.flags.writeable = False
     psi_vals.flags.writeable = False
     return PsiSieve(limit=limit, spf=spf, psi=psi_vals)

@@ -2,11 +2,11 @@
 
 The fast path indexes 1..N by psi value, enumerates equal-class multisets
 per class, and decomposes each residual into a sum of f k-th powers.  Kinds
-with a single free entry run a batched numpy kernel instead: it enumerates
-the multisets of every class as arrays and tests all residuals for perfect
-powers at once.  The brute-force oracle at the bottom re-derives the same
-sets with plain nested loops and no shared machinery; differential tests
-compare the two.
+with one or two free entries run a batched numpy kernel instead: it
+enumerates the multisets of every class as arrays and splits all residuals
+into one or two k-th powers at once.  The brute-force oracle at the bottom
+re-derives the same sets with plain nested loops and no shared machinery;
+differential tests compare the two.
 
 Bound semantics: N limits equal-class entries only; free entries are
 bounded by the residual automatically.  Output is always the canonical
@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,8 +49,8 @@ ORACLE_MAX_BOUND = 500
 
 _UINT128_MAX = (1 << 128) - 1
 
-# Above this many (b1, b2) prefix pairs, a four-entry decomposition switches
-# from recursive descent to the sorted pair-sum table.
+# Above this many (b1, b2) prefix pairs, a four-entry decomposition given no
+# pair-sum table builds one instead of running recursive descent.
 _MITM_PAIR_THRESHOLD = 2_000
 
 # Multisets per block of the batched equal-class kernel.  A block holds a
@@ -117,7 +117,7 @@ class _PairSumTable:
     residuals probed against them cannot overflow.
     """
 
-    __slots__ = ("power", "cap", "sums", "xs", "ys", "pow_np")
+    __slots__ = ("power", "cap", "sums", "xs", "ys")
 
     def __init__(self, power: int, cap: int):
         self.power = power
@@ -132,7 +132,6 @@ class _PairSumTable:
         self.sums = sums[order]
         self.xs = xs[order].astype(np.int32)
         self.ys = ys[order].astype(np.int32)
-        self.pow_np = pw
 
     @staticmethod
     def feasible(power: int, cap: int) -> bool:
@@ -188,50 +187,36 @@ def _descend(
 def _mitm4(
     residual: int, power: int, cap: int, table: _PairSumTable
 ) -> list[tuple[int, ...]]:
-    """Four-entry decomposition via the sorted pair-sum table.
+    """Four-entry decomposition by joining two slices of the pair-sum table.
 
-    Enumerates (b1, b2) prefixes vectorized and looks the tail pair up by
-    value; the b2 <= x junction keeps each canonical 4-tuple unique.
+    A canonical b1 <= b2 <= x <= y has b1**p + b2**p <= residual / 2 <=
+    x**p + y**p, so the head pairs (b1, b2) are the table prefix with sum
+    <= residual // 2 and the tail pairs (x, y) the slice with sum >=
+    residual - residual // 2 (the two overlap when residual is twice a pair
+    sum).  The needles residual - head sums, reversed, are already
+    ascending, so one searchsorted into the tail slice finds every match;
+    the b2 <= x junction keeps each canonical 4-tuple unique.
     """
     out: list[tuple[int, ...]] = []
-    pw = table.pow_np
-    b1_max = min(cap, int_kth_root(residual // 4, power), table.cap)
-    if b1_max < 1:
-        return out
-    b1s = np.arange(1, b1_max + 1, dtype=np.int64)
-    r1s = residual - pw[b1s]
-    b2_hi = np.minimum(_floor_root_vec(r1s // 3, power), min(cap, table.cap))
-    counts = b2_hi - b1s + 1
-    keep = counts > 0
-    b1s, counts = b1s[keep], counts[keep]
-    if b1s.size == 0:
-        return out
-    b1_flat = np.repeat(b1s, counts)
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    b2_flat = b1_flat + (np.arange(b1_flat.size, dtype=np.int64) - offsets)
-    rem2 = residual - pw[b1_flat] - pw[b2_flat]
-    # probe a residual-bounded slice with sorted needles: far fewer cache
-    # misses than independent binary searches over the whole table
-    hay_len = int(np.searchsorted(table.sums, residual, side="right"))
-    if hay_len == 0:
-        return out
-    hay = table.sums[:hay_len]
-    order = np.argsort(rem2, kind="stable")
-    needles = rem2[order]
-    idx = np.searchsorted(hay, needles, side="left")
-    safe = np.minimum(idx, hay_len - 1)
-    hits = (idx < hay_len) & (hay[safe] == needles)
     sums, xs, ys = table.sums, table.xs, table.ys
-    for pos in np.flatnonzero(hits):
-        i = int(order[pos])
-        b2 = int(b2_flat[i])
-        want = int(needles[pos])
-        j = int(idx[pos])
-        while j < hay_len and sums[j] == want:
-            x = int(xs[j])
-            y = int(ys[j])
+    half = int(np.searchsorted(sums, residual // 2, side="right"))
+    t_lo = int(np.searchsorted(sums, residual - residual // 2, side="left"))
+    t_hi = int(np.searchsorted(sums, residual - 2, side="right"))
+    if half == 0 or t_lo >= t_hi:
+        return out
+    tail = sums[t_lo:t_hi]
+    needles = residual - sums[half - 1 :: -1]
+    idx = np.searchsorted(tail, needles, side="left")
+    hits = np.flatnonzero(tail[np.minimum(idx, tail.size - 1)] == needles)
+    for k in hits.tolist():
+        head = half - 1 - k
+        b1, b2 = int(xs[head]), int(ys[head])
+        want = int(needles[k])
+        j = t_lo + int(idx[k])
+        while j < t_hi and sums[j] == want:
+            x, y = int(xs[j]), int(ys[j])
             if b2 <= x and y <= cap:
-                out.append((int(b1_flat[i]), b2, x, y))
+                out.append((b1, b2, x, y))
             j += 1
     return out
 
@@ -248,9 +233,10 @@ def decompose_sum_of_powers(
 
     count == 1 is a perfect-power test; count == 2 a two-pointer sweep;
     larger counts recurse with monotone residual pruning.  Four-entry
-    decompositions switch to a meet-in-the-middle pair-sum table once the
-    prefix enumeration would dominate (recursive descent is quartically
-    slower at table scale; see decisions on defaults).
+    decompositions join a meet-in-the-middle pair-sum table: the caller's
+    pair_table whenever it covers the residual, otherwise one built here
+    once the prefix enumeration would dominate (recursive descent is
+    quartically slower at table scale).
     """
     if power not in (2, 3, 4, 5):
         raise ValueError("power must be in 2..5")
@@ -267,13 +253,12 @@ def decompose_sum_of_powers(
         return _two_pointer(residual, power, 1, cap)
     if count == 4 and residual < 2**62:  # the table path is int64-only
         root = int_kth_root(residual, power)
-        est_pairs = root * root // 2
-        if est_pairs > _MITM_PAIR_THRESHOLD:
-            table_cap = min(cap, root)
-            if pair_table is not None and pair_table.power == power and pair_table.cap >= table_cap:
-                return sorted(_mitm4(residual, power, cap, pair_table))
-            if _PairSumTable.feasible(power, table_cap):
-                return sorted(_mitm4(residual, power, cap, _PairSumTable(power, table_cap)))
+        table_cap = min(cap, root)
+        if pair_table is not None and pair_table.power == power and pair_table.cap >= table_cap:
+            return sorted(_mitm4(residual, power, cap, pair_table))
+        # without a caller's table, build one only where descent would dominate
+        if root * root // 2 > _MITM_PAIR_THRESHOLD and _PairSumTable.feasible(power, table_cap):
+            return sorted(_mitm4(residual, power, cap, _PairSumTable(power, table_cap)))
     out: list[tuple[int, ...]] = []
     _descend(residual, count, power, 1, cap, (), out)
     return out
@@ -341,7 +326,7 @@ def _search_classes(
     return out
 
 
-# --- batched kernel for one free entry --------------------------------------
+# --- batched kernel for one or two free entries ----------------------------
 
 
 def _kernel_fits_int64(max_psi: int, power: int, equal: int) -> bool:
@@ -388,25 +373,58 @@ def _build_class_runs(sieve: PsiSieve, bound: int, equal: int) -> _ClassRuns:
     return _ClassRuns(order + 1, psis, run_end, tuple_start)
 
 
-def _cut(tuple_start: np.ndarray, lo: int, hi: int, budget: int) -> list[int]:
-    """Edges lo = e_0 < ... < e_k = hi cutting first positions lo..hi-1.
+def _cut(start: np.ndarray, lo: int, hi: int, budget: int) -> list[int]:
+    """Edges lo = e_0 < ... < e_k = hi cutting positions lo..hi-1.
 
-    A piece starts wherever the cumulative tuple count crosses a multiple
-    of budget, so it holds fewer than budget tuples plus those of its last
-    first position; a large class may span several pieces.
+    start[i] counts the items (tuples, or residual splits) of the positions
+    below i.  A piece starts wherever that count crosses a multiple of
+    budget, so it holds fewer than budget items plus those of its last
+    position; a large class may span several pieces.  No pieces when
+    lo..hi-1 hold no items.
     """
-    marks = np.arange(tuple_start[lo], tuple_start[hi], budget)
-    edges = np.unique(np.searchsorted(tuple_start[lo:hi], marks)) + lo
+    marks = np.arange(start[lo], start[hi], budget)
+    edges = np.unique(np.searchsorted(start[lo:hi], marks)) + lo
     return edges.tolist() + [hi]
 
 
+def _split_residuals(
+    residual: np.ndarray, power: int, free: int
+) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
+    """Every way to write residual[i] > 0 as `free` (1 or 2) power-th powers.
+
+    Yields (i, free-entry columns) per piece.  With one free entry that is
+    one perfect-power pass.  With two, each residual R is expanded by its
+    smaller entry b1 = 1..floor((R // 2) ** (1/p)), since 2 * b1**p <= R
+    exactly when b1 <= b2, and every R - b1**p is tested for a perfect
+    power; the (R, b1) splits run in pieces of about _KERNEL_BLOCK, so
+    memory stays bounded however large the residuals are.  All values stay
+    below R, so int64 is exact wherever R is.
+    """
+    if free == 1:
+        roots = _floor_root_vec(residual, power)
+        hits = np.flatnonzero(roots**power == residual)
+        yield hits, (roots[hits],)
+        return
+    counts = _floor_root_vec(residual // 2, power)
+    start = np.concatenate(([0], np.cumsum(counts)))
+    edges = _cut(start, 0, residual.size, _KERNEL_BLOCK)
+    for lo, hi in zip(edges, edges[1:]):
+        rows = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        b1 = np.arange(start[lo], start[hi]) - start[rows] + 1
+        rest = residual[rows] - b1**power
+        b2 = _floor_root_vec(rest, power)
+        hits = b2**power == rest
+        yield rows[hits], (b1[hits], b2[hits])
+
+
 def _search_runs(kind: TupleKind, runs: _ClassRuns, lo: int, hi: int) -> list[Solution]:
-    """One free entry: all equal-class multisets whose first position is in lo..hi-1.
+    """One or two free entries: all equal-class multisets whose first
+    position is in lo..hi-1.
 
     Each block of about _KERNEL_BLOCK multisets is expanded to position
     arrays with the repeat/offset trick of _PairSumTable.  The residuals
-    psi**p - sum(a**p) are formed in int64 and tested for perfect powers in
-    one pass.  The caller checks _kernel_fits_int64 first.
+    psi**p - sum(a**p) are formed in int64 and split into the free entries
+    by _split_residuals.  The caller checks _kernel_fits_int64 first.
     """
     p, e = kind.power, kind.equal
     out: list[Solution] = []
@@ -426,12 +444,12 @@ def _search_runs(kind: TupleKind, runs: _ClassRuns, lo: int, hi: int) -> list[So
         for a in entries:
             residual -= a**p
         live = np.flatnonzero(residual > 0)
-        residual = residual[live]
-        roots = _floor_root_vec(residual, p)
-        hits = roots**p == residual
-        for i, b in zip(live[hits].tolist(), roots[hits].tolist()):
-            v = int(psis[i])
-            out.append(Solution(kind, tuple(int(a[i]) for a in entries), (b,), v, v**p))
+        for rows, frees in _split_residuals(residual[live], p, kind.free):
+            rows = live[rows]
+            equal = zip(*(a[rows].tolist() for a in entries))
+            free = zip(*(b.tolist() for b in frees))
+            for v, eq, fr in zip(psis[rows].tolist(), equal, free):
+                out.append(Solution(kind, eq, fr, v, v**p))
     return out
 
 
@@ -441,10 +459,10 @@ def _search_runs(kind: TupleKind, runs: _ClassRuns, lo: int, hi: int) -> list[So
 def _search_state(kind: TupleKind, sieve: PsiSieve, bound: int) -> dict:
     """What the chunks of one search read, apart from the pair-sum table.
 
-    Kinds with one free entry take the batched kernel when its int64
-    arithmetic is exact, and the scalar path otherwise.
+    Kinds with one or two free entries take the batched kernel when its
+    int64 arithmetic is exact, and the scalar path otherwise.
     """
-    if kind.free == 1 and _kernel_fits_int64(
+    if kind.free <= 2 and _kernel_fits_int64(
         int(sieve.psi[1 : bound + 1].max()), kind.power, kind.equal
     ):
         return {"runs": _build_class_runs(sieve, bound, kind.equal)}

@@ -161,6 +161,17 @@ def test_psi_sieve_matches_trial_division(sieve_100k):
         assert psi(n) == pl[n]
 
 
+@pytest.mark.parametrize("limit", [
+    1, 2, 3, 4,
+    10_007,  # a prime: itself the cofactor left above sqrt(limit)
+    10_200, 10_201,  # 101**2 - 1 and 101**2: 101 above, then at sqrt(limit)
+    16_384,  # 2**14
+])
+def test_psi_sieve_at_edge_limits(limit):
+    sieve = build_sieve(limit)
+    assert sieve.psi.tolist() == [0] + [psi(n) for n in range(1, limit + 1)]
+
+
 # --- integer roots ----------------------------------------------------------
 
 

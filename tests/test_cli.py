@@ -125,6 +125,8 @@ def test_search_emit_partial_streams_progress(capsys):
     ("--kind", "quadratic-triple", "--bound", "4096"),
     ("--kind", "quadratic-quadruple", "--bound", "500", "--format", "csv"),
     ("--kind", "quadratic-pair", "--bound", "3000"),
+    ("--kind", "cubic-quintuple", "--bound", "300", "--format", "csv"),
+    ("--kind", "cubic-triple", "--bound", "800"),
 ])
 def test_search_jobs_one_and_two_byte_identical(capsys, argv):
     code1, out1, _ = run(capsys, "search", *argv, "--jobs", "1")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from psituples import (
     ORACLE_MAX_BOUND,
+    PsiSieve,
     SearchConfig,
     brute_force_oracle,
     build_class_index,
@@ -140,6 +141,65 @@ def test_mitm_agrees_with_recursive_descent():
             assert via_table == via_descent, (power, residual)
 
 
+def descend4(residual, power, cap):
+    out: list = []
+    _descend(residual, 4, power, 1, cap, (), out)
+    return out
+
+
+def test_mitm_head_sum_equal_to_tail_sum():
+    # residual = 2 * (x**p + y**p): the head prefix (sums <= residual // 2)
+    # and the tail slice (sums >= residual - residual // 2) share the pair
+    # sum residual / 2; x == y gives the one tuple split there, (x, x, x, x)
+    from psituples.search import _mitm4
+
+    for power, pairs in {2: [(1, 1), (3, 4), (5, 5), (7, 30)], 3: [(2, 2), (1, 12), (9, 10)],
+                         4: [(6, 6), (2, 9)], 5: [(3, 3), (2, 5)]}.items():
+        for x, y in pairs:
+            residual = 2 * (x**power + y**power)
+            cap = int_kth_root(residual, power)
+            got = sorted(_mitm4(residual, power, cap, _PairSumTable(power, cap)))
+            assert got == descend4(residual, power, cap), (power, x, y)
+            assert (x, x, y, y) in got
+            assert ((x,) * 4 in got) == (x == y)
+
+
+def test_mitm_several_representations():
+    # 59**4 + 158**4 == 133**4 + 134**4, so each residual below splits in
+    # several ways that share pair sums
+    from psituples.search import _mitm4
+
+    taxicab = 59**4 + 158**4
+    assert taxicab == 133**4 + 134**4
+    for residual, expected in [
+        (2 * taxicab, [(59, 59, 158, 158), (59, 133, 134, 158), (133, 133, 134, 134)]),
+        (taxicab + 2 * 3**4, [(3, 3, 59, 158), (3, 3, 133, 134)]),
+    ]:
+        cap = int_kth_root(residual, 4)
+        assert sorted(_mitm4(residual, 4, cap, _PairSumTable(4, cap))) == expected
+        assert descend4(residual, 4, cap) == expected
+        # a cap between the two representations keeps only the smaller one
+        assert decompose_sum_of_powers(residual, 4, 4, 140) == [
+            t for t in expected if max(t) <= 140
+        ]
+
+
+def test_decompose_uses_a_larger_passed_table():
+    # a caller's table serves every count-4 residual it covers, also those
+    # far below the size at which decompose would build one itself
+    import random
+
+    rng = random.Random(5)
+    for power, top in {2: 20_000, 3: 300_000, 4: 10**6, 5: 10**6}.items():
+        table = _PairSumTable(power, 2 * int_kth_root(top, power))
+        for residual in [4, 5, 2 * 2**power + 2] + [rng.randrange(4, top) for _ in range(10)]:
+            root = int_kth_root(residual, power)
+            for cap in (root, max(1, root // 2)):
+                expected = descend4(residual, power, cap)
+                assert decompose_sum_of_powers(residual, 4, power, cap, table) == expected
+                assert decompose_sum_of_powers(residual, 4, power, cap) == expected
+
+
 # --- vectorized k-th root ----------------------------------------------------
 
 ROOT_TOPS = {2: 3_037_000_499, 3: 2_097_151, 4: 55_108, 5: 6_208}
@@ -220,6 +280,12 @@ def block_edges(kind, bound, budget):
         ("quadratic-quadruple", 720, "inside a class"),
         ("quadratic-quadruple", 1436, "on a class boundary"),
         ("quadratic-quadruple", 3969, None),
+        ("cubic-triple", 700, None),
+        ("cubic-triple", 1615, None),
+        ("cubic-quadruple", 300, None),
+        ("cubic-quadruple", 675, None),
+        ("cubic-quintuple", 400, None),
+        ("cubic-quintuple", 800, "inside a class"),
     ],
 )
 def test_kernel_equals_scalar_path(monkeypatch, name, bound, block_edge):
@@ -260,12 +326,69 @@ def test_kernel_generic_powers_and_fallback(monkeypatch):
         assert search(cfg) == scalar_search(monkeypatch, cfg), kind
 
 
+@pytest.mark.parametrize("budget", [1, 2, 5])
+def test_two_free_kernel_with_tiny_blocks(monkeypatch, budget):
+    # the budget cuts both the multiset blocks and the (residual, b1) pieces
+    for name, bound in [("cubic-triple", 150), ("cubic-quadruple", 150),
+                        ("cubic-quintuple", 120)]:
+        kind = kind_by_name(name)
+        cfg = SearchConfig(kind, bound)
+        reference = scalar_search(monkeypatch, cfg)
+        assert reference
+        on, inside = block_edges(kind, bound, budget)
+        assert on and (inside or kind.equal == 1)
+        with monkeypatch.context() as m:
+            m.setattr(search_module, "_KERNEL_BLOCK", budget)
+            assert search(cfg) == reference, (name, budget)
+
+
+def test_two_free_kernel_generic_kinds(monkeypatch):
+    for kind, bound in [(TupleKind(2, 1, 2), 600), (TupleKind(4, 2, 2), 500),
+                        (TupleKind(5, 1, 2), 400)]:
+        cfg = SearchConfig(kind, bound)
+        assert "runs" in search_module._search_state(kind, build_sieve(bound), bound)
+        assert search(cfg) == scalar_search(monkeypatch, cfg), kind
+
+
+def test_two_free_kernel_int64_crossover(monkeypatch):
+    # 30**4 + 120**4 + 272**4 + 315**4 == 353**4, scaled by k and planted as
+    # the one class {30k, 120k} with psi 353k; every other n gets psi n,
+    # which leaves no residual.  2 * (353k)**4 fits int64 for k = 131, the
+    # top of the kernel's domain, and not for k = 132 (the scalar path).
+    kind = TupleKind(4, 2, 2)
+    top = int_kth_root(_INT64_MAX // 2, 4)
+    for k, kernel in [(131, True), (132, False)]:
+        assert (353 * k <= top) == kernel
+        bound = 120 * k
+        psi = np.arange(bound + 1, dtype=np.uint64)
+        psi[30 * k] = psi[120 * k] = 353 * k
+        sieve = PsiSieve(bound, np.zeros(bound + 1, dtype=np.uint32), psi)
+        assert ("runs" in search_module._search_state(kind, sieve, bound)) == kernel
+        cfg = SearchConfig(kind, bound)
+        found = search(cfg, sieve=sieve)
+        assert [(s.equal_entries, s.free_entries) for s in found] == [
+            ((30 * k, 120 * k), (272 * k, 315 * k))
+        ]
+        with monkeypatch.context() as m:
+            m.setattr(search_module, "_kernel_fits_int64", lambda *args: False)
+            assert search(cfg, sieve=sieve) == found
+
+
 def test_kernel_solutions_hold_python_ints():
     out = search(SearchConfig(kind_by_name("quadratic-quadruple"), 100))
     assert out
     for s in out:
         values = s.equal_entries + s.free_entries + (s.psi_value, s.target)
         assert all(type(v) is int for v in values)
+
+
+def test_two_free_kernel_solutions_hold_python_ints():
+    for name in ("cubic-triple", "cubic-quintuple"):
+        out = search(SearchConfig(kind_by_name(name), 100))
+        assert out
+        for s in out:
+            values = s.equal_entries + s.free_entries + (s.psi_value, s.target)
+            assert all(type(v) is int for v in values)
 
 
 def test_kernel_kinds_build_no_class_index(monkeypatch):
@@ -276,6 +399,8 @@ def test_kernel_kinds_build_no_class_index(monkeypatch):
     search(SearchConfig(kind_by_name("quadratic-triple"), 300))
     assert calls == []
     search(SearchConfig(kind_by_name("cubic-quadruple"), 300))
+    assert calls == []
+    search(SearchConfig(TupleKind(3, 2, 3), 100))
     assert len(calls) == 1
 
 
