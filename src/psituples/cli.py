@@ -3,7 +3,7 @@
 Subcommands: psi, search, verify, table, obstruct, theorem1, classify, family.
 Exit codes: 0 success, 1 verification, table or scan failure, 2 invalid input,
 3 internal arithmetic overflow (reserved; unreachable with native big
-integers, kept for interface stability).
+integers, kept for interface stability), 4 a search worker process died.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from typing import Sequence
 
 from .arith import psi
-from .search import SearchConfig, max_safe_bound, search
+from .search import SearchConfig, SearchWorkerError, max_safe_bound, search
 from .tables import TABLES, reproduce_table
 from .theorems import (
     EqualPairBranch,
@@ -284,6 +284,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OverflowError as exc:  # reserved; native ints never raise this here
         print(f"arithmetic overflow: {exc}", file=sys.stderr)
         return 3
+    except SearchWorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     raise AssertionError("unhandled command")
 
 

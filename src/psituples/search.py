@@ -4,9 +4,11 @@ The fast path indexes 1..N by psi value, enumerates equal-class multisets
 per class, and decomposes each residual into a sum of f k-th powers.  Kinds
 with one or two free entries run a batched numpy kernel instead: it
 enumerates the multisets of every class as arrays and splits all residuals
-into one or two k-th powers at once.  The brute-force oracle at the bottom
-re-derives the same sets with plain nested loops and no shared machinery;
-differential tests compare the two.
+into one or two k-th powers at once.  Sums of four fourth powers first
+pass a congruence descent mod 16 and mod 625, which rules out most
+residuals and shrinks the rest before they meet the pair-sum table.  The
+brute-force oracle at the bottom re-derives the same sets with plain
+nested loops and no shared machinery; differential tests compare the two.
 
 Bound semantics: N limits equal-class entries only; free entries are
 bounded by the residual automatically.  Output is always the canonical
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -36,6 +39,7 @@ from .tuples import Solution, TupleKind, sort_solutions
 
 __all__ = [
     "SearchConfig",
+    "SearchWorkerError",
     "PsiClassIndex",
     "build_class_index",
     "decompose_sum_of_powers",
@@ -87,6 +91,10 @@ class SearchConfig:
             )
 
 
+class SearchWorkerError(RuntimeError):
+    """A process-pool worker of a search died before returning its chunk."""
+
+
 @dataclass(frozen=True)
 class PsiClassIndex:
     """Map psi value -> sorted list of all n <= bound with that psi."""
@@ -123,15 +131,21 @@ class _PairSumTable:
         self.power = power
         self.cap = cap
         pw = np.arange(cap + 1, dtype=np.int64) ** power
-        counts = np.arange(cap, 0, -1, dtype=np.int64)
-        xs = np.repeat(np.arange(1, cap + 1, dtype=np.int64), counts)
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        ys = xs + (np.arange(xs.size, dtype=np.int64) - offsets)
-        sums = pw[xs] + pw[ys]
+        counts = np.arange(cap, 0, -1)
+        xs = np.repeat(np.arange(1, cap + 1, dtype=np.int32), counts)
+        # y steps by 1 inside the run of each x and drops from cap to x + 1
+        # where the run of x + 1 starts
+        ys = np.ones(xs.size, dtype=np.int32)
+        ys[np.cumsum(counts[:-1])] = np.arange(2 - cap, 1, dtype=np.int32)
+        np.cumsum(ys, out=ys)
+        sums = pw[xs]
+        sums += pw[ys]
         order = np.argsort(sums, kind="stable")
         self.sums = sums[order]
-        self.xs = xs[order].astype(np.int32)
-        self.ys = ys[order].astype(np.int32)
+        del sums  # drop each unsorted array once its sorted copy exists
+        self.xs = xs[order]
+        del xs
+        self.ys = ys[order]
 
     @staticmethod
     def feasible(power: int, cap: int) -> bool:
@@ -221,6 +235,34 @@ def _mitm4(
     return out
 
 
+def _quartic_descent(residual: int) -> tuple[int, int]:
+    """(reduced, scale) with the four-fourth-powers solutions of residual
+    exactly scale times those of reduced; reduced is 0 when there are none.
+
+    Fourth powers are 0 or 1 mod 16 and mod 5, so residual mod 16 counts
+    the odd entries and residual mod 5 those prime to 5.  Mod 16, a count
+    of 0 makes all four entries even (divide by 16, double the scale) and
+    a count above 4 is impossible; mod 5, a count of 0 makes all four
+    divisible by 5, so residual must be 0 mod 625 (divide by 625, scale by
+    5).  These are the classical reductions of equal-sums-of-like-powers
+    searches (Lander, Parkin and Selfridge, Math. Comp. 1967).  Python
+    ints throughout, so the reduction is exact at any size.
+    """
+    scale = 1
+    while residual:
+        if residual % 16 == 0:
+            residual //= 16
+            scale *= 2
+        elif residual % 16 > 4 or (residual % 5 == 0 and residual % 625):
+            return 0, scale
+        elif residual % 5 == 0:
+            residual //= 625
+            scale *= 5
+        else:
+            break
+    return residual, scale
+
+
 def decompose_sum_of_powers(
     residual: int,
     count: int,
@@ -232,11 +274,14 @@ def decompose_sum_of_powers(
     power-th powers sum to residual, in lexicographic order.
 
     count == 1 is a perfect-power test; count == 2 a two-pointer sweep;
-    larger counts recurse with monotone residual pruning.  Four-entry
+    larger counts recurse with monotone residual pruning.  Four fourth
+    powers first pass _quartic_descent: a residual it rules out returns
+    no tuples, and otherwise the reduced residual is decomposed with
+    entries <= cap // scale and the tuples are scaled back.  Four-entry
     decompositions join a meet-in-the-middle pair-sum table: the caller's
-    pair_table whenever it covers the residual, otherwise one built here
-    once the prefix enumeration would dominate (recursive descent is
-    quartically slower at table scale).
+    pair_table whenever it covers the (reduced) residual, otherwise one
+    built here once the prefix enumeration would dominate (recursive
+    descent is quartically slower at table scale).
     """
     if power not in (2, 3, 4, 5):
         raise ValueError("power must be in 2..5")
@@ -244,6 +289,11 @@ def decompose_sum_of_powers(
         raise ValueError("count must be >= 1")
     if residual < 0:
         raise ValueError("residual must be nonnegative")
+    if count == 4 and power == 4:
+        reduced, scale = _quartic_descent(residual)
+        if reduced != residual:
+            found = decompose_sum_of_powers(reduced, 4, 4, cap // scale, pair_table)
+            return [tuple(scale * b for b in t) for t in found]
     if cap < 1 or residual < count:  # entries are >= 1, so sum >= count
         return []
     if count == 1:
@@ -271,8 +321,14 @@ def _needs_pair_table(kind: TupleKind, sieve: PsiSieve, bound: int) -> _PairSumT
     """Build the shared tail-pair table when the kind can profit from it."""
     if kind.free != 4:
         return None
-    cap = int(sieve.psi[1 : bound + 1].max()) if bound >= 1 else 1
-    root = cap  # residual < psi(a)**p, so free entries stay below max psi
+    if kind.power == 4 and kind.equal == 1:
+        # the table only ever meets residuals reduced by _quartic_descent
+        psi = sieve.psi[1 : bound + 1].tolist()
+        reduced = (_quartic_descent(v**4 - a**4)[0] for a, v in enumerate(psi, start=1))
+        root = int_kth_root(max((r for r in reduced if r < 2**62), default=0), 4)
+    else:
+        # residual < psi(a)**p, so free entries stay below max psi
+        root = int(sieve.psi[1 : bound + 1].max())
     if root * root // 2 <= _MITM_PAIR_THRESHOLD:
         return None
     if not _PairSumTable.feasible(kind.power, root):
@@ -383,7 +439,8 @@ def _cut(start: np.ndarray, lo: int, hi: int, budget: int) -> list[int]:
     lo..hi-1 hold no items.
     """
     marks = np.arange(start[lo], start[hi], budget)
-    edges = np.unique(np.searchsorted(start[lo:hi], marks)) + lo
+    edges = np.searchsorted(start[lo:hi], marks)  # sorted, with repeats
+    edges = edges[np.diff(edges, prepend=-1) > 0] + lo
     return edges.tolist() + [hi]
 
 
@@ -520,7 +577,7 @@ def search(
     contiguous chunks, each chunk runs the same code in this process or in
     a pool worker, and the merged list is sorted canonically.  progress
     (if given) is called with (chunk_index, chunk_count, chunk_solutions)
-    as chunks complete.
+    as chunks complete.  A pool worker that dies raises SearchWorkerError.
     """
     kind, bound = config.kind, config.bound
     if sieve is None or sieve.limit < bound:
@@ -530,22 +587,25 @@ def search(
 
     use_pool = config.jobs > 1 and len(chunks) > 1
     results: list[Solution] = []
-    with (
-        ProcessPoolExecutor(
-            max_workers=config.jobs, initializer=_init_worker, initargs=(kind, bound)
-        )
-        if use_pool
-        else nullcontext()
-    ) as pool:
-        if use_pool:
-            parts = pool.map(_run_chunk, [(kind, c) for c in chunks])
-        else:
-            state["table"] = _needs_pair_table(kind, sieve, bound)
-            parts = (_search_chunk(kind, c, state) for c in chunks)
-        for i, part in enumerate(parts):
-            if progress is not None:
-                progress(i, len(chunks), part)
-            results.extend(part)
+    try:
+        with (
+            ProcessPoolExecutor(
+                max_workers=config.jobs, initializer=_init_worker, initargs=(kind, bound)
+            )
+            if use_pool
+            else nullcontext()
+        ) as pool:
+            if use_pool:
+                parts = pool.map(_run_chunk, [(kind, c) for c in chunks])
+            else:
+                state["table"] = _needs_pair_table(kind, sieve, bound)
+                parts = (_search_chunk(kind, c, state) for c in chunks)
+            for i, part in enumerate(parts):
+                if progress is not None:
+                    progress(i, len(chunks), part)
+                results.extend(part)
+    except BrokenProcessPool as exc:
+        raise SearchWorkerError(f"a search worker process died: {exc}") from exc
     return sort_solutions(results)
 
 

@@ -1,8 +1,10 @@
 """CLI surface: subcommands, formats, exit codes."""
 
 import csv
+import importlib
 import io
 import json
+import os
 
 import pytest
 
@@ -127,12 +129,27 @@ def test_search_emit_partial_streams_progress(capsys):
     ("--kind", "quadratic-pair", "--bound", "3000"),
     ("--kind", "cubic-quintuple", "--bound", "300", "--format", "csv"),
     ("--kind", "cubic-triple", "--bound", "800"),
+    ("--kind", "quartic-quintuple", "--bound", "450"),
 ])
 def test_search_jobs_one_and_two_byte_identical(capsys, argv):
     code1, out1, _ = run(capsys, "search", *argv, "--jobs", "1")
     code2, out2, _ = run(capsys, "search", *argv, "--jobs", "2")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_search_crashed_worker_exit_four(capsys, monkeypatch):
+    search_module = importlib.import_module("psituples.search")
+
+    def crash(*args):
+        os._exit(1)
+
+    monkeypatch.setattr(search_module, "_init_worker", crash)
+    code, out, err = run(capsys, "search", "--kind", "quartic-quintuple",
+                         "--bound", "100", "--jobs", "2")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: a search worker process died")
 
 
 # --- verify --------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Search engine: class index, decompositions, search vs oracle."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from psituples.search import (
     _descend,
     _kernel_fits_int64,
     _PairSumTable,
+    _quartic_descent,
 )
 from psituples.tuples import TupleKind
 
@@ -198,6 +202,138 @@ def test_decompose_uses_a_larger_passed_table():
                 expected = descend4(residual, power, cap)
                 assert decompose_sum_of_powers(residual, 4, power, cap, table) == expected
                 assert decompose_sum_of_powers(residual, 4, power, cap) == expected
+
+
+# --- quartic congruence descent -----------------------------------------------
+
+
+def test_quartic_descent_repeats_the_mod_16_step():
+    # psi(538 * 2**k) = 810 * 2**k, so the residual of a = 538 * 2**k is
+    # 16**k times that of 538, whose entries (96, 532, 548, 648) are
+    # themselves all even twice over
+    base = 810**4 - 538**4
+    assert _quartic_descent(base) == (base // 16**2, 4)
+    for k in range(5):
+        residual = base * 16**k
+        assert _quartic_descent(residual) == (base // 16**2, 4 * 2**k)
+        expected = [tuple(2**k * b for b in (96, 532, 548, 648))]
+        assert decompose_sum_of_powers(residual, 4, 4, int_kth_root(residual, 4)) == expected
+
+
+def test_quartic_descent_rules_out_by_residue():
+    # mod 16 in 5..15 (more than four odd entries), or 0 mod 5 but not
+    # mod 625 (all four divisible by 5, yet their sum is not)
+    for residual in range(4, 10_000):
+        mod16_out = residual % 16 > 4
+        mod5_out = residual % 16 in (1, 2, 3, 4) and residual % 5 == 0 and residual % 625
+        if not (mod16_out or mod5_out):
+            continue
+        assert _quartic_descent(residual) == (0, 1), residual
+        cap = int_kth_root(residual, 4)
+        assert decompose_sum_of_powers(residual, 4, 4, cap) == []
+        assert descend4(residual, 4, cap) == []
+
+
+def test_quartic_descent_keeps_residues_one_to_four():
+    # 1 + 3**4 + 5**4 + 7**4 = 3108: four odd entries, so 4 mod 16
+    assert 1 + 3**4 + 5**4 + 7**4 == 3108
+    assert _quartic_descent(3108) == (3108, 1)
+    assert (1, 3, 5, 7) in decompose_sum_of_powers(3108, 4, 4, 10)
+    for residual in range(4, 10_000):
+        if residual % 16 in (1, 2, 3, 4) and residual % 5:
+            assert _quartic_descent(residual) == (residual, 1)
+            cap = int_kth_root(residual, 4)
+            assert decompose_sum_of_powers(residual, 4, 4, cap) == descend4(residual, 4, cap)
+
+
+def test_quartic_descent_divides_by_625():
+    residual = 5**4 * 3108
+    assert _quartic_descent(residual) == (3108, 5)
+    cap = int_kth_root(residual, 4)
+    got = decompose_sum_of_powers(residual, 4, 4, cap)
+    assert got == descend4(residual, 4, cap)
+    assert (5, 15, 25, 35) in got
+    # a caller's cap becomes cap // scale: 34 keeps no entry of 35
+    assert decompose_sum_of_powers(residual, 4, 4, 34) == descend4(residual, 4, 34)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), min_size=4, max_size=4),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=1),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_quartic_descent_matches_descent_on_scaled_sums(bs, i, j, cap_frac):
+    s = 2**i * 5**j
+    residual = sum((s * b) ** 4 for b in bs)
+    root = int_kth_root(residual, 4)
+    cap = max(1, round(root * cap_frac))
+    expected = descend4(residual, 4, cap)
+    assert decompose_sum_of_powers(residual, 4, 4, cap) == expected
+    assert decompose_sum_of_powers(residual, 4, 4, root) == descend4(residual, 4, root)
+    assert tuple(sorted(s * b for b in bs)) in descend4(residual, 4, root)
+
+
+def test_quartic_descent_brings_a_huge_residual_to_the_table(monkeypatch):
+    # 30**4 + 120**4 + 272**4 + 315**4 = 353**4, scaled by 160 = 2**5 * 5:
+    # the residual is past 2**62, its reduction 353**4 is not, and only the
+    # table path may decompose it (descent at cap 56480 would not finish)
+    assert 30**4 + 120**4 + 272**4 + 315**4 == 353**4
+    residual = 160**4 * 353**4
+    assert residual >= 2**62 > 353**4
+    assert _quartic_descent(residual) == (353**4, 160)
+    probed = []
+    real_mitm4 = search_module._mitm4
+
+    def spy(res, power, cap, table):
+        probed.append(res)
+        return real_mitm4(res, power, cap, table)
+
+    def no_descent(*args):
+        raise AssertionError("recursive descent on a residual the table covers")
+
+    monkeypatch.setattr(search_module, "_mitm4", spy)
+    monkeypatch.setattr(search_module, "_descend", no_descent)
+    got = decompose_sum_of_powers(residual, 4, 4, int_kth_root(residual, 4),
+                                  _PairSumTable(4, 353))
+    assert probed == [353**4]
+    assert (4800, 19200, 43520, 50400) in got
+    assert all(sum(b**4 for b in t) == residual for t in got)
+
+
+def test_quartic_search_equals_unreduced_table_join():
+    # every a <= 600 (538 among them), its residual joined unreduced with a
+    # table sized by max psi, as the search did before the descent
+    from psituples.search import _mitm4
+
+    bound = 600
+    sieve = build_sieve(bound)
+    psi = sieve.psi[: bound + 1].tolist()
+    table = _PairSumTable(4, max(psi))
+    expected = []
+    for a in range(1, bound + 1):
+        residual = psi[a] ** 4 - a**4
+        if residual >= 4:
+            cap = int_kth_root(residual, 4)
+            expected += [(a,) + t for t in sorted(_mitm4(residual, 4, cap, table))]
+    got = search(SearchConfig(kind_by_name("quartic-quintuple"), bound))
+    assert [s.equal_entries + s.free_entries for s in got] == expected
+    assert (538, 96, 532, 548, 648) in expected
+
+
+def test_kernel_search_leaves_numpy_ma_unimported():
+    code = (
+        "import sys\n"
+        "from psituples import SearchConfig, kind_by_name, search\n"
+        "search(SearchConfig(kind_by_name('quadratic-triple'), 8192))\n"
+        "search(SearchConfig(kind_by_name('cubic-quintuple'), 300))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout == "False\n"
 
 
 # --- vectorized k-th root ----------------------------------------------------
@@ -450,6 +586,8 @@ def test_search_agrees_with_oracle_small():
         ("cubic-quadruple", 80),
         ("quadratic-quadruple", 60),
         ("cubic-quintuple", 60),
+        ("quartic-quintuple", 100),
+        ("quintic-quintuple", 100),
     ]:
         cfg = SearchConfig(kind_by_name(name), bound)
         assert search(cfg) == brute_force_oracle(cfg), name
