@@ -134,7 +134,7 @@ def _format_row(row: Sequence[int]) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    diff = reproduce_table(args.id, bound=args.bound, jobs=args.jobs or 1)
+    diff = reproduce_table(args.id, bound=args.bound, jobs=args.jobs)
     spec = TABLES[args.id]
     print(f"table {args.id} ({spec.kind.name}), bound {diff.bound}")
     print(f"MATCHED ({len(diff.matched)}):")
@@ -241,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", type=int, required=True, choices=sorted(TABLES))
     p.add_argument("--bound", type=_positive_int, default=None,
                    help="override the table's default bound")
-    p.add_argument("--jobs", type=_positive_int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="parallel workers (default: 1)")
 
     p = sub.add_parser("obstruct", help="case and witness for a pair candidate")
     p.add_argument("x", type=int)

@@ -17,10 +17,8 @@ sorted list, independent of the parallelism degree.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Iterator, Sequence
@@ -550,20 +548,28 @@ def _search_chunk(kind: TupleKind, chunk: tuple, state: dict) -> list[Solution]:
     return _search_classes(kind, chunk[1], state["index"], state["table"])
 
 
-# Worker-side state for process pools: each worker builds the sieve, the
-# search state and the pair-sum table (when needed) once.
+# A pool worker's search state: the parent's, passed to _init_worker.  Under
+# fork the worker inherits it with no copy and no rebuild; under spawn or
+# forkserver it arrives pickled.
 _worker_state: dict = {}
 
 
-def _init_worker(kind: TupleKind, bound: int) -> None:
-    sieve = build_sieve(bound)
-    _worker_state.update(_search_state(kind, sieve, bound))
-    _worker_state["table"] = _needs_pair_table(kind, sieve, bound)
+def _init_worker(state: dict) -> None:
+    _worker_state.update(state)
 
 
-def _run_chunk(payload: tuple) -> list[Solution]:
-    kind, chunk = payload
-    return _search_chunk(kind, chunk, _worker_state)
+def _claim(claims, i: int) -> bool:
+    """Take chunk i unless another process of the search has taken it."""
+    with claims.get_lock():
+        taken, claims[i] = claims[i], 1
+    return not taken
+
+
+def _run_chunk(payload: tuple) -> list[Solution] | None:
+    kind, i, chunk = payload
+    if _claim(_worker_state["claims"], i):
+        return _search_chunk(kind, chunk, _worker_state)
+    return None  # the parent took the chunk
 
 
 def search(
@@ -575,38 +581,67 @@ def search(
 
     Deterministic for any jobs value: the outer space is split into fixed
     contiguous chunks, each chunk runs the same code in this process or in
-    a pool worker, and the merged list is sorted canonically.  progress
-    (if given) is called with (chunk_index, chunk_count, chunk_solutions)
-    as chunks complete.  A pool worker that dies raises SearchWorkerError.
+    a pool worker, and the merged list is sorted canonically.  This process
+    builds the search state once and is one of the jobs processes (at most
+    the usable CPUs): it starts jobs - 1 workers (fewer if the chunks are
+    fewer), which inherit that state.  progress (if given) is called with
+    (chunk_index, chunk_count, chunk_solutions) in chunk order, once a
+    chunk and all before it are done.  A dead worker raises
+    SearchWorkerError.
     """
     kind, bound = config.kind, config.bound
     if sieve is None or sieve.limit < bound:
         sieve = build_sieve(bound)
     state = _search_state(kind, sieve, bound)
-    chunks = _plan_chunks(bound, state, config.jobs)
-
-    use_pool = config.jobs > 1 and len(chunks) > 1
+    state["table"] = _needs_pair_table(kind, sieve, bound)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(config.jobs, cpus or 1)
+    chunks = _plan_chunks(bound, state, jobs)
+    workers = min(jobs, len(chunks)) - 1
+    if workers > 0:
+        parts = _pool_parts(kind, chunks, state, workers)
+    else:
+        parts = (_search_chunk(kind, c, state) for c in chunks)
     results: list[Solution] = []
+    for i, part in enumerate(parts):
+        if progress is not None:
+            progress(i, len(chunks), part)
+        results.extend(part)
+    return sort_solutions(results)
+
+
+def _pool_parts(kind: TupleKind, chunks: list, state: dict, workers: int) -> Iterator[list]:
+    """Every chunk's solutions in chunk order, from the pool and this process.
+
+    Workers take chunks from the front, this process from the back until
+    it meets one a worker has claimed; between its own chunks it yields the
+    finished prefix.  Claims sit in a shared array, not in Future.cancel:
+    on Python 3.11 a pool that breaks with cancelled futures still queued
+    crashes its manager thread and leaves the other workers running.
+    """
+    import multiprocessing  # here, so that serial searches never load the pool
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    claims = multiprocessing.Array("b", len(chunks))
+    own, done = {}, 0
     try:
-        with (
-            ProcessPoolExecutor(
-                max_workers=config.jobs, initializer=_init_worker, initargs=(kind, bound)
-            )
-            if use_pool
-            else nullcontext()
+        with ProcessPoolExecutor(
+            workers, initializer=_init_worker, initargs=(state | {"claims": claims},)
         ) as pool:
-            if use_pool:
-                parts = pool.map(_run_chunk, [(kind, c) for c in chunks])
-            else:
-                state["table"] = _needs_pair_table(kind, sieve, bound)
-                parts = (_search_chunk(kind, c, state) for c in chunks)
-            for i, part in enumerate(parts):
-                if progress is not None:
-                    progress(i, len(chunks), part)
-                results.extend(part)
+            futures = [pool.submit(_run_chunk, (kind, i, c)) for i, c in enumerate(chunks)]
+            for i in reversed(range(len(chunks))):
+                if not _claim(claims, i):
+                    break
+                own[i] = _search_chunk(kind, chunks[i], state)
+                while done < i and futures[done].done():
+                    yield futures[done].result()
+                    done += 1
+            for i in range(done, len(chunks)):
+                part = futures[i].result()  # for own chunks too, so a dead worker shows
+                yield own[i] if i in own else part
     except BrokenProcessPool as exc:
         raise SearchWorkerError(f"a search worker process died: {exc}") from exc
-    return sort_solutions(results)
 
 
 def _chunk_len(total: int, jobs: int) -> int:

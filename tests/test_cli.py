@@ -1,10 +1,12 @@
 """CLI surface: subcommands, formats, exit codes."""
 
 import csv
+import faulthandler
 import importlib
 import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -152,6 +154,57 @@ def test_search_crashed_worker_exit_four(capsys, monkeypatch):
     assert err.startswith("error: a search worker process died")
 
 
+def _die(*args):
+    # module level, so that the pool can pickle it by name
+    os._exit(1)
+
+
+def test_search_crashed_mid_chunk_exit_four(capsys, monkeypatch):
+    # the worker dies on its first chunk while this process runs its own
+    search_module = importlib.import_module("psituples.search")
+    monkeypatch.setattr(search_module, "_run_chunk", _die)
+    faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)  # no hang
+    try:
+        code, out, err = run(capsys, "search", "--kind", "quartic-quintuple",
+                             "--bound", "450", "--jobs", "2")
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: a search worker process died")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--power", "3", "--equal", "2", "--free", "3", "--bound", "100"),
+    ("--power", "4", "--equal", "2", "--free", "4", "--bound", "60"),
+    ("--kind", "quartic-quintuple", "--bound", "450", "--format", "csv"),
+    ("--kind", "quintic-quintuple", "--bound", "200"),
+])
+def test_search_class_and_range_chunks_jobs_one_two_three(capsys, argv):
+    # ('classes', ...) chunks for the first two, ('range', ...) for the rest
+    outs = set()
+    for jobs in ("1", "2", "3"):
+        code, out, _ = run(capsys, "search", *argv, "--jobs", jobs)
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1 and outs.pop()
+
+
+def test_search_emit_partial_in_chunk_order_with_pool(capsys):
+    code, out, err = run(capsys, "search", "--kind", "quadratic-triple",
+                         "--bound", "16384", "--jobs", "2", "--emit-partial")
+    assert code == 0
+    lines = err.splitlines()
+    total = len(lines)
+    assert total > 1
+    counts = []
+    for i, line in enumerate(lines, start=1):
+        head, tail = line.split(": ")
+        assert head == f"# chunk {i}/{total}"
+        counts.append(int(tail.split()[0]))
+    assert sum(counts) == len(out.splitlines()) > 0
+
+
 # --- verify --------------------------------------------------------------------
 
 
@@ -204,6 +257,12 @@ def test_table_three_bounded(capsys):
     assert code == 0
     assert "MATCHED (45)" in out
     assert "(1615, 1065, 1670) -> ok" in out
+
+
+def test_table_jobs_help(capsys):
+    with pytest.raises(SystemExit):
+        main(["table", "--help"])
+    assert "parallel workers (default: 1)" in " ".join(capsys.readouterr().out.split())
 
 
 def test_table_rejects_bad_id(capsys):

@@ -1,9 +1,12 @@
 """Search engine: class index, decompositions, search vs oracle."""
 
+import concurrent.futures
+import concurrent.futures.process
 import importlib
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -334,6 +337,152 @@ def test_kernel_search_leaves_numpy_ma_unimported():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout == "False\n"
+
+
+def test_cli_search_leaves_pool_machinery_unimported():
+    code = (
+        "import sys\n"
+        "import psituples.cli\n"
+        "for argv in (['search', '--kind', 'quadratic-triple', '--bound', '8192'],\n"
+        "             ['search', '--kind', 'quartic-quintuple', '--bound', '300']):\n"
+        "    assert psituples.cli.main(argv + ['--jobs', '1']) == 0\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing',\n"
+        "                          'psituples.theorems') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.splitlines()[-1] == "['psituples.theorems']"
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the pool size and runs the
+    first `eager` submitted chunks at once in this process, as a worker
+    would; the rest run when their result is asked for."""
+
+    sizes: list = []
+    eager = None  # all
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.sizes.append(max_workers)
+        self.submitted = 0
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        future = _LazyFuture(fn, args)
+        if self.eager is None or self.submitted <= self.eager:
+            future.result()
+        return future
+
+
+class _LazyFuture(Future):
+    def __init__(self, fn, args):
+        super().__init__()
+        self.call = fn, args
+
+    def result(self, timeout=None):
+        if not self.done():
+            fn, args = self.call
+            self.set_result(fn(*args))
+        return super().result(timeout)
+
+
+def _inline_pool(monkeypatch):
+    # both names a search could import the pool by; a module-level import
+    # would escape the patch and fork for real, so refuse that first
+    assert not hasattr(search_module, "ProcessPoolExecutor")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(search_module, "_worker_state", {})
+
+
+def _chunk_count(config):
+    seen = []
+    search(config, progress=lambda i, n, part: seen.append(n))
+    return seen[0]
+
+
+@pytest.mark.parametrize("jobs, cpus, bound, workers", [
+    (5000, 16, 100, 15),  # clamped by the usable CPUs
+    (5000, 1000, 12, 11),  # by the chunks: 12 of them
+    (3, 16, 100, 2),  # the parent is one of the jobs processes
+    (8, 16, 3, 2),  # three chunks
+    (8, 1, 100, None),  # one usable CPU: no pool at all
+])
+def test_pool_size_is_clamped(monkeypatch, jobs, cpus, bound, workers):
+    _inline_pool(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    kind = kind_by_name("quartic-quintuple")
+    got = search(SearchConfig(kind, bound, jobs=jobs))
+    assert _InlinePool.sizes == ([] if workers is None else [workers])
+    assert got == search(SearchConfig(kind, bound))
+
+
+def test_pool_size_without_sched_getaffinity(monkeypatch):
+    _inline_pool(monkeypatch)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    config = SearchConfig(kind_by_name("cubic-quintuple"), 300, jobs=5000)
+    search(config)
+    assert _InlinePool.sizes == [3]
+    # the chunks are planned for the clamped count too
+    assert _chunk_count(config) == _chunk_count(SearchConfig(config.kind, 300, jobs=4)) > 4
+
+
+def test_pool_parent_takes_the_back_and_streams_progress(monkeypatch):
+    # the "worker" finishes chunks 0..2 at submit time and takes no more;
+    # this process runs the rest from the back, reports 0..2 right after
+    # its first chunk, and runs no chunk twice
+    _inline_pool(monkeypatch)
+    monkeypatch.setattr(_InlinePool, "eager", 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    events = []
+    run = search_module._search_chunk
+
+    def logged(kind, chunk, state):
+        events.append(("run", chunk[1]))
+        return run(kind, chunk, state)
+
+    monkeypatch.setattr(search_module, "_search_chunk", logged)
+    config = SearchConfig(kind_by_name("quartic-quintuple"), 300, jobs=2)
+    got = search(config, progress=lambda i, n, part: events.append(("progress", i)))
+    runs = [lo for what, lo in events if what == "run"]
+    progress = [i for what, i in events if what == "progress"]
+    n = len(progress)
+    assert progress == list(range(n)) and n > 4
+    assert len(set(runs)) == len(runs) == n
+    assert runs[:3] == sorted(runs)[:3]  # the worker's
+    assert runs[3:] == sorted(runs[3:], reverse=True)  # this process's, from the back
+    assert events[3:7] == [("run", runs[3]), ("progress", 0), ("progress", 1), ("progress", 2)]
+    assert got == search(SearchConfig(config.kind, 300))
+
+
+def test_pool_with_more_processes_than_cores():
+    # four processes of one search however few the cores: a chunk that a
+    # lost claim left to no process would fail the comparison
+    code = (
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: set(range(4))\n"
+        "from psituples import SearchConfig, kind_by_name, search\n"
+        "for name, bound in (('cubic-quintuple', 400), ('quartic-quintuple', 450)):\n"
+        "    kind = kind_by_name(name)\n"
+        "    for _ in range(3):\n"
+        "        got = search(SearchConfig(kind, bound, jobs=4))\n"
+        "        assert got == search(SearchConfig(kind, bound)), name\n"
+        "print('ok')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout == "ok\n"
 
 
 # --- vectorized k-th root ----------------------------------------------------
