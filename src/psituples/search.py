@@ -117,38 +117,53 @@ def build_class_index(sieve: PsiSieve, bound: int | None = None) -> PsiClassInde
 
 
 class _PairSumTable:
-    """All sums x**p + y**p with 1 <= x <= y <= cap, sorted, with (x, y).
+    """All sums x**p + y**p with 1 <= x <= y <= cap, sorted ascending.
 
-    int64 throughout; only built when 4 * cap**p fits, so sums and the
-    residuals probed against them cannot overflow.
+    Only the sums are kept, one int64 array of 8 B per pair: it is filled
+    one x at a time and sorted in place, so the build peaks at 8 B per pair
+    too.  _mitm4 recovers the pairs of the few sums it matches.  int64
+    throughout; only built when 4 * cap**p fits, so sums and the residuals
+    probed against them cannot overflow.
     """
 
-    __slots__ = ("power", "cap", "sums", "xs", "ys")
+    __slots__ = ("power", "cap", "sums")
 
     def __init__(self, power: int, cap: int):
         self.power = power
         self.cap = cap
         pw = np.arange(cap + 1, dtype=np.int64) ** power
-        counts = np.arange(cap, 0, -1)
-        xs = np.repeat(np.arange(1, cap + 1, dtype=np.int32), counts)
-        # y steps by 1 inside the run of each x and drops from cap to x + 1
-        # where the run of x + 1 starts
-        ys = np.ones(xs.size, dtype=np.int32)
-        ys[np.cumsum(counts[:-1])] = np.arange(2 - cap, 1, dtype=np.int32)
-        np.cumsum(ys, out=ys)
-        sums = pw[xs]
-        sums += pw[ys]
-        order = np.argsort(sums, kind="stable")
-        self.sums = sums[order]
-        del sums  # drop each unsorted array once its sorted copy exists
-        self.xs = xs[order]
-        del xs
-        self.ys = ys[order]
+        self.sums = np.empty(cap * (cap + 1) // 2, dtype=np.int64)
+        end = 0
+        for x in range(1, cap + 1):  # x**p + y**p for y = x..cap
+            start, end = end, end + cap + 1 - x
+            np.add(pw[x], pw[x:], out=self.sums[start:end])
+        self.sums.sort()
 
     @staticmethod
     def feasible(power: int, cap: int) -> bool:
-        # int64 headroom plus a memory guard on the pair count
-        return cap >= 2 and 4 * cap**power < 2**63 and cap * (cap + 1) // 2 <= 300_000_000
+        # int64 headroom for the sums and the residuals probed against them
+        return cap >= 2 and 4 * cap**power < 2**63
+
+    @staticmethod
+    def nbytes(cap: int) -> int:
+        return 8 * (cap * (cap + 1) // 2)
+
+
+def _memory_budget() -> int:
+    """Bytes a pair-sum table may take: half of the available memory.
+
+    MemAvailable from /proc/meminfo where it exists, else the available
+    (or, failing that, all) physical pages from sysconf.
+    """
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024 // 2
+    except OSError:
+        pass
+    pages = "SC_AVPHYS_PAGES" if "SC_AVPHYS_PAGES" in os.sysconf_names else "SC_PHYS_PAGES"
+    return os.sysconf(pages) * os.sysconf("SC_PAGE_SIZE") // 2
 
 
 def _two_pointer(residual: int, power: int, lo: int, cap: int) -> list[tuple[int, int]]:
@@ -202,35 +217,82 @@ def _mitm4(
     """Four-entry decomposition by joining two slices of the pair-sum table.
 
     A canonical b1 <= b2 <= x <= y has b1**p + b2**p <= residual / 2 <=
-    x**p + y**p, so the head pairs (b1, b2) are the table prefix with sum
-    <= residual // 2 and the tail pairs (x, y) the slice with sum >=
-    residual - residual // 2 (the two overlap when residual is twice a pair
-    sum).  The needles residual - head sums, reversed, are already
-    ascending, so one searchsorted into the tail slice finds every match;
-    the b2 <= x junction keeps each canonical 4-tuple unique.
+    x**p + y**p, so the head pairs (b1, b2) have their sums in the table
+    prefix <= residual // 2 and the tail pairs (x, y) theirs in the slice
+    >= residual - residual // 2 (the two overlap when residual is twice a
+    pair sum).  The tail is never the larger side, about 2**(2/p) - 1
+    times the head, so its complements residual - tail, ascending when the
+    tail is read backwards, are searched in the head, _KERNEL_BLOCK of them
+    at a time; the temporaries stay that small however large the table is.
+    _sum_pairs recovers the pairs of each matched head sum and its tail,
+    and the b2 <= x junction keeps each canonical 4-tuple unique.  The
+    tuples come back sorted.
     """
-    out: list[tuple[int, ...]] = []
-    sums, xs, ys = table.sums, table.xs, table.ys
+    sums = table.sums
     half = int(np.searchsorted(sums, residual // 2, side="right"))
     t_lo = int(np.searchsorted(sums, residual - residual // 2, side="left"))
     t_hi = int(np.searchsorted(sums, residual - 2, side="right"))
     if half == 0 or t_lo >= t_hi:
-        return out
-    tail = sums[t_lo:t_hi]
-    needles = residual - sums[half - 1 :: -1]
-    idx = np.searchsorted(tail, needles, side="left")
-    hits = np.flatnonzero(tail[np.minimum(idx, tail.size - 1)] == needles)
-    for k in hits.tolist():
-        head = half - 1 - k
-        b1, b2 = int(xs[head]), int(ys[head])
-        want = int(needles[k])
-        j = t_lo + int(idx[k])
-        while j < t_hi and sums[j] == want:
-            x, y = int(xs[j]), int(ys[j])
-            if b2 <= x and y <= cap:
-                out.append((b1, b2, x, y))
-            j += 1
-    return out
+        return []
+    head = sums[:half]
+    matched = [head[:0]]
+    for hi in range(t_hi, t_lo, -_KERNEL_BLOCK):
+        needles = residual - sums[max(t_lo, hi - _KERNEL_BLOCK) : hi][::-1]
+        # only the head entries within the needles' range can match
+        lo = np.searchsorted(head, needles[0])
+        window = head[lo : np.searchsorted(head, needles[-1], "right")]
+        if window.size:
+            idx = np.searchsorted(window, needles)
+            matched.append(needles[window[np.minimum(idx, window.size - 1)] == needles])
+    heads = np.concatenate(matched)  # ascending, block after block
+    heads = heads[np.diff(heads, prepend=0) > 0]  # distinct
+    tails = residual - heads
+    # the junction b2 <= x bounds both smaller entries from below: a tail
+    # pair needs 2 * x**p >= the head sum, as 2 * b2**p is and x >= b2; a
+    # head pair needs b2 <= the largest x of its tail, so b1**p >= head sum
+    # - that x**p
+    x_top = _floor_root_vec(tails // 2, power)
+    b1_lo = _floor_root_vec(heads - x_top**power - 1, power) + 1
+    x_lo = _floor_root_vec((heads - 1) // 2, power) + 1
+    pairs = _sum_pairs(
+        np.concatenate((heads, tails)), np.concatenate((b1_lo, x_lo)), power, min(cap, table.cap)
+    )
+    return sorted(
+        (b1, b2, x, y)
+        for head, tail in zip(pairs[: heads.size], pairs[heads.size :])
+        for b1, b2 in head
+        for x, y in tail
+        if b2 <= x
+    )
+
+
+def _sum_pairs(
+    sums: np.ndarray, u_lo: np.ndarray, power: int, cap: int
+) -> list[list[tuple[int, int]]]:
+    """For each sums[i], every pair u_lo[i] <= u <= v <= cap with
+    u**p + v**p == sums[i], ascending.
+
+    Each sum s splits into (s, u) for u = u_lo..floor((s // 2) ** (1/p)),
+    since 2 * u**p <= s exactly when u <= v.  Where s - u**p is a p-th
+    power, the rounded float root is its root, so the check against the
+    p-th powers 0..cap is exact in int64.  The splits run in pieces of
+    about _KERNEL_BLOCK, so memory stays bounded.
+    """
+    pw = np.arange(cap + 1, dtype=np.int64) ** power
+    counts = np.maximum(np.minimum(_floor_root_vec(sums // 2, power), cap) - u_lo + 1, 0)
+    start = np.concatenate(([0], np.cumsum(counts)))
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(sums.size)]
+    edges = _cut(start, 0, sums.size, _KERNEL_BLOCK)
+    for lo, hi in zip(edges, edges[1:]):
+        n = counts[lo:hi]
+        rows = np.repeat(np.arange(lo, hi), n)
+        u = np.arange(start[lo], start[hi]) - np.repeat(start[lo:hi] - u_lo[lo:hi], n)
+        rest = np.repeat(sums[lo:hi], n) - pw[u]
+        v = np.minimum(np.rint(rest ** (1 / power)).astype(np.int64), cap)
+        hits = pw[v] == rest
+        for i, pair in zip(rows[hits].tolist(), zip(u[hits].tolist(), v[hits].tolist())):
+            pairs[i].append(pair)
+    return pairs
 
 
 def _quartic_descent(residual: int) -> tuple[int, int]:
@@ -276,10 +338,12 @@ def decompose_sum_of_powers(
     powers first pass _quartic_descent: a residual it rules out returns
     no tuples, and otherwise the reduced residual is decomposed with
     entries <= cap // scale and the tuples are scaled back.  Four-entry
-    decompositions join a meet-in-the-middle pair-sum table: the caller's
-    pair_table whenever it covers the (reduced) residual, otherwise one
-    built here once the prefix enumeration would dominate (recursive
-    descent is quartically slower at table scale).
+    decompositions join a meet-in-the-middle pair-sum table (_mitm4): the
+    caller's pair_table whenever it covers the (reduced) residual,
+    otherwise one built here once the prefix enumeration would dominate
+    (recursive descent is quartically slower at table scale).  A table
+    past int64 or past the memory budget (8 B per pair against
+    _memory_budget) is not built, and descent runs instead.
     """
     if power not in (2, 3, 4, 5):
         raise ValueError("power must be in 2..5")
@@ -303,10 +367,15 @@ def decompose_sum_of_powers(
         root = int_kth_root(residual, power)
         table_cap = min(cap, root)
         if pair_table is not None and pair_table.power == power and pair_table.cap >= table_cap:
-            return sorted(_mitm4(residual, power, cap, pair_table))
+            return _mitm4(residual, power, cap, pair_table)
         # without a caller's table, build one only where descent would dominate
-        if root * root // 2 > _MITM_PAIR_THRESHOLD and _PairSumTable.feasible(power, table_cap):
-            return sorted(_mitm4(residual, power, cap, _PairSumTable(power, table_cap)))
+        # and the table fits both int64 and the memory budget
+        if (
+            root * root // 2 > _MITM_PAIR_THRESHOLD
+            and _PairSumTable.feasible(power, table_cap)
+            and _PairSumTable.nbytes(table_cap) <= _memory_budget()
+        ):
+            return _mitm4(residual, power, cap, _PairSumTable(power, table_cap))
     out: list[tuple[int, ...]] = []
     _descend(residual, count, power, 1, cap, (), out)
     return out
@@ -316,7 +385,12 @@ def decompose_sum_of_powers(
 
 
 def _needs_pair_table(kind: TupleKind, sieve: PsiSieve, bound: int) -> _PairSumTable | None:
-    """Build the shared tail-pair table when the kind can profit from it."""
+    """Build the shared pair-sum table when the kind can profit from it.
+
+    None where a table would not pay, or where its sums would leave int64
+    (the search then falls back to descent); ValueError where it would
+    exceed _memory_budget.
+    """
     if kind.free != 4:
         return None
     if kind.power == 4 and kind.equal == 1:
@@ -327,10 +401,14 @@ def _needs_pair_table(kind: TupleKind, sieve: PsiSieve, bound: int) -> _PairSumT
     else:
         # residual < psi(a)**p, so free entries stay below max psi
         root = int(sieve.psi[1 : bound + 1].max())
-    if root * root // 2 <= _MITM_PAIR_THRESHOLD:
-        return None
-    if not _PairSumTable.feasible(kind.power, root):
-        return None
+    if root * root // 2 <= _MITM_PAIR_THRESHOLD or not _PairSumTable.feasible(kind.power, root):
+        return None  # past int64, the scalar search falls back to descent
+    need, budget = _PairSumTable.nbytes(root), _memory_budget()
+    if need > budget:
+        raise ValueError(
+            f"the pair-sum table for bound {bound} needs {need} bytes "
+            f"({need // 8} pairs), over the memory budget of {budget} bytes"
+        )
     return _PairSumTable(kind.power, root)
 
 
