@@ -2,6 +2,7 @@
 
 from .arith import (
     Factorization,
+    InputError,
     PsiSieve,
     build_sieve,
     factorize,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "InputError",
     "Factorization",
     "PsiSieve",
     "build_sieve",
@@ -21,6 +22,11 @@ __all__ = [
     "int_kth_root",
     "is_perfect_kth_power",
 ]
+
+
+class InputError(ValueError):
+    """An argument outside what a function accepts: the caller's input is
+    wrong, not the computation.  The command line exits 2 on it."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,12 +70,12 @@ class PsiSieve:
     def psi_at(self, n: int) -> int:
         """psi(n) as a plain Python int; n must be within the sieve."""
         if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside sieve range 1..{self.limit}")
+            raise InputError(f"n={n} outside sieve range 1..{self.limit}")
         return int(self.psi[n])
 
     def spf_at(self, n: int) -> int:
         if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside sieve range 1..{self.limit}")
+            raise InputError(f"n={n} outside sieve range 1..{self.limit}")
         return int(self.spf[n])
 
     def max_psi(self) -> int:
@@ -88,9 +94,9 @@ def build_sieve(limit: int) -> PsiSieve:
     sqrt(limit); one vectorized step applies that last factor.
     """
     if limit < 1:
-        raise ValueError("sieve limit must be >= 1")
+        raise InputError("sieve limit must be >= 1")
     if limit >= 2**32:
-        raise ValueError(
+        raise InputError(
             f"sieve limit {limit} must be below 2**32: spf and the index are uint32"
         )
     spf = np.zeros(limit + 1, dtype=np.uint32)
@@ -158,13 +164,13 @@ def factorize(n: int, sieve: PsiSieve | None = None) -> Factorization:
     falls back to trial division.
     """
     if n < 1:
-        raise ValueError("factorize requires n >= 1")
+        raise InputError("factorize requires n >= 1")
     if n == 1:
         return Factorization(1, ())
     if sieve is None:
         return _factorize_trial(n)
     if n > sieve.limit:
-        raise ValueError(f"n={n} exceeds sieve limit {sieve.limit}")
+        raise InputError(f"n={n} exceeds sieve limit {sieve.limit}")
     spf = sieve.spf
     factors: list[tuple[int, int]] = []
     m = n
@@ -184,7 +190,7 @@ def psi(n: int, sieve: PsiSieve | None = None) -> int:
     psi(1) == 1.  Exact for any positive n; uses the sieve when it covers n.
     """
     if n < 1:
-        raise ValueError("psi requires n >= 1")
+        raise InputError("psi requires n >= 1")
     if sieve is not None and n <= sieve.limit:
         return int(sieve.psi[n])
     result = n
@@ -200,9 +206,9 @@ def int_kth_root(x: int, k: int) -> int:
     guarantee result**k <= x < (result+1)**k regardless of seed error.
     """
     if k not in (2, 3, 4, 5):
-        raise ValueError("k must be in 2..5")
+        raise InputError("k must be in 2..5")
     if x < 0:
-        raise ValueError("x must be nonnegative")
+        raise InputError("x must be nonnegative")
     if k == 2:
         return math.isqrt(x)
     if x == 0:

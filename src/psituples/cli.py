@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: psi, search, verify, table, obstruct, theorem1, classify, family.
-Exit codes: 0 success, 1 verification, table or scan failure, 2 invalid input,
-3 internal arithmetic overflow (reserved; unreachable with native big
+Exit codes: 0 success, 1 verification, table or scan failure, 2 invalid input
+(InputError; any other exception is an internal fault and propagates), 3
+internal arithmetic overflow (reserved; unreachable with native big
 integers, kept for interface stability), 4 a search worker process died.
 """
 
@@ -14,7 +15,7 @@ import os
 import sys
 from typing import Sequence
 
-from .arith import psi
+from .arith import InputError, psi
 from .search import SearchConfig, SearchWorkerError, max_safe_bound, search
 from .tables import TABLES, reproduce_table
 from .theorems import (
@@ -279,7 +280,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_classify(args)
         if args.command == "family":
             return _cmd_family(args)
-    except ValueError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:  # reserved; native ints never raise this here

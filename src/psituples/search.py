@@ -18,15 +18,17 @@ sorted list, independent of the parallelism degree.
 from __future__ import annotations
 
 import os
+import pickle
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from .arith import (
     _INT64_MAX,
+    InputError,
     PsiSieve,
     _floor_root_vec,
     build_sieve,
@@ -78,19 +80,20 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         if self.bound < 1:
-            raise ValueError("bound must be >= 1")
+            raise InputError("bound must be >= 1")
         if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+            raise InputError("jobs must be >= 1")
         safe = max_safe_bound(self.kind.power)
         if self.bound > safe:
-            raise ValueError(
+            raise InputError(
                 f"bound {self.bound} unsafe for power {self.kind.power}; "
                 f"maximum safe bound is {safe}"
             )
 
 
 class SearchWorkerError(RuntimeError):
-    """A process-pool worker of a search died before returning its chunk."""
+    """A forked child of a search exited non-zero, or without sending back
+    a chunk it claimed."""
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ def build_class_index(sieve: PsiSieve, bound: int | None = None) -> PsiClassInde
     if bound is None:
         bound = sieve.limit
     if not 1 <= bound <= sieve.limit:
-        raise ValueError(f"bound must be in 1..{sieve.limit}")
+        raise InputError(f"bound must be in 1..{sieve.limit}")
     classes: dict[int, list[int]] = {}
     for n, v in enumerate(sieve.psi[1 : bound + 1].tolist(), start=1):
         classes.setdefault(v, []).append(n)
@@ -346,11 +349,11 @@ def decompose_sum_of_powers(
     _memory_budget) is not built, and descent runs instead.
     """
     if power not in (2, 3, 4, 5):
-        raise ValueError("power must be in 2..5")
+        raise InputError("power must be in 2..5")
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise InputError("count must be >= 1")
     if residual < 0:
-        raise ValueError("residual must be nonnegative")
+        raise InputError("residual must be nonnegative")
     if count == 4 and power == 4:
         reduced, scale = _quartic_descent(residual)
         if reduced != residual:
@@ -388,7 +391,7 @@ def _needs_pair_table(kind: TupleKind, sieve: PsiSieve, bound: int) -> _PairSumT
     """Build the shared pair-sum table when the kind can profit from it.
 
     None where a table would not pay, or where its sums would leave int64
-    (the search then falls back to descent); ValueError where it would
+    (the search then falls back to descent); InputError where it would
     exceed _memory_budget.
     """
     if kind.free != 4:
@@ -405,7 +408,7 @@ def _needs_pair_table(kind: TupleKind, sieve: PsiSieve, bound: int) -> _PairSumT
         return None  # past int64, the scalar search falls back to descent
     need, budget = _PairSumTable.nbytes(root), _memory_budget()
     if need > budget:
-        raise ValueError(
+        raise InputError(
             f"the pair-sum table for bound {bound} needs {need} bytes "
             f"({need // 8} pairs), over the memory budget of {budget} bytes"
         )
@@ -626,30 +629,6 @@ def _search_chunk(kind: TupleKind, chunk: tuple, state: dict) -> list[Solution]:
     return _search_classes(kind, chunk[1], state["index"], state["table"])
 
 
-# A pool worker's search state: the parent's, passed to _init_worker.  Under
-# fork the worker inherits it with no copy and no rebuild; under spawn or
-# forkserver it arrives pickled.
-_worker_state: dict = {}
-
-
-def _init_worker(state: dict) -> None:
-    _worker_state.update(state)
-
-
-def _claim(claims, i: int) -> bool:
-    """Take chunk i unless another process of the search has taken it."""
-    with claims.get_lock():
-        taken, claims[i] = claims[i], 1
-    return not taken
-
-
-def _run_chunk(payload: tuple) -> list[Solution] | None:
-    kind, i, chunk = payload
-    if _claim(_worker_state["claims"], i):
-        return _search_chunk(kind, chunk, _worker_state)
-    return None  # the parent took the chunk
-
-
 def search(
     config: SearchConfig,
     sieve: PsiSieve | None = None,
@@ -659,13 +638,16 @@ def search(
 
     Deterministic for any jobs value: the outer space is split into fixed
     contiguous chunks, each chunk runs the same code in this process or in
-    a pool worker, and the merged list is sorted canonically.  This process
-    builds the search state once and is one of the jobs processes (at most
-    the usable CPUs): it starts jobs - 1 workers (fewer if the chunks are
-    fewer), which inherit that state.  progress (if given) is called with
-    (chunk_index, chunk_count, chunk_solutions) in chunk order, once a
-    chunk and all before it are done.  A dead worker raises
-    SearchWorkerError.
+    a forked child, and the merged list is sorted canonically.  This
+    process builds the search state once and is one of the jobs processes:
+    jobs is clamped to the usable CPUs and to _MAX_JOBS, and to 1 where
+    os.fork is missing.  With more than one chunk, this process forks
+    min(jobs, chunks) - 1 children, which inherit that state
+    (_pool_parts).  progress (if given) is called with (chunk_index,
+    chunk_count, chunk_solutions) in chunk order, once a chunk and all
+    before it are done.  A dead child raises SearchWorkerError; an
+    exception that a chunk raises in a child is raised here, as it would
+    be with jobs 1.
     """
     kind, bound = config.kind, config.bound
     if sieve is None or sieve.limit < bound:
@@ -673,7 +655,7 @@ def search(
     state = _search_state(kind, sieve, bound)
     state["table"] = _needs_pair_table(kind, sieve, bound)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    jobs = min(config.jobs, cpus or 1)
+    jobs = min(config.jobs, cpus or 1, _MAX_JOBS) if hasattr(os, "fork") else 1
     chunks = _plan_chunks(bound, state, jobs)
     workers = min(jobs, len(chunks)) - 1
     if workers > 0:
@@ -681,45 +663,22 @@ def search(
     else:
         parts = (_search_chunk(kind, c, state) for c in chunks)
     results: list[Solution] = []
-    for i, part in enumerate(parts):
-        if progress is not None:
-            progress(i, len(chunks), part)
-        results.extend(part)
+    try:
+        for i, part in enumerate(parts):
+            if progress is not None:
+                progress(i, len(chunks), part)
+            results.extend(part)
+    finally:
+        parts.close()  # if progress raised, the children stop now
     return sort_solutions(results)
 
 
-def _pool_parts(kind: TupleKind, chunks: list, state: dict, workers: int) -> Iterator[list]:
-    """Every chunk's solutions in chunk order, from the pool and this process.
+# --- the process pool: os.fork, one claim queue, one result pipe per child ---
 
-    Workers take chunks from the front, this process from the back until
-    it meets one a worker has claimed; between its own chunks it yields the
-    finished prefix.  Claims sit in a shared array, not in Future.cancel:
-    on Python 3.11 a pool that breaks with cancelled futures still queued
-    crashes its manager thread and leaves the other workers running.
-    """
-    import multiprocessing  # here, so that serial searches never load the pool
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    claims = multiprocessing.Array("b", len(chunks))
-    own, done = {}, 0
-    try:
-        with ProcessPoolExecutor(
-            workers, initializer=_init_worker, initargs=(state | {"claims": claims},)
-        ) as pool:
-            futures = [pool.submit(_run_chunk, (kind, i, c)) for i, c in enumerate(chunks)]
-            for i in reversed(range(len(chunks))):
-                if not _claim(claims, i):
-                    break
-                own[i] = _search_chunk(kind, chunks[i], state)
-                while done < i and futures[done].done():
-                    yield futures[done].result()
-                    done += 1
-            for i in range(done, len(chunks)):
-                part = futures[i].result()  # for own chunks too, so a dead worker shows
-                yield own[i] if i in own else part
-    except BrokenProcessPool as exc:
-        raise SearchWorkerError(f"a search worker process died: {exc}") from exc
+# Chunks per process of a pool search, and the most processes whose chunk
+# numbers, 4 B each, fit the 64 KiB of a default Linux pipe (_claim_queue).
+_CHUNKS_PER_JOB = 16
+_MAX_JOBS = (64 << 10) // (4 * _CHUNKS_PER_JOB)
 
 
 def _chunk_len(total: int, jobs: int) -> int:
@@ -727,7 +686,157 @@ def _chunk_len(total: int, jobs: int) -> int:
         return max(total, 1)
     # many small chunks per worker: per-entry cost grows steeply with a, so
     # coarse contiguous chunks would leave the pool idle on the cheap ones
-    return max(1, -(-total // (jobs * 16)))
+    return max(1, -(-total // (jobs * _CHUNKS_PER_JOB)))
+
+
+def _pool_parts(kind: TupleKind, chunks: list, state: dict, workers: int) -> Iterator[list]:
+    """Every chunk's solutions in chunk order, from this process and
+    `workers` forked children.
+
+    The children inherit the state and the pair table as they are.  Every
+    process claims chunks in chunk order from one queue (_claim_queue);
+    this process makes each child's first claim as it forks it, so every
+    child runs a chunk however late it starts.  A child sends each chunk's
+    solutions up its own pipe once the chunk is done (_run_chunk).  After
+    each of its own chunks this process takes in what has arrived, without
+    waiting, and yields the finished prefix; then it waits for the rest
+    and for every child to exit.  A child that exits non-zero or leaves a
+    claimed chunk unreturned raises SearchWorkerError.  However this
+    generator ends, it kills and reaps the children still running.  A
+    child is a fork of this thread alone, so chunks must not need another
+    thread (such as numpy's BLAS threads; no chunk calls BLAS).
+    """
+    queue = _claim_queue(len(chunks))
+    pids: dict[int, int] = {}  # the read end of a child's result pipe -> its pid
+    try:
+        for _ in range(workers):
+            claim = os.read(queue, 4)  # the child's first chunk
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(kind, chunks, state, claim, queue, w, list(pids))
+            pids[r] = pid
+            os.close(w)
+        parts: dict[int, list[Solution]] = {}
+        done = 0
+        while done < len(chunks) or pids:
+            claim = os.read(queue, 4)
+            if claim:
+                i = int.from_bytes(claim, "little")
+                parts[i] = _search_chunk(kind, chunks[i], state)
+            elif not pids:
+                raise SearchWorkerError(f"a search worker process died: chunk {done} is missing")
+            _receive(pids, parts, 0 if claim else None)
+            while done in parts:
+                yield parts.pop(done)
+                done += 1
+    finally:
+        os.close(queue)
+        if pids:
+            import signal  # only here, to stop what an error left running
+
+            for r, pid in pids.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(r)
+
+
+def _claim_queue(count: int) -> int:
+    """The read end of a pipe holding the chunk numbers 0..count-1, 4 B each.
+
+    A 4-byte read claims the next chunk, and b"" means none is left: the
+    write end is closed here.  The queue is written whole before any
+    process reads it, and at most _MAX_JOBS processes plan at most
+    _CHUNKS_PER_JOB chunks each, 64 KiB.  The write does not block: a pipe
+    too small for the queue raises BlockingIOError.
+    """
+    r, w = os.pipe()
+    os.set_blocking(w, False)
+    data = np.arange(count, dtype="<u4").tobytes()
+    try:
+        written = os.write(w, data)
+    finally:
+        os.close(w)
+    if written < len(data):
+        os.close(r)
+        raise BlockingIOError(f"the claim queue of {count} chunks does not fit a pipe")
+    return r
+
+
+def _child(
+    kind: TupleKind, chunks: list, state: dict, claim: bytes, queue: int, out: int, inherited: list
+) -> NoReturn:
+    """A forked child's life: run the chunk claimed for it and then every
+    chunk it claims from the queue, each through _run_chunk; exit 0, or
+    non-zero on any failure, without unwinding into the parent's stack."""
+    status = 1
+    try:
+        _init_worker(inherited)
+        while claim:
+            i = int.from_bytes(claim, "little")
+            _run_chunk(kind, i, chunks[i], state, out)
+            claim = os.read(queue, 4)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _init_worker(inherited: list[int]) -> None:
+    """A child's first call: close the result pipes of the children forked
+    before it, which it inherited and has no use for."""
+    for fd in inherited:
+        os.close(fd)
+
+
+def _run_chunk(kind: TupleKind, i: int, chunk: tuple, state: dict, out: int) -> None:
+    """Search chunk i and send (i, solutions), or (i, exception) if the
+    search raised one, up the pipe out: a pickle after its 8-byte length."""
+    try:
+        part = _search_chunk(kind, chunk, state)
+    except Exception as exc:  # raised again in the parent
+        part = exc
+    data = pickle.dumps((i, part), pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(out, view) :]
+
+
+def _receive(pids: dict[int, int], parts: dict, timeout: float | None) -> None:
+    """Put every message the children have sent into parts, waiting up to
+    timeout (None: without limit) for the first; a message that carries
+    an exception raises it.  A child whose pipe ends has exited: it is
+    reaped and dropped from pids, and raises SearchWorkerError if its exit
+    status is not 0."""
+    import select  # only a pool search loads it
+
+    while pids:
+        ready, _, _ = select.select(list(pids), [], [], timeout)
+        if not ready:
+            return
+        for r in ready:
+            head = _read_exact(r, 8)
+            size = int.from_bytes(head, "little")
+            body = _read_exact(r, size)
+            if len(head) == 8 and len(body) == size:
+                i, part = pickle.loads(body)
+                if isinstance(part, Exception):
+                    raise part
+                parts[i] = part
+                continue
+            pid = pids.pop(r)
+            os.close(r)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status:
+                raise SearchWorkerError(f"a search worker process died with exit status {status}")
+        timeout = 0
+
+
+def _read_exact(fd: int, n: int) -> bytes:
+    """n bytes from fd, fewer only where it ends first."""
+    data = b""
+    while len(data) < n and (more := os.read(fd, n - len(data))):
+        data += more
+    return data
 
 
 # --- brute-force oracle ----------------------------------------------------
@@ -758,7 +867,7 @@ def brute_force_oracle(config: SearchConfig) -> list[Solution]:
     throughout.
     """
     if config.bound > ORACLE_MAX_BOUND:
-        raise ValueError(f"oracle bound capped at {ORACLE_MAX_BOUND}")
+        raise InputError(f"oracle bound capped at {ORACLE_MAX_BOUND}")
     kind, N = config.kind, config.bound
     p, e, f = kind.power, kind.equal, kind.free
     psis = [0] + [_psi_trial(a) for a in range(1, N + 1)]

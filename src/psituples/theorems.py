@@ -23,6 +23,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .arith import (
+    InputError,
     PsiSieve,
     _floor_root_vec,
     build_sieve,
@@ -125,7 +126,7 @@ def pair_obstruction(x: int, sieve: PsiSieve | None = None) -> PairObstructionRe
     degenerates the whole setup.
     """
     if x < 2:
-        raise ValueError("pair obstruction requires x >= 2")
+        raise InputError("pair obstruction requires x >= 2")
     case, k, odd = _classify_shape(x, sieve)
     px = psi(x, sieve)
     u = px - x
@@ -161,7 +162,7 @@ def congruence_witness(x: int, sieve: PsiSieve | None = None) -> Witness:
     """The case-specific congruence certificate for x, independent of any
     square test on u1/v1.  Mirrors the five-case analysis."""
     if x < 2:
-        raise ValueError("requires x >= 2")
+        raise InputError("requires x >= 2")
     case, k, odd = _classify_shape(x, sieve)
     px = psi(x, sieve)
     u = px - x
@@ -348,7 +349,7 @@ def verify_theorem1(limit: int, sieve: PsiSieve | None = None) -> TheoremScan:
     witness there means the kernel and the scalar path disagree.
     """
     if limit < 2:
-        raise ValueError("limit must be >= 2")
+        raise InputError("limit must be >= 2")
     if sieve is None or sieve.limit < limit:
         sieve = build_sieve(limit)
     cases = np.zeros(len(PairCase), dtype=np.int64)
@@ -383,7 +384,7 @@ def triple_family(k: int) -> Solution:
     contractual 128-bit envelope.
     """
     if not 1 <= k <= 62:
-        raise ValueError("k must be in 1..62")
+        raise InputError("k must be in 1..62")
     a = 1 << k
     half = 1 << (k - 1)
     return Solution(
@@ -430,7 +431,7 @@ def classify_equal_pair(a: int, sieve: PsiSieve | None = None) -> Theorem2Report
     verifiable triple.
     """
     if a < 2:
-        raise ValueError("classification requires a >= 2")
+        raise InputError("classification requires a >= 2")
     fac = factorize(a, sieve if sieve is not None and a <= sieve.limit else None)
     k = fac.two_exponent()
     odd = fac.odd_primes()

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .arith import PsiSieve, psi
+from .arith import InputError, PsiSieve, psi
 
 __all__ = [
     "TupleKind",
@@ -44,9 +44,9 @@ class TupleKind:
 
     def __post_init__(self) -> None:
         if self.power not in (2, 3, 4, 5):
-            raise ValueError("power must be in 2..5")
+            raise InputError("power must be in 2..5")
         if self.equal < 1 or self.free < 1:
-            raise ValueError("equal and free class sizes must be >= 1")
+            raise InputError("equal and free class sizes must be >= 1")
 
     def signature(self) -> tuple[int, int, int]:
         return (self.power, self.equal, self.free)
@@ -76,7 +76,7 @@ def kind_by_name(name: str) -> TupleKind:
         return _BY_NAME[name]
     except KeyError:
         known = ", ".join(sorted(_BY_NAME))
-        raise ValueError(f"unknown kind {name!r}; known kinds: {known}") from None
+        raise InputError(f"unknown kind {name!r}; known kinds: {known}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,17 +117,17 @@ def verify_solution(
     """Exact arithmetic check of the defining equation.
 
     Entry counts must match the kind and all entries must be >= 1
-    (ValueError otherwise).  Python integers keep every intermediate
+    (InputError otherwise).  Python integers keep every intermediate
     exact, so a failed check is always a genuine failure.
     """
     if len(equal_entries) != kind.equal:
-        raise ValueError(
+        raise InputError(
             f"expected {kind.equal} equal entries, got {len(equal_entries)}"
         )
     if len(free_entries) != kind.free:
-        raise ValueError(f"expected {kind.free} free entries, got {len(free_entries)}")
+        raise InputError(f"expected {kind.free} free entries, got {len(free_entries)}")
     if any(a < 1 for a in equal_entries) or any(b < 1 for b in free_entries):
-        raise ValueError("all entries must be positive integers")
+        raise InputError("all entries must be positive integers")
     p = kind.power
     psis = tuple(psi(a, sieve) for a in equal_entries)
     lhs = psis[0] ** p
@@ -150,12 +150,12 @@ def canonicalize(
 ) -> Solution:
     """Verify and return the canonical Solution (sorted entry lists).
 
-    Raises ValueError when verification fails; two solutions are equal
+    Raises InputError when verification fails; two solutions are equal
     iff their canonical forms are equal.
     """
     report = verify_solution(kind, equal_entries, free_entries, sieve)
     if not report.ok:
-        raise ValueError(
+        raise InputError(
             f"not a valid solution: psi values {report.psi_values}, "
             f"discrepancy {report.discrepancy}"
         )

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from psituples import TheoremScan, cli
+from psituples import InputError, TheoremScan, cli
 from psituples.cli import main
 
 
@@ -188,6 +188,62 @@ def test_search_class_and_range_chunks_jobs_one_two_three(capsys, argv):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1 and outs.pop()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "quadratic-triple", "--bound", "4096"),
+    ("--kind", "cubic-quintuple", "--bound", "300", "--format", "csv"),
+    ("--kind", "quartic-quintuple", "--bound", "600"),
+    ("--power", "3", "--equal", "2", "--free", "3", "--bound", "100"),
+])
+def test_search_one_two_three_processes_byte_identical(capsys, monkeypatch, forks, argv):
+    # ('runs', ...) chunks for the first two, then ('range', ...) and
+    # ('classes', ...); four usable CPUs, so that --jobs 3 runs 3 processes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    outs = set()
+    faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)  # no hang
+    try:
+        for jobs in (1, 2, 3):
+            del forks[:]
+            code, out, _ = run(capsys, "search", *argv, "--jobs", str(jobs))
+            assert code == 0 and len(forks) == jobs - 1
+            outs.add(out)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert len(outs) == 1 and outs.pop()
+
+
+def test_search_internal_value_error_is_not_exit_two(monkeypatch):
+    # only an InputError is the user's fault; an internal ValueError, here
+    # from the batched kernel, propagates
+    search_module = importlib.import_module("psituples.search")
+
+    def broken(*args):
+        raise ValueError("need at least one array to concatenate")
+
+    monkeypatch.setattr(search_module, "_search_runs", broken)
+    with pytest.raises(ValueError, match="concatenate") as exc:
+        main(["search", "--kind", "quadratic-triple", "--bound", "4096", "--jobs", "1"])
+    assert not isinstance(exc.value, InputError)
+    assert issubclass(InputError, ValueError)
+
+
+def test_search_child_exception_is_raised_in_the_parent(monkeypatch):
+    # the same fault in a forked child only: the command raises it, as
+    # --jobs 1 would, instead of reporting a dead worker
+    search_module = importlib.import_module("psituples.search")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, runs = os.getpid(), search_module._search_runs
+
+    def broken_in_child(*args):
+        if os.getpid() != parent:
+            raise ValueError("need at least one array to concatenate")
+        return runs(*args)
+
+    monkeypatch.setattr(search_module, "_search_runs", broken_in_child)
+    with pytest.raises(ValueError, match="concatenate") as exc:
+        main(["search", "--kind", "quadratic-triple", "--bound", "4096", "--jobs", "2"])
+    assert not isinstance(exc.value, InputError)
 
 
 def test_search_emit_partial_in_chunk_order_with_pool(capsys):

@@ -1,12 +1,11 @@
 """Search engine: class index, decompositions, search vs oracle."""
 
-import concurrent.futures
-import concurrent.futures.process
+import faulthandler
 import importlib
 import os
 import subprocess
 import sys
-from concurrent.futures import Future
+import time
 
 import numpy as np
 import pytest
@@ -355,55 +354,6 @@ def test_cli_search_leaves_pool_machinery_unimported():
     assert out.stdout.splitlines()[-1] == "['psituples.theorems']"
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records the pool size and runs the
-    first `eager` submitted chunks at once in this process, as a worker
-    would; the rest run when their result is asked for."""
-
-    sizes: list = []
-    eager = None  # all
-
-    def __init__(self, max_workers, initializer, initargs):
-        self.sizes.append(max_workers)
-        self.submitted = 0
-        initializer(*initargs)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        self.submitted += 1
-        future = _LazyFuture(fn, args)
-        if self.eager is None or self.submitted <= self.eager:
-            future.result()
-        return future
-
-
-class _LazyFuture(Future):
-    def __init__(self, fn, args):
-        super().__init__()
-        self.call = fn, args
-
-    def result(self, timeout=None):
-        if not self.done():
-            fn, args = self.call
-            self.set_result(fn(*args))
-        return super().result(timeout)
-
-
-def _inline_pool(monkeypatch):
-    # both names a search could import the pool by; a module-level import
-    # would escape the patch and fork for real, so refuse that first
-    assert not hasattr(search_module, "ProcessPoolExecutor")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(search_module, "_worker_state", {})
-
-
 def _chunk_count(config):
     seen = []
     search(config, progress=lambda i, n, part: seen.append(n))
@@ -417,52 +367,71 @@ def _chunk_count(config):
     (8, 16, 3, 2),  # three chunks
     (8, 1, 100, None),  # one usable CPU: no pool at all
 ])
-def test_pool_size_is_clamped(monkeypatch, jobs, cpus, bound, workers):
-    _inline_pool(monkeypatch)
+def test_pool_size_is_clamped(monkeypatch, forks, jobs, cpus, bound, workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     kind = kind_by_name("quartic-quintuple")
     got = search(SearchConfig(kind, bound, jobs=jobs))
-    assert _InlinePool.sizes == ([] if workers is None else [workers])
+    assert len(forks) == (workers or 0)
     assert got == search(SearchConfig(kind, bound))
 
 
-def test_pool_size_without_sched_getaffinity(monkeypatch):
-    _inline_pool(monkeypatch)
+def test_pool_size_without_sched_getaffinity(monkeypatch, forks):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     config = SearchConfig(kind_by_name("cubic-quintuple"), 300, jobs=5000)
     search(config)
-    assert _InlinePool.sizes == [3]
+    assert len(forks) == 3
     # the chunks are planned for the clamped count too
     assert _chunk_count(config) == _chunk_count(SearchConfig(config.kind, 300, jobs=4)) > 4
 
 
-def test_pool_parent_takes_the_back_and_streams_progress(monkeypatch):
-    # the "worker" finishes chunks 0..2 at submit time and takes no more;
-    # this process runs the rest from the back, reports 0..2 right after
-    # its first chunk, and runs no chunk twice
-    _inline_pool(monkeypatch)
-    monkeypatch.setattr(_InlinePool, "eager", 3)
+def test_pool_processes_claim_in_chunk_order_and_stream_progress(monkeypatch, forks, tmp_path):
+    # one child, which logs each chunk it runs to a file; this process's
+    # first chunk waits until the child has started its fourth, so that
+    # three child chunks have come back.  Progress for the finished prefix
+    # must follow that first chunk at once, each process must take its
+    # chunks in order, and no chunk may run twice
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    events = []
-    run = search_module._search_chunk
+    log, parent, events = tmp_path / "child.log", os.getpid(), []
+    run_chunk, search_chunk = search_module._run_chunk, search_module._search_chunk
+
+    def child_run(kind, i, chunk, state, out):
+        with open(log, "a") as f:
+            f.write(f"{chunk[1]}\n")
+        run_chunk(kind, i, chunk, state, out)
 
     def logged(kind, chunk, state):
-        events.append(("run", chunk[1]))
-        return run(kind, chunk, state)
+        if os.getpid() == parent:
+            events.append(("run", chunk[1]))
+            deadline = time.monotonic() + 60
+            while len(events) == 1 and len(_lines(log)) < 4:
+                assert time.monotonic() < deadline, "the child ran fewer than four chunks"
+                time.sleep(0.002)
+        return search_chunk(kind, chunk, state)
 
+    monkeypatch.setattr(search_module, "_run_chunk", child_run)
     monkeypatch.setattr(search_module, "_search_chunk", logged)
     config = SearchConfig(kind_by_name("quartic-quintuple"), 300, jobs=2)
-    got = search(config, progress=lambda i, n, part: events.append(("progress", i)))
-    runs = [lo for what, lo in events if what == "run"]
+    faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)  # no hang
+    try:
+        got = search(config, progress=lambda i, n, part: events.append(("progress", i)))
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    own = [lo for what, lo in events if what == "run"]
+    theirs = [int(lo) for lo in _lines(log)]
     progress = [i for what, i in events if what == "progress"]
     n = len(progress)
+    assert len(forks) == 1
     assert progress == list(range(n)) and n > 4
-    assert len(set(runs)) == len(runs) == n
-    assert runs[:3] == sorted(runs)[:3]  # the worker's
-    assert runs[3:] == sorted(runs[3:], reverse=True)  # this process's, from the back
-    assert events[3:7] == [("run", runs[3]), ("progress", 0), ("progress", 1), ("progress", 2)]
+    assert len(set(own + theirs)) == len(own + theirs) == n
+    assert own == sorted(own) and theirs == sorted(theirs)
+    m = next((k for k, event in enumerate(events[1:]) if event[0] == "run"), len(events) - 1)
+    assert m >= 3 and events[1 : m + 1] == [("progress", i) for i in range(m)]
     assert got == search(SearchConfig(config.kind, 300))
+
+
+def _lines(path):
+    return path.read_text().split() if path.exists() else []
 
 
 def test_pool_with_more_processes_than_cores():
@@ -483,6 +452,131 @@ def test_pool_with_more_processes_than_cores():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=120)
     assert out.stdout == "ok\n"
+
+
+_POOL_SCRIPT_HEAD = (
+    "import importlib, os\n"
+    "os.sched_getaffinity = lambda pid: {0, 1}\n"
+    "fork, started = os.fork, []\n"
+    "def counted():\n"
+    "    pid = fork()\n"
+    "    if pid:\n"
+    "        started.append(pid)\n"
+    "    return pid\n"
+    "os.fork = counted\n"
+)
+
+
+def _run_script(code):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    return out.stdout.splitlines()[-1]
+
+
+def test_pool_search_leaves_pool_machinery_unimported():
+    code = _POOL_SCRIPT_HEAD + (
+        "import sys\n"
+        "import psituples.cli\n"
+        "for argv in (['search', '--kind', 'quadratic-triple', '--bound', '8192'],\n"
+        "             ['search', '--kind', 'quartic-quintuple', '--bound', '300']):\n"
+        "    assert psituples.cli.main(argv + ['--jobs', '2']) == 0\n"
+        "print(len(started), sorted(m for m in ('concurrent.futures', 'multiprocessing')\n"
+        "                           if m in sys.modules))\n"
+    )
+    assert _run_script(code) == "2 []"
+
+
+def test_pool_leaves_no_child_unreaped():
+    # a clean run; a child that dies, that exits non-zero after sending its
+    # chunk, or that exits 0 with a claimed chunk unreturned; this process failing in its own chunk while a child is
+    # busy (asleep), or in a progress call: every child is reaped each time,
+    # and none is waited out
+    code = _POOL_SCRIPT_HEAD + (
+        "import time\n"
+        "from psituples import SearchConfig, kind_by_name, search\n"
+        "m = importlib.import_module('psituples.search')\n"
+        "config = SearchConfig(kind_by_name('quartic-quintuple'), 300, jobs=2)\n"
+        "expected = search(SearchConfig(config.kind, 300))\n"
+        "parent, search_chunk, run_chunk = os.getpid(), m._search_chunk, m._run_chunk\n"
+        "def die(*args):\n"
+        "    os._exit(1)\n"
+        "def send_and_die(*args):\n"
+        "    run_chunk(*args)\n"
+        "    os._exit(3)\n"
+        "def asleep(*args):\n"
+        "    time.sleep(600)\n"
+        "def own_raises(exc):\n"
+        "    def chunk(kind, c, state):\n"
+        "        if os.getpid() == parent:\n"
+        "            raise exc\n"
+        "        return search_chunk(kind, c, state)\n"
+        "    return chunk\n"
+        "def progress(i, n, part):\n"
+        "    raise LookupError('progress')\n"
+        "cases = [({}, None, None),\n"
+        "         ({'_init_worker': die}, None, m.SearchWorkerError),\n"
+        "         ({'_run_chunk': die}, None, m.SearchWorkerError),\n"
+        "         ({'_run_chunk': send_and_die}, None, m.SearchWorkerError),\n"
+        "         ({'_run_chunk': lambda *args: None}, None, m.SearchWorkerError),\n"
+        "         ({'_run_chunk': asleep, '_search_chunk': own_raises(RuntimeError('own'))},\n"
+        "          None, RuntimeError),\n"
+        "         ({'_run_chunk': asleep, '_search_chunk': own_raises(KeyboardInterrupt())},\n"
+        "          None, KeyboardInterrupt),\n"
+        "         ({}, progress, LookupError)]\n"
+        "reaped = []\n"
+        "for patches, report, error in cases:\n"
+        "    saved = {name: getattr(m, name) for name in patches}\n"
+        "    for name, patch in patches.items():\n"
+        "        setattr(m, name, patch)\n"
+        "    caught = None  # keeps the traceback, and the frames in it, alive\n"
+        "    try:\n"
+        "        assert search(config, progress=report) == expected\n"
+        "    except BaseException as exc:\n"
+        "        caught = exc\n"
+        "    assert isinstance(caught, error) if error else caught is None, repr(caught)\n"
+        "    for name, fn in saved.items():\n"
+        "        setattr(m, name, fn)\n"
+        "    try:\n"
+        "        os.waitpid(-1, os.WNOHANG)\n"
+        "    except ChildProcessError:\n"
+        "        reaped.append(True)\n"
+        "    else:\n"
+        "        reaped.append(False)\n"
+        "print(len(started), reaped)\n"
+    )
+    assert _run_script(code) == "8 [True, True, True, True, True, True, True, True]"
+
+
+def test_pool_claim_queue_fits_its_pipe_at_the_jobs_cap(monkeypatch):
+    # 5000 usable CPUs: jobs clamps to _MAX_JOBS, so the queue of at most
+    # 16 chunks per process fits one pipe; no process is started
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5000)))
+    seen = []
+
+    def no_pool(kind, chunks, state, workers):
+        seen.append((len(chunks), workers))
+        return ([] for _ in chunks)
+
+    monkeypatch.setattr(search_module, "_pool_parts", no_pool)
+    search(SearchConfig(TupleKind(3, 1, 3), 1 << 14, jobs=5000))  # one chunk per a
+    (count, workers), = seen
+    assert workers == search_module._MAX_JOBS - 1 == 1023
+    assert count == 16 * 1024  # the most chunks a plan can have: 64 KiB of indices
+    queue = search_module._claim_queue(count)
+    try:
+        assert os.read(queue, 1 << 17) == np.arange(count, dtype="<u4").tobytes()
+        assert os.read(queue, 4) == b""
+    finally:
+        os.close(queue)
+
+
+def test_no_pool_without_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.delattr(os, "fork")
+    config = SearchConfig(kind_by_name("cubic-quintuple"), 300, jobs=4)
+    assert _chunk_count(config) == 1
+    assert search(config) == search(SearchConfig(config.kind, 300))
 
 
 # --- vectorized k-th root ----------------------------------------------------
