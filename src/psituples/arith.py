@@ -263,3 +263,26 @@ def _floor_root_vec(vals: np.ndarray, power: int) -> np.ndarray:
             return r
         r += up
         r -= down
+
+
+def _exact_root_vec(vals: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, hits) for int64 vals: hits[i] is whether vals[i] is a
+    power-th power, and then roots[i] is its root.
+
+    Exact on 0 <= v <= 2**63 - 1 for every power in 2..5 (negative v never
+    hit).  A true power r**p has r <= R_p < 2**32 (see _floor_root_vec),
+    and its float root is within a few units in the last place of r,
+    below 2e-6, so rint returns r.  Clipped to 0..R_p, no candidate's p-th
+    power overflows, and a v that is not a p-th power never equals it.
+    Where there is no hit, roots[i] is only the rounded candidate.
+    """
+    f = np.maximum(vals, 0).astype(np.float64)
+    if power == 2:
+        f = np.sqrt(f)
+    elif power == 3:
+        f = np.cbrt(f)
+    else:
+        f = np.power(f, 1.0 / power)
+    roots = np.rint(f).astype(np.int64)
+    np.clip(roots, 0, _INT64_ROOT_MAX[power], out=roots)
+    return roots, roots**power == vals

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import os
 import sys
 from typing import Sequence
@@ -35,6 +36,13 @@ from .tuples import (
     solution_to_json,
     verify_solution,
 )
+
+# A command is a short-lived process that may fork a search pool.  Moving
+# what the imports allocated (numpy's and these modules' objects) to the
+# permanent generation keeps every later collection off them: the in-run
+# ones, the full ones at exit and the forked children's.  Only the command
+# line does this; `import psituples` leaves the collector as it is.
+gc.freeze()
 
 __all__ = ["main", "entrypoint"]
 

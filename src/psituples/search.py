@@ -30,6 +30,7 @@ from .arith import (
     _INT64_MAX,
     InputError,
     PsiSieve,
+    _exact_root_vec,
     _floor_root_vec,
     build_sieve,
     int_kth_root,
@@ -228,8 +229,9 @@ def _mitm4(
     tail is read backwards, are searched in the head, _KERNEL_BLOCK of them
     at a time; the temporaries stay that small however large the table is.
     _sum_pairs recovers the pairs of each matched head sum and its tail,
-    and the b2 <= x junction keeps each canonical 4-tuple unique.  The
-    tuples come back sorted.
+    and the b2 <= x junction keeps each canonical 4-tuple unique; with no
+    head sum matched, there is nothing to recover.  The tuples come back
+    sorted.
     """
     sums = table.sums
     half = int(np.searchsorted(sums, residual // 2, side="right"))
@@ -249,6 +251,8 @@ def _mitm4(
             matched.append(needles[window[np.minimum(idx, window.size - 1)] == needles])
     heads = np.concatenate(matched)  # ascending, block after block
     heads = heads[np.diff(heads, prepend=0) > 0]  # distinct
+    if not heads.size:
+        return []
     tails = residual - heads
     # the junction b2 <= x bounds both smaller entries from below: a tail
     # pair needs 2 * x**p >= the head sum, as 2 * b2**p is and x >= b2; a
@@ -276,10 +280,10 @@ def _sum_pairs(
     u**p + v**p == sums[i], ascending.
 
     Each sum s splits into (s, u) for u = u_lo..floor((s // 2) ** (1/p)),
-    since 2 * u**p <= s exactly when u <= v.  Where s - u**p is a p-th
-    power, the rounded float root is its root, so the check against the
-    p-th powers 0..cap is exact in int64.  The splits run in pieces of
-    about _KERNEL_BLOCK, so memory stays bounded.
+    since 2 * u**p <= s exactly when u <= v.  Every s - u**p passes one
+    exact perfect-power test (_exact_root_vec), and a root v above cap is
+    dropped.  The splits run in pieces of about _KERNEL_BLOCK, so memory
+    stays bounded.
     """
     pw = np.arange(cap + 1, dtype=np.int64) ** power
     counts = np.maximum(np.minimum(_floor_root_vec(sums // 2, power), cap) - u_lo + 1, 0)
@@ -291,8 +295,8 @@ def _sum_pairs(
         rows = np.repeat(np.arange(lo, hi), n)
         u = np.arange(start[lo], start[hi]) - np.repeat(start[lo:hi] - u_lo[lo:hi], n)
         rest = np.repeat(sums[lo:hi], n) - pw[u]
-        v = np.minimum(np.rint(rest ** (1 / power)).astype(np.int64), cap)
-        hits = pw[v] == rest
+        v, hits = _exact_root_vec(rest, power)
+        hits &= v <= cap
         for i, pair in zip(rows[hits].tolist(), zip(u[hits].tolist(), v[hits].tolist())):
             pairs[i].append(pair)
     return pairs
@@ -533,12 +537,13 @@ def _split_residuals(
     smaller entry b1 = 1..floor((R // 2) ** (1/p)), since 2 * b1**p <= R
     exactly when b1 <= b2, and every R - b1**p is tested for a perfect
     power; the (R, b1) splits run in pieces of about _KERNEL_BLOCK, so
-    memory stays bounded however large the residuals are.  All values stay
-    below R, so int64 is exact wherever R is.
+    memory stays bounded however large the residuals are.  The tests are
+    _exact_root_vec's rounded roots; only the split counts need a floor
+    root.  All values stay below R, so int64 is exact wherever R is.
     """
     if free == 1:
-        roots = _floor_root_vec(residual, power)
-        hits = np.flatnonzero(roots**power == residual)
+        roots, hits = _exact_root_vec(residual, power)
+        hits = np.flatnonzero(hits)
         yield hits, (roots[hits],)
         return
     counts = _floor_root_vec(residual // 2, power)
@@ -548,8 +553,7 @@ def _split_residuals(
         rows = np.repeat(np.arange(lo, hi), counts[lo:hi])
         b1 = np.arange(start[lo], start[hi]) - start[rows] + 1
         rest = residual[rows] - b1**power
-        b2 = _floor_root_vec(rest, power)
-        hits = b2**power == rest
+        b2, hits = _exact_root_vec(rest, power)
         yield rows[hits], (b1[hits], b2[hits])
 
 

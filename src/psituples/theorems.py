@@ -25,7 +25,7 @@ import numpy as np
 from .arith import (
     InputError,
     PsiSieve,
-    _floor_root_vec,
+    _exact_root_vec,
     build_sieve,
     factorize,
     is_perfect_kth_power,
@@ -290,9 +290,11 @@ def _pair_window(lo: int, psi_window: np.ndarray) -> _PairWindow:
 
     Needs nothing but psi of the window, so a segmented sieve can feed it.
     Below 2**32, x has at most nine distinct primes, so psi < 4x, u and v
-    stay below 2**35 and int64 is exact;
-    psi**2 - x**2 is never formed.  Because gcd(u1, v1) = 1 and u > 0,
-    psi**2 - x**2 = d**2 * u1 * v1 is a square exactly when u1 and v1 both are.
+    stay below 2**35 and int64 is exact; verify_theorem1 refuses larger
+    limits.  psi**2 - x**2 is never formed.  Because gcd(u1, v1) = 1 and
+    u > 0, psi**2 - x**2 = d**2 * u1 * v1 is a square exactly when u1 and
+    v1 both are, and each is tested by its rounded square root
+    (_exact_root_vec).
     """
     px = psi_window.astype(np.int64)
     x = np.arange(lo, lo + px.size, dtype=np.int64)
@@ -309,8 +311,8 @@ def _pair_window(lo: int, psi_window: np.ndarray) -> _PairWindow:
         & (np.gcd(u1, v1) == 1)
         & (u > 0)
     )
-    u1_square = _floor_root_vec(u1, 2) ** 2 == u1
-    v1_square = _floor_root_vec(v1, 2) ** 2 == v1
+    u1_square = _exact_root_vec(u1, 2)[1]
+    v1_square = _exact_root_vec(v1, 2)[1]
     witness = np.where(~u1_square, 0, np.where(~v1_square, 1, -1)).astype(np.int8)
 
     # x = 2^k * m with m odd; psi(x) = 3 * 2^(k-1) * psi(m) for k >= 1.  An
@@ -350,6 +352,8 @@ def verify_theorem1(limit: int, sieve: PsiSieve | None = None) -> TheoremScan:
     """
     if limit < 2:
         raise InputError("limit must be >= 2")
+    if limit >= 2**32:
+        raise InputError(f"limit {limit} must be below 2**32: the scan kernel needs psi(x) < 4x")
     if sieve is None or sieve.limit < limit:
         sieve = build_sieve(limit)
     cases = np.zeros(len(PairCase), dtype=np.int64)

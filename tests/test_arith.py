@@ -14,6 +14,7 @@ from psituples import (
     is_perfect_kth_power,
     psi,
 )
+from psituples.arith import _INT64_ROOT_MAX, _exact_root_vec, _floor_root_vec
 
 
 def trial_is_prime(n: int) -> bool:
@@ -204,3 +205,43 @@ def test_root_exactness_128_bit(x, k):
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from([2, 3, 4, 5]))
 def test_perfect_power_round_trip(r, k):
     assert is_perfect_kth_power(r**k, k) == r
+
+
+# --- the vectorized perfect-power test ---------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_exact_root_at_the_int64_edge(p):
+    top = _INT64_ROOT_MAX[p]
+    assert top**p <= 2**63 - 1 < (top + 1) ** p
+    r = np.arange(top - 999, top + 1, dtype=np.int64)
+    powers = r**p
+    roots, hits = _exact_root_vec(powers, p)
+    assert hits.all() and (roots == r).all()
+    for off in (-1, 1):  # top**p + 1 stays below 2**63: 2**63 - 1 is no power
+        assert not _exact_root_vec(powers + off, p)[1].any()
+    roots, hits = _exact_root_vec(np.array([0, 1, 2**63 - 1], dtype=np.int64), p)
+    assert hits.tolist() == [True, True, False]
+    assert roots[:2].tolist() == [0, 1]
+    assert roots[2] == top  # clipped, so that roots**p cannot overflow
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_exact_root_agrees_with_floor_root(p):
+    rng = np.random.default_rng(1213 + p)
+    vals = rng.integers(-(2**20), 2**63 - 1, size=10**6, dtype=np.int64, endpoint=True)
+    # half of them near p-th powers, so that hits occur
+    r = rng.integers(0, _INT64_ROOT_MAX[p], size=vals.size // 2, dtype=np.int64, endpoint=True)
+    vals[::2] = np.maximum(r**p + rng.integers(-1, 2, size=r.size), 0)
+    roots, hits = _exact_root_vec(vals, p)
+    floor = _floor_root_vec(vals, p)
+    assert (hits == (floor**p == vals)).all()
+    assert (roots[hits] == floor[hits]).all()
+    assert hits[::2].sum() > vals.size // 8
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_exact_root_hits_every_power_in_int64(p):
+    r = np.arange(_INT64_ROOT_MAX[p] + 1, dtype=np.int64)  # all of them, at most 2**21
+    roots, hits = _exact_root_vec(r**p, p)
+    assert hits.all() and (roots == r).all()

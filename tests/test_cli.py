@@ -6,10 +6,12 @@ import importlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
+import psituples
 from psituples import InputError, TheoremScan, cli
 from psituples.cli import main
 
@@ -339,6 +341,15 @@ def test_obstruct_rejects_one(capsys):
     assert run(capsys, "obstruct", "1")[0] == 2
 
 
+def test_theorem1_limit_past_the_kernel_is_refused_before_the_sieve(capsys, monkeypatch):
+    def fail(limit):
+        raise AssertionError("sieve built for a refused limit")
+
+    monkeypatch.setattr(importlib.import_module("psituples.theorems"), "build_sieve", fail)
+    code, _, err = run(capsys, "theorem1", str(2**32))
+    assert code == 2 and "2**32" in err
+
+
 def test_theorem1_command(capsys, monkeypatch):
     code, out, _ = run(capsys, "theorem1", "100")
     assert code == 0
@@ -372,3 +383,26 @@ def test_family_command(capsys):
 def test_family_rejects_out_of_range(capsys):
     assert run(capsys, "family", "--k", "0")[0] == 2
     assert run(capsys, "family", "--k", "63")[0] == 2
+
+
+# --- the frozen import-time heap -----------------------------------------------
+
+
+def python(*args):
+    """Run this Python with the psituples under test importable."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(psituples.__file__)))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_only_the_command_line_freezes_the_heap():
+    probe = "import gc, {}; print(gc.get_freeze_count())"
+    assert int(python("-c", probe.format("psituples"))) == 0
+    assert int(python("-c", probe.format("psituples.cli"))) > 0
+
+
+def test_frozen_heap_pool_output_matches_serial():
+    argv = ["-m", "psituples.cli", "search", "--kind", "quintic-quintuple", "--bound", "300"]
+    serial = python(*argv, "--jobs", "1")
+    assert serial and serial == python(*argv, "--jobs", "2")

@@ -88,6 +88,32 @@ def test_mitm_with_a_smaller_cap_than_the_table(monkeypatch):
             assert _mitm4(residual, 4, cap, table) == descend4(residual, 4, cap)
 
 
+def test_mitm_without_a_head_match_recovers_nothing(monkeypatch):
+    import random
+
+    def fail(*args):
+        raise AssertionError("_sum_pairs called without a matched head sum")
+
+    monkeypatch.setattr(search_module, "_sum_pairs", fail)
+    rng = random.Random(1111)
+    for power, top in ((4, 10**7), (5, 10**9)):
+        cap = int_kth_root(top, power)
+        table = _PairSumTable(power, cap)
+        misses = 0
+        while misses < 40:
+            residual = rng.randrange(10**5, top)
+            if not descend4(residual, power, cap):
+                assert _mitm4(residual, power, cap, table) == []
+                misses += 1
+    monkeypatch.undo()
+    table = _PairSumTable(4, 160)
+    one = 1**4 + 2**4 + 3**4 + 5**4
+    for residual, count in ((one, 1), (2 * TAXICAB, 3)):
+        expected = descend4(residual, 4, 160)
+        assert len(expected) == count
+        assert _mitm4(residual, 4, 160, table) == expected
+
+
 @pytest.mark.parametrize("kind, bound", [(TupleKind(2, 1, 4), 120), (TupleKind(3, 1, 4), 150)])
 def test_dense_hits_agree_with_oracle(kind, bound):
     # p <= 3 leaves most pair sums with several representations, so the
