@@ -8,7 +8,8 @@ immutable and safe to share across threads and processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
+from typing import NoReturn
 
 import numpy as np
 
@@ -29,15 +30,61 @@ class InputError(ValueError):
     wrong, not the computation.  The command line exits 2 on it."""
 
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
+class _Record:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its two or more fields, in order, as __slots__, and
+    its __init__ sets each one with self._set(name, value).  From the slots
+    this base gives what a frozen dataclass gives: equality and hash over
+    the field tuple, the dataclass repr, pickling through the constructor,
+    and AttributeError on assignment or deletion.
+    """
+
+    # A plain class costs nothing to define, where a dataclass execs about
+    # six generated methods per class at import, in every process.
+    __slots__ = ()
+
+    # object.__setattr__, bound to the instance: the one way past the
+    # __setattr__ below, and cheaper per call than naming it in full.
+    _set = object.__setattr__
+
+    def __init_subclass__(cls) -> None:
+        # the field tuple; attrgetter returns a tuple for two or more names
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> NoReturn:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> NoReturn:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values(self)
+
+
+class Factorization(_Record):
     """Prime-exponent form n = p1^a1 * ... * pr^ar, primes strictly increasing.
 
     n == 1 has an empty factor list.
     """
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "factors")
+
+    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]) -> None:
+        self._set("n", n)
+        self._set("factors", factors)
 
     def distinct_primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -54,8 +101,7 @@ class Factorization:
         return 0
 
 
-@dataclass(frozen=True)
-class PsiSieve:
+class PsiSieve(_Record):
     """Smallest-prime-factor and psi tables for 1..limit.
 
     spf is uint32 with spf[1] == 1 as a sentinel; psi is uint64 with
@@ -63,9 +109,12 @@ class PsiSieve:
     read-only after construction.
     """
 
-    limit: int
-    spf: np.ndarray
-    psi: np.ndarray
+    __slots__ = ("limit", "spf", "psi")
+
+    def __init__(self, limit: int, spf: np.ndarray, psi: np.ndarray) -> None:
+        self._set("limit", limit)
+        self._set("spf", spf)
+        self._set("psi", psi)
 
     def psi_at(self, n: int) -> int:
         """psi(n) as a plain Python int; n must be within the sieve."""
@@ -77,10 +126,6 @@ class PsiSieve:
         if not 1 <= n <= self.limit:
             raise InputError(f"n={n} outside sieve range 1..{self.limit}")
         return int(self.spf[n])
-
-    def max_psi(self) -> int:
-        """Largest psi value on 1..limit (used to size search tables)."""
-        return int(self.psi[1:].max()) if self.limit >= 1 else 1
 
 
 def build_sieve(limit: int) -> PsiSieve:

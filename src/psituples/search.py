@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 import pickle
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Iterator, NoReturn, Sequence
 
@@ -32,6 +31,7 @@ from .arith import (
     PsiSieve,
     _exact_root_vec,
     _floor_root_vec,
+    _Record,
     build_sieve,
     int_kth_root,
     is_perfect_kth_power,
@@ -73,23 +73,22 @@ def max_safe_bound(power: int) -> int:
     return int_kth_root(_UINT128_MAX, power) // 4
 
 
-@dataclass(frozen=True, slots=True)
-class SearchConfig:
-    kind: TupleKind
-    bound: int
-    jobs: int = 1
+class SearchConfig(_Record):
+    __slots__ = ("kind", "bound", "jobs")
 
-    def __post_init__(self) -> None:
-        if self.bound < 1:
+    def __init__(self, kind: TupleKind, bound: int, jobs: int = 1) -> None:
+        if bound < 1:
             raise InputError("bound must be >= 1")
-        if self.jobs < 1:
+        if jobs < 1:
             raise InputError("jobs must be >= 1")
-        safe = max_safe_bound(self.kind.power)
-        if self.bound > safe:
+        safe = max_safe_bound(kind.power)
+        if bound > safe:
             raise InputError(
-                f"bound {self.bound} unsafe for power {self.kind.power}; "
-                f"maximum safe bound is {safe}"
+                f"bound {bound} unsafe for power {kind.power}; maximum safe bound is {safe}"
             )
+        self._set("kind", kind)
+        self._set("bound", bound)
+        self._set("jobs", jobs)
 
 
 class SearchWorkerError(RuntimeError):
@@ -97,12 +96,14 @@ class SearchWorkerError(RuntimeError):
     a chunk it claimed."""
 
 
-@dataclass(frozen=True)
-class PsiClassIndex:
+class PsiClassIndex(_Record):
     """Map psi value -> sorted list of all n <= bound with that psi."""
 
-    bound: int
-    classes: dict[int, list[int]]
+    __slots__ = ("bound", "classes")
+
+    def __init__(self, bound: int, classes: dict[int, list[int]]) -> None:
+        self._set("bound", bound)
+        self._set("classes", classes)
 
 
 def build_class_index(sieve: PsiSieve, bound: int | None = None) -> PsiClassIndex:
@@ -478,8 +479,7 @@ def _kernel_fits_int64(max_psi: int, power: int, equal: int) -> bool:
     return equal * max_psi**power <= _INT64_MAX
 
 
-@dataclass(frozen=True)
-class _ClassRuns:
+class _ClassRuns(_Record):
     """1..bound sorted by (psi, n), so that each psi class is one run.
 
     ns and psis are the entries and their psi values (int64).  run_end[i]
@@ -489,10 +489,15 @@ class _ClassRuns:
     than ns, the total.
     """
 
-    ns: np.ndarray
-    psis: np.ndarray
-    run_end: np.ndarray
-    tuple_start: np.ndarray
+    __slots__ = ("ns", "psis", "run_end", "tuple_start")
+
+    def __init__(
+        self, ns: np.ndarray, psis: np.ndarray, run_end: np.ndarray, tuple_start: np.ndarray
+    ) -> None:
+        self._set("ns", ns)
+        self._set("psis", psis)
+        self._set("run_end", run_end)
+        self._set("tuple_start", tuple_start)
 
 
 def _build_class_runs(sieve: PsiSieve, bound: int, equal: int) -> _ClassRuns:

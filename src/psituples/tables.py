@@ -9,21 +9,27 @@ informational extras, never as errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arith import PsiSieve
+from .arith import PsiSieve, _Record
 from .tuples import Solution, TupleKind, kind_by_name, verify_solution
 from .search import SearchConfig, search
 
 __all__ = ["TableSpec", "TableDiff", "TABLES", "reproduce_table"]
 
 
-@dataclass(frozen=True)
-class TableSpec:
-    table_id: int
-    kind: TupleKind
-    rows: tuple[tuple[int, ...], ...]
-    default_bound: int
+class TableSpec(_Record):
+    __slots__ = ("table_id", "kind", "rows", "default_bound")
+
+    def __init__(
+        self,
+        table_id: int,
+        kind: TupleKind,
+        rows: tuple[tuple[int, ...], ...],
+        default_bound: int,
+    ) -> None:
+        self._set("table_id", table_id)
+        self._set("kind", kind)
+        self._set("rows", rows)
+        self._set("default_bound", default_bound)
 
     def split_row(self, row: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         e = self.kind.equal
@@ -135,8 +141,7 @@ TABLES: dict[int, TableSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class TableDiff:
+class TableDiff(_Record):
     """Search output diffed against a printed table at some bound.
 
     matched/extra hold found solutions; missing holds printed in-range rows
@@ -144,12 +149,23 @@ class TableDiff:
     printed rows beyond the bound, paired with their verification result.
     """
 
-    table_id: int
-    bound: int
-    matched: tuple[Solution, ...]
-    extra: tuple[Solution, ...]
-    missing: tuple[tuple[int, ...], ...]
-    out_of_range: tuple[tuple[tuple[int, ...], bool], ...]
+    __slots__ = ("table_id", "bound", "matched", "extra", "missing", "out_of_range")
+
+    def __init__(
+        self,
+        table_id: int,
+        bound: int,
+        matched: tuple[Solution, ...],
+        extra: tuple[Solution, ...],
+        missing: tuple[tuple[int, ...], ...],
+        out_of_range: tuple[tuple[tuple[int, ...], bool], ...],
+    ) -> None:
+        self._set("table_id", table_id)
+        self._set("bound", bound)
+        self._set("matched", matched)
+        self._set("extra", extra)
+        self._set("missing", missing)
+        self._set("out_of_range", out_of_range)
 
     @property
     def ok(self) -> bool:

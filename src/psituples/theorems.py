@@ -16,7 +16,6 @@ m > 1, H = 9*P**2 - 8*Q**2 would have to be but is 8 or 12 mod 16.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -26,6 +25,7 @@ from .arith import (
     InputError,
     PsiSieve,
     _exact_root_vec,
+    _Record,
     build_sieve,
     factorize,
     is_perfect_kth_power,
@@ -64,8 +64,7 @@ class PairCase(Enum):
     GENERAL = "General"  # x = 2^k * (two or more odd primes)
 
 
-@dataclass(frozen=True, slots=True)
-class Witness:
+class Witness(_Record):
     """A small machine-checkable fact killing the candidate.
 
     kinds:
@@ -77,9 +76,12 @@ class Witness:
                       odd prime p != 3 in this shape class
     """
 
-    kind: str
-    description: str
-    values: tuple[tuple[str, int], ...]
+    __slots__ = ("kind", "description", "values")
+
+    def __init__(self, kind: str, description: str, values: tuple[tuple[str, int], ...]) -> None:
+        self._set("kind", kind)
+        self._set("description", description)
+        self._set("values", values)
 
     def get(self, name: str) -> int:
         for key, val in self.values:
@@ -88,16 +90,28 @@ class Witness:
         raise KeyError(name)
 
 
-@dataclass(frozen=True, slots=True)
-class PairObstructionReport:
-    x: int
-    u: int
-    v: int
-    d: int
-    u1: int
-    v1: int
-    case_id: PairCase
-    obstruction: Witness
+class PairObstructionReport(_Record):
+    __slots__ = ("x", "u", "v", "d", "u1", "v1", "case_id", "obstruction")
+
+    def __init__(
+        self,
+        x: int,
+        u: int,
+        v: int,
+        d: int,
+        u1: int,
+        v1: int,
+        case_id: PairCase,
+        obstruction: Witness,
+    ) -> None:
+        self._set("x", x)
+        self._set("u", u)
+        self._set("v", v)
+        self._set("d", d)
+        self._set("u1", u1)
+        self._set("v1", v1)
+        self._set("case_id", case_id)
+        self._set("obstruction", obstruction)
 
 
 def _classify_shape(x: int, sieve: PsiSieve | None) -> tuple[PairCase, int, tuple[int, ...]]:
@@ -250,19 +264,31 @@ def witness_holds(report: PairObstructionReport) -> bool:
     return False
 
 
-@dataclass(frozen=True, slots=True)
-class TheoremScan:
+class TheoremScan(_Record):
     """Result of verify_theorem1.
 
     cases counts every scanned x by PairCase value, all five included.
     witnesses counts x by the kind of witness that refutes them, only the
     kinds that occur; a clean scan has sum(witnesses.values()) == checked.
+    Both default to a fresh empty dict, and neither enters the hash.
     """
 
-    checked: int
-    failures: tuple[int, ...]
-    cases: dict[str, int] = field(default_factory=dict, hash=False)
-    witnesses: dict[str, int] = field(default_factory=dict, hash=False)
+    __slots__ = ("checked", "failures", "cases", "witnesses")
+
+    def __init__(
+        self,
+        checked: int,
+        failures: tuple[int, ...],
+        cases: dict[str, int] | None = None,
+        witnesses: dict[str, int] | None = None,
+    ) -> None:
+        self._set("checked", checked)
+        self._set("failures", failures)
+        self._set("cases", {} if cases is None else cases)
+        self._set("witnesses", {} if witnesses is None else witnesses)
+
+    def __hash__(self) -> int:
+        return hash((self.checked, self.failures))
 
 
 class _PairWindow(NamedTuple):
@@ -406,8 +432,7 @@ class EqualPairBranch(Enum):
     MIXED_BRANCH = "MixedBranch"
 
 
-@dataclass(frozen=True, slots=True)
-class Theorem2Report:
+class Theorem2Report(_Record):
     """Classification of a candidate equal pair a = b in a quadratic triple.
 
     A and B (odd branch) or P and Q (mixed branch) are the products of
@@ -416,15 +441,29 @@ class Theorem2Report:
     positive perfect square, i.e. iff (a, a, c) really is a triple.
     """
 
-    a: int
-    branch: EqualPairBranch
-    A: int | None = None
-    B: int | None = None
-    F: int | None = None
-    P: int | None = None
-    Q: int | None = None
-    H: int | None = None
-    c: int | None = None
+    __slots__ = ("a", "branch", "A", "B", "F", "P", "Q", "H", "c")
+
+    def __init__(
+        self,
+        a: int,
+        branch: EqualPairBranch,
+        A: int | None = None,
+        B: int | None = None,
+        F: int | None = None,
+        P: int | None = None,
+        Q: int | None = None,
+        H: int | None = None,
+        c: int | None = None,
+    ) -> None:
+        self._set("a", a)
+        self._set("branch", branch)
+        self._set("A", A)
+        self._set("B", B)
+        self._set("F", F)
+        self._set("P", P)
+        self._set("Q", Q)
+        self._set("H", H)
+        self._set("c", c)
 
 
 def classify_equal_pair(a: int, sieve: PsiSieve | None = None) -> Theorem2Report:

@@ -12,10 +12,9 @@ allowed, and an entry may appear in both classes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .arith import InputError, PsiSieve, psi
+from .arith import InputError, PsiSieve, _Record, psi
 
 __all__ = [
     "TupleKind",
@@ -35,18 +34,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class TupleKind:
-    power: int
-    equal: int
-    free: int
-    name: str | None = None
+class TupleKind(_Record):
+    __slots__ = ("power", "equal", "free", "name")
 
-    def __post_init__(self) -> None:
-        if self.power not in (2, 3, 4, 5):
+    def __init__(self, power: int, equal: int, free: int, name: str | None = None) -> None:
+        if power not in (2, 3, 4, 5):
             raise InputError("power must be in 2..5")
-        if self.equal < 1 or self.free < 1:
+        if equal < 1 or free < 1:
             raise InputError("equal and free class sizes must be >= 1")
+        self._set("power", power)
+        self._set("equal", equal)
+        self._set("free", free)
+        self._set("name", name)
 
     def signature(self) -> tuple[int, int, int]:
         return (self.power, self.equal, self.free)
@@ -79,30 +78,43 @@ def kind_by_name(name: str) -> TupleKind:
         raise InputError(f"unknown kind {name!r}; known kinds: {known}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyReport:
+class VerifyReport(_Record):
     """Outcome of an exact check, with all intermediates for diagnostics.
 
     ok holds iff every equal-class psi agrees and discrepancy == 0.
     discrepancy is signed: lhs - rhs.
     """
 
-    ok: bool
-    psi_values: tuple[int, ...]
-    lhs: int
-    rhs: int
-    discrepancy: int
+    __slots__ = ("ok", "psi_values", "lhs", "rhs", "discrepancy")
+
+    def __init__(
+        self, ok: bool, psi_values: tuple[int, ...], lhs: int, rhs: int, discrepancy: int
+    ) -> None:
+        self._set("ok", ok)
+        self._set("psi_values", psi_values)
+        self._set("lhs", lhs)
+        self._set("rhs", rhs)
+        self._set("discrepancy", discrepancy)
 
 
-@dataclass(frozen=True, slots=True)
-class Solution:
+class Solution(_Record):
     """A verified tuple in canonical form (both entry lists non-decreasing)."""
 
-    kind: TupleKind
-    equal_entries: tuple[int, ...]
-    free_entries: tuple[int, ...]
-    psi_value: int
-    target: int
+    __slots__ = ("kind", "equal_entries", "free_entries", "psi_value", "target")
+
+    def __init__(
+        self,
+        kind: TupleKind,
+        equal_entries: tuple[int, ...],
+        free_entries: tuple[int, ...],
+        psi_value: int,
+        target: int,
+    ) -> None:
+        self._set("kind", kind)
+        self._set("equal_entries", equal_entries)
+        self._set("free_entries", free_entries)
+        self._set("psi_value", psi_value)
+        self._set("target", target)
 
     def sort_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.equal_entries, self.free_entries)

@@ -1,0 +1,167 @@
+"""The value-class contract of every result and config type.
+
+Each type is an immutable record: positional and keyword construction with
+fixed defaults, equality and hash by field, the dataclass-style repr, and
+pickle and copy round-trips.  The field order listed here is part of the
+public signature.
+"""
+
+import copy
+import importlib
+import pickle
+
+import numpy as np
+import pytest
+
+from psituples import (
+    EqualPairBranch,
+    Factorization,
+    InputError,
+    PairCase,
+    PairObstructionReport,
+    PsiClassIndex,
+    PsiSieve,
+    SearchConfig,
+    Solution,
+    TableDiff,
+    TableSpec,
+    Theorem2Report,
+    TheoremScan,
+    TupleKind,
+    VerifyReport,
+    Witness,
+    build_sieve,
+    kind_by_name,
+)
+
+_ClassRuns = importlib.import_module("psituples.search")._ClassRuns
+
+_KIND = kind_by_name("cubic-triple")
+_SIEVE = build_sieve(10)
+_SOLUTION = Solution(_KIND, (4,), (3, 5), 6, 216)
+_WITNESS = Witness("non-square", "v1 = 5 is not a perfect square",
+                   (("symbol_is_v1", 1), ("value", 5)))
+
+# class, field names in order, a value for every field, how many leading
+# fields are required (the rest keep their defaults), those defaults,
+# whether hash() works, and one field changed to another value.
+RECORDS = [
+    (Factorization, ("n", "factors"), (12, ((2, 2), (3, 1))), 2, (), True,
+     ("n", 13)),
+    (PsiSieve, ("limit", "spf", "psi"), (10, _SIEVE.spf, _SIEVE.psi), 3, (), False,
+     ("limit", 9)),
+    (SearchConfig, ("kind", "bound", "jobs"), (_KIND, 100, 2), 2, (1,), True,
+     ("bound", 99)),
+    (PsiClassIndex, ("bound", "classes"), (4, {1: [1], 3: [2], 4: [3], 6: [4]}), 2, (),
+     False, ("bound", 5)),
+    (_ClassRuns, ("ns", "psis", "run_end", "tuple_start"),
+     (np.array([1]), np.array([1]), np.array([1]), np.array([0, 1])), 4, (), False,
+     ("ns", np.array([2]))),
+    (TableSpec, ("table_id", "kind", "rows", "default_bound"),
+     (3, _KIND, ((4, 3, 5), (5, 3, 4)), 50), 4, (), True, ("default_bound", 60)),
+    (TableDiff, ("table_id", "bound", "matched", "extra", "missing", "out_of_range"),
+     (3, 10, (_SOLUTION,), (), ((6, 8, 10),), (((1615, 1065, 1670), True),)), 6, (), True,
+     ("extra", (_SOLUTION,))),
+    (Witness, ("kind", "description", "values"),
+     (_WITNESS.kind, _WITNESS.description, _WITNESS.values), 3, (), True,
+     ("kind", "mod5")),
+    (PairObstructionReport, ("x", "u", "v", "d", "u1", "v1", "case_id", "obstruction"),
+     (8, 4, 20, 4, 1, 5, PairCase.POWER_OF_TWO, _WITNESS), 8, (), True, ("x", 16)),
+    (TheoremScan, ("checked", "failures", "cases", "witnesses"),
+     (9, (4,), {"OddOnly": 5}, {"non-square": 8}), 2, ({}, {}), True, ("failures", ())),
+    (Theorem2Report, ("a", "branch", "A", "B", "F", "P", "Q", "H", "c"),
+     (10, EqualPairBranch.MIXED_BRANCH, None, None, None, 6, 5, 124, None), 2,
+     (None,) * 7, True, ("H", 125)),
+    (TupleKind, ("power", "equal", "free", "name"), (3, 1, 2, "cubic-triple"), 3, (None,),
+     True, ("free", 3)),
+    (VerifyReport, ("ok", "psi_values", "lhs", "rhs", "discrepancy"),
+     (True, (6,), 216, 216, 0), 5, (), True, ("ok", False)),
+    (Solution, ("kind", "equal_entries", "free_entries", "psi_value", "target"),
+     (_KIND, (4,), (3, 5), 6, 216), 5, (), True, ("target", 217)),
+]
+
+
+def _holds(rec, names, values):
+    """Whether rec's fields are values, comparing array fields by value."""
+    for name, value in zip(names, values):
+        field = getattr(rec, name)
+        if isinstance(value, np.ndarray):
+            if not np.array_equal(field, value):
+                return False
+        elif field != value:
+            return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "cls, names, values, required, defaults, hashable, change",
+    RECORDS,
+    ids=[spec[0].__name__ for spec in RECORDS],
+)
+def test_record_contract(cls, names, values, required, defaults, hashable, change):
+    rec = cls(*values)
+    assert _holds(rec, names, values)
+    assert cls(**dict(zip(names, values))) == rec
+
+    # defaults for the trailing fields; mutable ones are fresh per instance
+    short = cls(*values[:required])
+    assert tuple(getattr(short, n) for n in names[required:]) == defaults
+    for name in names[required:]:
+        if isinstance(getattr(short, name), dict):
+            assert getattr(short, name) is not getattr(cls(*values[:required]), name)
+
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, values[0])
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+
+    field, value = change
+    other = cls(**{**dict(zip(names, values)), field: value})
+    assert rec != other and not rec == other
+    assert rec.__eq__(object()) is NotImplemented
+    assert rec != tuple(values)
+
+    if hashable:
+        assert hash(rec) == hash(cls(*values))
+    else:
+        with pytest.raises(TypeError):
+            hash(rec)
+
+    fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
+    assert repr(rec) == f"{cls.__qualname__}({fields})"
+
+    for clone in (pickle.loads(pickle.dumps(rec)), copy.copy(rec)):
+        assert type(clone) is cls and _holds(clone, names, values)
+    assert copy.copy(rec) == rec
+
+
+def test_theorem_scan_hash_ignores_counts():
+    a = TheoremScan(9, (4,), {"OddOnly": 5}, {"non-square": 8})
+    b = TheoremScan(9, (4,))
+    assert a != b
+    assert hash(a) == hash(b) == hash((9, (4,)))
+
+
+def test_fixed_reprs():
+    assert repr(kind_by_name("quadratic-pair")) == (
+        "TupleKind(power=2, equal=1, free=1, name='quadratic-pair')"
+    )
+    assert repr(TheoremScan(1, ())) == "TheoremScan(checked=1, failures=(), cases={}, witnesses={})"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TupleKind(1, 1, 1),
+        lambda: TupleKind(6, 1, 1),
+        lambda: TupleKind(2, 0, 1),
+        lambda: TupleKind(2, 1, 0),
+        lambda: SearchConfig(_KIND, 0),
+        lambda: SearchConfig(_KIND, 10, 0),
+        lambda: SearchConfig(_KIND, 10**40),
+    ],
+)
+def test_validation_raises_input_error(make):
+    with pytest.raises(InputError):
+        make()

@@ -346,7 +346,8 @@ def test_cli_search_leaves_pool_machinery_unimported():
         "             ['search', '--kind', 'quartic-quintuple', '--bound', '300']):\n"
         "    assert psituples.cli.main(argv + ['--jobs', '1']) == 0\n"
         "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing',\n"
-        "                          'psituples.theorems') if m in sys.modules))\n"
+        "                          'dataclasses', 'psituples.theorems')\n"
+        "             if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
