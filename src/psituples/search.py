@@ -1,10 +1,11 @@
 """Exhaustive, deterministic search for tuple solutions up to a bound.
 
-The fast path indexes 1..N by psi value, enumerates equal-class multisets
-per class, and decomposes each residual into a sum of f k-th powers.  Kinds
-with one or two free entries run a batched numpy kernel instead: it
-enumerates the multisets of every class as arrays and splits all residuals
-into one or two k-th powers at once.  Sums of four fourth powers first
+Every kind runs one kernel.  It sorts 1..N by psi value, so that each psi
+class is one run, enumerates the equal-class multisets of every class as
+arrays, block by block, and forms their residuals psi**p - sum(a**p): in
+int64 where that is exact, as Python ints otherwise.  One or two free
+entries are split off int64 residuals all at once; every other residual is
+decomposed on its own into f k-th powers.  Sums of four fourth powers first
 pass a congruence descent mod 16 and mod 625, which rules out most
 residuals and shrinks the rest before they meet the pair-sum table.  The
 brute-force oracle at the bottom re-derives the same sets with plain
@@ -21,7 +22,7 @@ import os
 import pickle
 from bisect import bisect_right
 from itertools import combinations_with_replacement
-from typing import Callable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
@@ -107,7 +108,11 @@ class PsiClassIndex(_Record):
 
 
 def build_class_index(sieve: PsiSieve, bound: int | None = None) -> PsiClassIndex:
-    """Index 1..bound by psi value; bound defaults to the sieve limit."""
+    """Index 1..bound by psi value; bound defaults to the sieve limit.
+
+    A library and reference helper: search sorts 1..N into class runs
+    instead (_build_class_runs).
+    """
     if bound is None:
         bound = sieve.limit
     if not 1 <= bound <= sieve.limit:
@@ -396,8 +401,8 @@ def _needs_pair_table(kind: TupleKind, sieve: PsiSieve, bound: int) -> _PairSumT
     """Build the shared pair-sum table when the kind can profit from it.
 
     None where a table would not pay, or where its sums would leave int64
-    (the search then falls back to descent); InputError where it would
-    exceed _memory_budget.
+    (decompose_sum_of_powers then falls back to descent); InputError where
+    it would exceed _memory_budget.
     """
     if kind.free != 4:
         return None
@@ -410,7 +415,7 @@ def _needs_pair_table(kind: TupleKind, sieve: PsiSieve, bound: int) -> _PairSumT
         # residual < psi(a)**p, so free entries stay below max psi
         root = int(sieve.psi[1 : bound + 1].max())
     if root * root // 2 <= _MITM_PAIR_THRESHOLD or not _PairSumTable.feasible(kind.power, root):
-        return None  # past int64, the scalar search falls back to descent
+        return None  # past int64, decompose_sum_of_powers falls back to descent
     need, budget = _PairSumTable.nbytes(root), _memory_budget()
     if need > budget:
         raise InputError(
@@ -420,57 +425,11 @@ def _needs_pair_table(kind: TupleKind, sieve: PsiSieve, bound: int) -> _PairSumT
     return _PairSumTable(kind.power, root)
 
 
-def _search_a_range(
-    kind: TupleKind,
-    lo: int,
-    hi: int,
-    psi_list: list[int],
-    table: _PairSumTable | None,
-) -> list[Solution]:
-    """Equal class of size 1: iterate a in lo..hi directly."""
-    p, f = kind.power, kind.free
-    out: list[Solution] = []
-    for a in range(lo, hi + 1):
-        v = psi_list[a]
-        target = v**p
-        residual = target - a**p
-        if residual < f:
-            continue
-        cap = int_kth_root(residual, p)
-        for frees in decompose_sum_of_powers(residual, f, p, cap, table):
-            out.append(Solution(kind, (a,), frees, v, target))
-    return out
-
-
-def _search_classes(
-    kind: TupleKind,
-    keys: Sequence[int],
-    index: PsiClassIndex,
-    table: _PairSumTable | None,
-) -> list[Solution]:
-    """Equal class of size >= 2: enumerate multisets within each psi class."""
-    p, e, f = kind.power, kind.equal, kind.free
-    out: list[Solution] = []
-    for v in keys:
-        members = index.classes[v]
-        target = v**p
-        if e * members[0] ** p + f > target:
-            continue
-        for multiset in combinations_with_replacement(members, e):
-            residual = target - sum(a**p for a in multiset)
-            if residual < f:
-                continue
-            cap = int_kth_root(residual, p)
-            for frees in decompose_sum_of_powers(residual, f, p, cap, table):
-                out.append(Solution(kind, multiset, frees, v, target))
-    return out
-
-
-# --- batched kernel for one or two free entries ----------------------------
+# --- the equal-class kernel ------------------------------------------------
 
 
 def _kernel_fits_int64(max_psi: int, power: int, equal: int) -> bool:
-    """Whether the batched kernel's int64 arithmetic is exact.
+    """Whether the kernel's int64 residuals are exact (else it uses Python ints).
 
     The kernel forms psi**p and subtracts `equal` terms a**p, where every
     class member has a <= psi(a) <= max_psi.  When equal * max_psi**p fits,
@@ -562,16 +521,21 @@ def _split_residuals(
         yield rows[hits], (b1[hits], b2[hits])
 
 
-def _search_runs(kind: TupleKind, runs: _ClassRuns, lo: int, hi: int) -> list[Solution]:
-    """One or two free entries: all equal-class multisets whose first
-    position is in lo..hi-1.
+def _search_runs(
+    kind: TupleKind, runs: _ClassRuns, table: _PairSumTable | None, fits: bool, lo: int, hi: int
+) -> list[Solution]:
+    """All solutions whose equal-class multiset has its first position in
+    lo..hi-1.
 
     Each block of about _KERNEL_BLOCK multisets is expanded to position
     arrays with the repeat/offset trick of _PairSumTable.  The residuals
-    psi**p - sum(a**p) are formed in int64 and split into the free entries
-    by _split_residuals.  The caller checks _kernel_fits_int64 first.
+    psi**p - sum(a**p) are formed in int64 when fits (the search decides it
+    once, by _kernel_fits_int64), and as Python ints in object arrays
+    otherwise.  With one or two free entries, int64 residuals are split by
+    _split_residuals; every other residual of at least `free` goes to
+    decompose_sum_of_powers, with the shared pair-sum table.
     """
-    p, e = kind.power, kind.equal
+    p, e, f = kind.power, kind.equal, kind.free
     out: list[Solution] = []
     edges = _cut(runs.tuple_start, lo, hi, _KERNEL_BLOCK)
     for b_lo, b_hi in zip(edges, edges[1:]):
@@ -585,57 +549,45 @@ def _search_runs(kind: TupleKind, runs: _ClassRuns, lo: int, hi: int) -> list[So
             cols.append(cols[-1] + offsets)
         entries = [runs.ns[c] for c in cols]
         psis = runs.psis[cols[0]]
+        if not fits:
+            entries = [a.astype(object) for a in entries]
+            psis = psis.astype(object)
         residual = psis**p
         for a in entries:
             residual -= a**p
-        live = np.flatnonzero(residual > 0)
-        for rows, frees in _split_residuals(residual[live], p, kind.free):
-            rows = live[rows]
-            equal = zip(*(a[rows].tolist() for a in entries))
-            free = zip(*(b.tolist() for b in frees))
-            for v, eq, fr in zip(psis[rows].tolist(), equal, free):
-                out.append(Solution(kind, eq, fr, v, v**p))
+        if fits and f <= 2:
+            live = np.flatnonzero(residual > 0)
+            for rows, frees in _split_residuals(residual[live], p, f):
+                rows = live[rows]
+                equal = zip(*(a[rows].tolist() for a in entries))
+                free = zip(*(b.tolist() for b in frees))
+                for v, eq, fr in zip(psis[rows].tolist(), equal, free):
+                    out.append(Solution(kind, eq, fr, v, v**p))
+            continue
+        live = np.flatnonzero(residual >= f)
+        for i, r in zip(live.tolist(), residual[live].tolist()):
+            found = decompose_sum_of_powers(r, f, p, int_kth_root(r, p), table)
+            if found:
+                v, eq = int(psis[i]), tuple(int(a[i]) for a in entries)
+                out.extend(Solution(kind, eq, fr, v, v**p) for fr in found)
     return out
 
 
 # --- planning and running chunks --------------------------------------------
 
 
-def _search_state(kind: TupleKind, sieve: PsiSieve, bound: int) -> dict:
-    """What the chunks of one search read, apart from the pair-sum table.
-
-    Kinds with one or two free entries take the batched kernel when its
-    int64 arithmetic is exact, and the scalar path otherwise.
-    """
-    if kind.free <= 2 and _kernel_fits_int64(
-        int(sieve.psi[1 : bound + 1].max()), kind.power, kind.equal
-    ):
-        return {"runs": _build_class_runs(sieve, bound, kind.equal)}
-    if kind.equal == 1:
-        return {"psi_list": sieve.psi[: bound + 1].tolist()}
-    return {"index": build_class_index(sieve, bound)}
+def _plan_chunks(runs: _ClassRuns, jobs: int) -> list[tuple[int, int]]:
+    """Fixed contiguous chunks (lo, hi) of multiset positions; one when jobs is 1."""
+    total = int(runs.tuple_start[-1])
+    # many small chunks per process: per-entry cost grows steeply with psi,
+    # so coarse contiguous chunks would leave the pool idle on the cheap ones
+    budget = total if jobs == 1 else -(-total // (jobs * _CHUNKS_PER_JOB))
+    edges = _cut(runs.tuple_start, 0, runs.ns.size, budget)
+    return list(zip(edges, edges[1:]))
 
 
-def _plan_chunks(bound: int, state: dict, jobs: int) -> list[tuple]:
-    """Fixed contiguous chunks of the outer space; a single one when jobs is 1."""
-    if "runs" in state:
-        tuple_start = state["runs"].tuple_start
-        edges = _cut(tuple_start, 0, tuple_start.size - 1, _chunk_len(int(tuple_start[-1]), jobs))
-        return [("runs", lo, hi) for lo, hi in zip(edges, edges[1:])]
-    if "psi_list" in state:
-        step = _chunk_len(bound, jobs)
-        return [("range", lo, min(lo + step - 1, bound)) for lo in range(1, bound + 1, step)]
-    keys = sorted(state["index"].classes)
-    step = _chunk_len(len(keys), jobs)
-    return [("classes", keys[i : i + step]) for i in range(0, len(keys), step)]
-
-
-def _search_chunk(kind: TupleKind, chunk: tuple, state: dict) -> list[Solution]:
-    if chunk[0] == "runs":
-        return _search_runs(kind, state["runs"], chunk[1], chunk[2])
-    if chunk[0] == "range":
-        return _search_a_range(kind, chunk[1], chunk[2], state["psi_list"], state["table"])
-    return _search_classes(kind, chunk[1], state["index"], state["table"])
+def _search_chunk(kind: TupleKind, chunk: tuple[int, int], state: tuple) -> list[Solution]:
+    return _search_runs(kind, *state, *chunk)  # state is (runs, table, fits)
 
 
 def search(
@@ -648,11 +600,11 @@ def search(
     Deterministic for any jobs value: the outer space is split into fixed
     contiguous chunks, each chunk runs the same code in this process or in
     a forked child, and the merged list is sorted canonically.  This
-    process builds the search state once and is one of the jobs processes:
-    jobs is clamped to the usable CPUs and to _MAX_JOBS, and to 1 where
-    os.fork is missing.  With more than one chunk, this process forks
-    min(jobs, chunks) - 1 children, which inherit that state
-    (_pool_parts).  progress (if given) is called with (chunk_index,
+    process builds the class runs and the pair-sum table once and is one
+    of the jobs processes: jobs is clamped to the usable CPUs and to
+    _MAX_JOBS, and to 1 where os.fork is missing.  With more than one
+    chunk, this process forks min(jobs, chunks) - 1 children, which
+    inherit both (_pool_parts).  progress (if given) is called with (chunk_index,
     chunk_count, chunk_solutions) in chunk order, once a chunk and all
     before it are done.  A dead child raises SearchWorkerError; an
     exception that a chunk raises in a child is raised here, as it would
@@ -661,11 +613,12 @@ def search(
     kind, bound = config.kind, config.bound
     if sieve is None or sieve.limit < bound:
         sieve = build_sieve(bound)
-    state = _search_state(kind, sieve, bound)
-    state["table"] = _needs_pair_table(kind, sieve, bound)
+    runs = _build_class_runs(sieve, bound, kind.equal)
+    fits = _kernel_fits_int64(int(runs.psis[-1]), kind.power, kind.equal)
+    state = (runs, _needs_pair_table(kind, sieve, bound), fits)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(config.jobs, cpus or 1, _MAX_JOBS) if hasattr(os, "fork") else 1
-    chunks = _plan_chunks(bound, state, jobs)
+    chunks = _plan_chunks(runs, jobs)
     workers = min(jobs, len(chunks)) - 1
     if workers > 0:
         parts = _pool_parts(kind, chunks, state, workers)
@@ -690,19 +643,11 @@ _CHUNKS_PER_JOB = 16
 _MAX_JOBS = (64 << 10) // (4 * _CHUNKS_PER_JOB)
 
 
-def _chunk_len(total: int, jobs: int) -> int:
-    if jobs <= 1:
-        return max(total, 1)
-    # many small chunks per worker: per-entry cost grows steeply with a, so
-    # coarse contiguous chunks would leave the pool idle on the cheap ones
-    return max(1, -(-total // (jobs * _CHUNKS_PER_JOB)))
-
-
-def _pool_parts(kind: TupleKind, chunks: list, state: dict, workers: int) -> Iterator[list]:
+def _pool_parts(kind: TupleKind, chunks: list, state: tuple, workers: int) -> Iterator[list]:
     """Every chunk's solutions in chunk order, from this process and
     `workers` forked children.
 
-    The children inherit the state and the pair table as they are.  Every
+    The children inherit the state, pair table included, as it is.  Every
     process claims chunks in chunk order from one queue (_claim_queue);
     this process makes each child's first claim as it forks it, so every
     child runs a chunk however late it starts.  A child sends each chunk's
@@ -773,7 +718,7 @@ def _claim_queue(count: int) -> int:
 
 
 def _child(
-    kind: TupleKind, chunks: list, state: dict, claim: bytes, queue: int, out: int, inherited: list
+    kind: TupleKind, chunks: list, state: tuple, claim: bytes, queue: int, out: int, inherited: list
 ) -> NoReturn:
     """A forked child's life: run the chunk claimed for it and then every
     chunk it claims from the queue, each through _run_chunk; exit 0, or
@@ -797,7 +742,7 @@ def _init_worker(inherited: list[int]) -> None:
         os.close(fd)
 
 
-def _run_chunk(kind: TupleKind, i: int, chunk: tuple, state: dict, out: int) -> None:
+def _run_chunk(kind: TupleKind, i: int, chunk: tuple, state: tuple, out: int) -> None:
     """Search chunk i and send (i, solutions), or (i, exception) if the
     search raised one, up the pipe out: a pickle after its 8-byte length."""
     try:

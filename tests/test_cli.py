@@ -199,8 +199,8 @@ def test_search_class_and_range_chunks_jobs_one_two_three(capsys, argv):
     ("--power", "3", "--equal", "2", "--free", "3", "--bound", "100"),
 ])
 def test_search_one_two_three_processes_byte_identical(capsys, monkeypatch, forks, argv):
-    # ('runs', ...) chunks for the first two, then ('range', ...) and
-    # ('classes', ...); four usable CPUs, so that --jobs 3 runs 3 processes
+    # f = 1 and 2 split in int64, then f = 4 and f = 3 residuals one at a
+    # time; four usable CPUs, so that --jobs 3 runs 3 processes
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     outs = set()
     faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)  # no hang

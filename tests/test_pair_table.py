@@ -140,7 +140,7 @@ def test_search_over_budget_is_an_error(monkeypatch, capsys):
 
 def test_budget_spares_what_needs_no_table(monkeypatch):
     monkeypatch.setattr(search_module, "_memory_budget", lambda: 1000)
-    # a cap past the int64 guard falls back to the scalar path, not an error
+    # a cap past the int64 guard builds no table and is not an error
     kind = TupleKind(5, 2, 4)
     sieve = build_sieve(3000)
     assert not _PairSumTable.feasible(5, int(sieve.psi[1:].max()))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from psituples.search import (
     _PairSumTable,
     _quartic_descent,
 )
-from psituples.tuples import TupleKind
+from psituples.tuples import Solution, TupleKind, sort_solutions
 
 search_module = importlib.import_module("psituples.search")
 
@@ -398,12 +399,12 @@ def test_pool_processes_claim_in_chunk_order_and_stream_progress(monkeypatch, fo
 
     def child_run(kind, i, chunk, state, out):
         with open(log, "a") as f:
-            f.write(f"{chunk[1]}\n")
+            f.write(f"{chunk[0]}\n")
         run_chunk(kind, i, chunk, state, out)
 
     def logged(kind, chunk, state):
         if os.getpid() == parent:
-            events.append(("run", chunk[1]))
+            events.append(("run", chunk[0]))
             deadline = time.monotonic() + 60
             while len(events) == 1 and len(_lines(log)) < 4:
                 assert time.monotonic() < deadline, "the child ran fewer than four chunks"
@@ -634,11 +635,19 @@ def test_kernel_fits_int64_at_crossover():
             assert not _kernel_fits_int64(top + 1, power, equal)
 
 
-def scalar_search(monkeypatch, cfg):
-    """The exact per-multiset path, which the kernel replaces for f == 1."""
-    with monkeypatch.context() as m:
-        m.setattr(search_module, "_kernel_fits_int64", lambda *args: False)
-        return search(cfg)
+def reference_search(cfg):
+    """Every solution one multiset at a time: the dict class index,
+    itertools multisets and decompose_sum_of_powers, with no class runs,
+    no blocks and no shared pair-sum table."""
+    kind, p, f = cfg.kind, cfg.kind.power, cfg.kind.free
+    out = []
+    for v, members in build_class_index(build_sieve(cfg.bound)).classes.items():
+        for multiset in combinations_with_replacement(members, kind.equal):
+            residual = v**p - sum(a**p for a in multiset)
+            if residual >= f:
+                for frees in decompose_sum_of_powers(residual, f, p, int_kth_root(residual, p)):
+                    out.append(Solution(kind, multiset, frees, v, v**p))
+    return sort_solutions(out)
 
 
 def block_edges(kind, bound, budget):
@@ -666,17 +675,21 @@ def block_edges(kind, bound, budget):
         ("cubic-quadruple", 675, None),
         ("cubic-quintuple", 400, None),
         ("cubic-quintuple", 800, "inside a class"),
+        ("quartic-quintuple", 600, None),  # includes 538
+        ("quintic-quintuple", 300, None),
+        (TupleKind(3, 2, 3), 100, None),
+        (TupleKind(4, 2, 4), 150, None),
     ],
 )
-def test_kernel_equals_scalar_path(monkeypatch, name, bound, block_edge):
-    kind = kind_by_name(name)
+def test_kernel_equals_scalar_path(name, bound, block_edge):
+    kind = name if isinstance(name, TupleKind) else kind_by_name(name)
     on, inside = block_edges(kind, bound, search_module._KERNEL_BLOCK)
     if block_edge == "on a class boundary":
         assert on
     elif block_edge == "inside a class":
         assert inside and not on
     cfg = SearchConfig(kind, bound)
-    assert search(cfg) == scalar_search(monkeypatch, cfg)
+    assert search(cfg) == reference_search(cfg)
 
 
 @pytest.mark.parametrize("budget", [1, 2, 5])
@@ -685,7 +698,7 @@ def test_kernel_with_tiny_blocks(monkeypatch, budget):
                         ("quadratic-quadruple", 300)]:
         kind = kind_by_name(name)
         cfg = SearchConfig(kind, bound)
-        reference = scalar_search(monkeypatch, cfg)
+        reference = reference_search(cfg)
         on, inside = block_edges(kind, bound, budget)
         assert on and (inside or kind.equal == 1)  # classes span several blocks
         with monkeypatch.context() as m:
@@ -693,17 +706,17 @@ def test_kernel_with_tiny_blocks(monkeypatch, budget):
             assert search(cfg) == reference, (name, budget)
 
 
-def test_kernel_generic_powers_and_fallback(monkeypatch):
+def test_kernel_generic_powers_and_fallback():
     # (5, 3, 1) at 2000 leaves the int64 domain (3 * 5184**5 > 2**63), so the
-    # search takes the exact scalar path there and the kernel below it
+    # kernel forms its residuals as Python ints there and in int64 below it
     sieve = build_sieve(2000)
-    kind = TupleKind(5, 3, 1)
-    assert "runs" not in search_module._search_state(kind, sieve, 2000)
-    assert "runs" in search_module._search_state(kind, sieve, 1000)
+    assert not _kernel_fits_int64(int(sieve.psi[1:2001].max()), 5, 3)
+    assert _kernel_fits_int64(int(sieve.psi[1:1001].max()), 5, 3)
     for kind, bound in [(TupleKind(3, 2, 1), 1500), (TupleKind(3, 3, 1), 400),
-                        (TupleKind(4, 2, 1), 600), (TupleKind(5, 2, 1), 300)]:
+                        (TupleKind(4, 2, 1), 600), (TupleKind(5, 2, 1), 300),
+                        (TupleKind(5, 3, 1), 2000)]:
         cfg = SearchConfig(kind, bound)
-        assert search(cfg) == scalar_search(monkeypatch, cfg), kind
+        assert search(cfg) == reference_search(cfg), kind
 
 
 @pytest.mark.parametrize("budget", [1, 2, 5])
@@ -713,7 +726,7 @@ def test_two_free_kernel_with_tiny_blocks(monkeypatch, budget):
                         ("cubic-quintuple", 120)]:
         kind = kind_by_name(name)
         cfg = SearchConfig(kind, bound)
-        reference = scalar_search(monkeypatch, cfg)
+        reference = reference_search(cfg)
         assert reference
         on, inside = block_edges(kind, bound, budget)
         assert on and (inside or kind.equal == 1)
@@ -722,32 +735,39 @@ def test_two_free_kernel_with_tiny_blocks(monkeypatch, budget):
             assert search(cfg) == reference, (name, budget)
 
 
-def test_two_free_kernel_generic_kinds(monkeypatch):
+def test_two_free_kernel_generic_kinds():
     for kind, bound in [(TupleKind(2, 1, 2), 600), (TupleKind(4, 2, 2), 500),
                         (TupleKind(5, 1, 2), 400)]:
         cfg = SearchConfig(kind, bound)
-        assert "runs" in search_module._search_state(kind, build_sieve(bound), bound)
-        assert search(cfg) == scalar_search(monkeypatch, cfg), kind
+        max_psi = int(build_sieve(bound).psi[1:].max())
+        assert _kernel_fits_int64(max_psi, kind.power, kind.equal)
+        assert search(cfg) == reference_search(cfg), kind
 
 
-def test_two_free_kernel_int64_crossover(monkeypatch):
+def test_kernel_int64_crossover(monkeypatch):
     # 30**4 + 120**4 + 272**4 + 315**4 == 353**4, scaled by k and planted as
     # the one class {30k, 120k} with psi 353k; every other n gets psi n,
     # which leaves no residual.  2 * (353k)**4 fits int64 for k = 131, the
-    # top of the kernel's domain, and not for k = 132 (the scalar path).
-    kind = TupleKind(4, 2, 2)
-    top = int_kth_root(_INT64_MAX // 2, 4)
-    for k, kernel in [(131, True), (132, False)]:
-        assert (353 * k <= top) == kernel
-        bound = 120 * k
+    # top of the int64 route, and not for k = 132 (the Python-int route).
+    # Four free entries: 810**4 == 538**4 + 96**4 + 532**4 + 548**4 + 648**4
+    # is Table 6's row 538 scaled down by 64, planted as psi(538k) = 810k.
+    # 810 * 64 is below the int64 fourth root 55108 (the int64 route, and
+    # k = 64 is the published row 34432) and 810 * 80 above it.
+    cases = [(TupleKind(4, 2, 2), 131, (30, 120), (272, 315), 353),
+             (TupleKind(4, 2, 2), 132, (30, 120), (272, 315), 353),
+             (TupleKind(4, 1, 4), 64, (538,), (96, 532, 548, 648), 810),
+             (TupleKind(4, 1, 4), 80, (538,), (96, 532, 548, 648), 810)]
+    for kind, k, equal, free, v in cases:
+        top = int_kth_root(_INT64_MAX // kind.equal, 4)
+        bound = max(equal) * k
         psi = np.arange(bound + 1, dtype=np.uint64)
-        psi[30 * k] = psi[120 * k] = 353 * k
+        psi[[a * k for a in equal]] = v * k
         sieve = PsiSieve(bound, np.zeros(bound + 1, dtype=np.uint32), psi)
-        assert ("runs" in search_module._search_state(kind, sieve, bound)) == kernel
+        assert _kernel_fits_int64(int(psi.max()), 4, kind.equal) == (v * k <= top)
         cfg = SearchConfig(kind, bound)
         found = search(cfg, sieve=sieve)
         assert [(s.equal_entries, s.free_entries) for s in found] == [
-            ((30 * k, 120 * k), (272 * k, 315 * k))
+            (tuple(a * k for a in equal), tuple(b * k for b in free))
         ]
         with monkeypatch.context() as m:
             m.setattr(search_module, "_kernel_fits_int64", lambda *args: False)
@@ -776,12 +796,12 @@ def test_kernel_kinds_build_no_class_index(monkeypatch):
     real = search_module.build_class_index
     monkeypatch.setattr(search_module, "build_class_index",
                         lambda *a: calls.append(a) or real(*a))
-    search(SearchConfig(kind_by_name("quadratic-triple"), 300))
-    assert calls == []
-    search(SearchConfig(kind_by_name("cubic-quadruple"), 300))
-    assert calls == []
-    search(SearchConfig(TupleKind(3, 2, 3), 100))
-    assert len(calls) == 1
+    for kind, bound in [(kind_by_name("quadratic-triple"), 300),
+                        (kind_by_name("cubic-quadruple"), 300),
+                        (kind_by_name("quartic-quintuple"), 300),
+                        (TupleKind(3, 2, 3), 100), (TupleKind(5, 3, 1), 2000)]:
+        search(SearchConfig(kind, bound))
+        assert calls == [], kind
 
 
 # --- search ----------------------------------------------------------------
