@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from .arith import InputError, psi
-from .search import SearchConfig, SearchWorkerError, max_safe_bound, search
+from .search import SearchConfig, SearchWorkerError, search
 from .tables import TABLES, reproduce_table
 from .theorems import (
     EqualPairBranch,
@@ -96,12 +96,6 @@ def _cmd_psi(args: argparse.Namespace) -> int:
 
 def _cmd_search(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     kind = _resolve_kind(parser, args)
-    safe = max_safe_bound(kind.power)
-    if args.bound > safe:
-        parser.error(
-            f"bound {args.bound} is unsafe for power {kind.power}; "
-            f"maximum safe bound: {safe}"
-        )
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     config = SearchConfig(kind=kind, bound=args.bound, jobs=jobs)
 

@@ -5,11 +5,14 @@ class is one run, enumerates the equal-class multisets of every class as
 arrays, block by block, and forms their residuals psi**p - sum(a**p): in
 int64 where that is exact, as Python ints otherwise.  One or two free
 entries are split off int64 residuals all at once; every other residual is
-decomposed on its own into f k-th powers.  Sums of four fourth powers first
-pass a congruence descent mod 16 and mod 625, which rules out most
-residuals and shrinks the rest before they meet the pair-sum table.  The
-brute-force oracle at the bottom re-derives the same sets with plain
-nested loops and no shared machinery; differential tests compare the two.
+decomposed on its own into f k-th powers.  Four free entries join one
+pair-sum table, sized once per search for the largest residual; a table
+past int64 or the memory budget is refused up front with InputError.  Sums
+of four fourth powers first pass a congruence descent mod 16 and mod 625,
+which rules out most residuals and shrinks the rest before they meet the
+table.  The brute-force oracle at the bottom re-derives the same sets
+with plain nested loops and no shared machinery; differential tests
+compare the two.
 
 Bound semantics: N limits equal-class entries only; free entries are
 bounded by the residual automatically.  Output is always the canonical
@@ -54,10 +57,6 @@ __all__ = [
 ORACLE_MAX_BOUND = 500
 
 _UINT128_MAX = (1 << 128) - 1
-
-# Above this many (b1, b2) prefix pairs, a four-entry decomposition given no
-# pair-sum table builds one instead of running recursive descent.
-_MITM_PAIR_THRESHOLD = 2_000
 
 # Multisets per block of the batched equal-class kernel.  A block holds a
 # few int64 arrays of about this length, so the kernel's memory does not
@@ -131,32 +130,38 @@ class _PairSumTable:
 
     Only the sums are kept, one int64 array of 8 B per pair: it is filled
     one x at a time and sorted in place, so the build peaks at 8 B per pair
-    too.  _mitm4 recovers the pairs of the few sums it matches.  int64
-    throughout; only built when 4 * cap**p fits, so sums and the residuals
-    probed against them cannot overflow.
+    too.  _mitm4 recovers the pairs of the few sums it matches.  This is
+    the one place that decides whether a table can be built: before
+    allocating anything it raises InputError when 4 * cap**p would leave
+    int64 (the sums, and the residuals of up to four entries <= cap probed
+    against them, then stay exact) or when the table would exceed
+    _memory_budget.
     """
 
     __slots__ = ("power", "cap", "sums")
 
     def __init__(self, power: int, cap: int):
+        if 4 * cap**power > _INT64_MAX:
+            raise InputError(
+                f"the pair-sum table of cap {cap} would leave int64: power {power} "
+                f"allows a cap of at most {int_kth_root(_INT64_MAX // 4, power)}"
+            )
+        pairs = cap * (cap + 1) // 2
+        need, budget = 8 * pairs, _memory_budget()
+        if need > budget:
+            raise InputError(
+                f"the pair-sum table of cap {cap} needs {need} bytes ({pairs} pairs), "
+                f"over the memory budget of {budget} bytes"
+            )
         self.power = power
         self.cap = cap
         pw = np.arange(cap + 1, dtype=np.int64) ** power
-        self.sums = np.empty(cap * (cap + 1) // 2, dtype=np.int64)
+        self.sums = np.empty(pairs, dtype=np.int64)
         end = 0
         for x in range(1, cap + 1):  # x**p + y**p for y = x..cap
             start, end = end, end + cap + 1 - x
             np.add(pw[x], pw[x:], out=self.sums[start:end])
         self.sums.sort()
-
-    @staticmethod
-    def feasible(power: int, cap: int) -> bool:
-        # int64 headroom for the sums and the residuals probed against them
-        return cap >= 2 and 4 * cap**power < 2**63
-
-    @staticmethod
-    def nbytes(cap: int) -> int:
-        return 8 * (cap * (cap + 1) // 2)
 
 
 def _memory_budget() -> int:
@@ -346,17 +351,14 @@ def decompose_sum_of_powers(
     """All non-decreasing count-tuples of positive integers <= cap whose
     power-th powers sum to residual, in lexicographic order.
 
-    count == 1 is a perfect-power test; count == 2 a two-pointer sweep;
-    larger counts recurse with monotone residual pruning.  Four fourth
-    powers first pass _quartic_descent: a residual it rules out returns
-    no tuples, and otherwise the reduced residual is decomposed with
-    entries <= cap // scale and the tuples are scaled back.  Four-entry
-    decompositions join a meet-in-the-middle pair-sum table (_mitm4): the
-    caller's pair_table whenever it covers the (reduced) residual,
-    otherwise one built here once the prefix enumeration would dominate
-    (recursive descent is quartically slower at table scale).  A table
-    past int64 or past the memory budget (8 B per pair against
-    _memory_budget) is not built, and descent runs instead.
+    Four entries always join a meet-in-the-middle pair-sum table (_mitm4):
+    the caller's pair_table when it covers min(cap, root of residual),
+    otherwise one built here, which raises InputError past int64 or past
+    the memory budget (_PairSumTable).  Every other count recurses with
+    monotone residual pruning (_descend).  Four fourth powers first pass
+    _quartic_descent: a residual it rules out returns no tuples, and
+    otherwise the reduced residual is decomposed with entries <= cap //
+    scale and the tuples are scaled back.
     """
     if power not in (2, 3, 4, 5):
         raise InputError("power must be in 2..5")
@@ -369,60 +371,41 @@ def decompose_sum_of_powers(
         if reduced != residual:
             found = decompose_sum_of_powers(reduced, 4, 4, cap // scale, pair_table)
             return [tuple(scale * b for b in t) for t in found]
-    if cap < 1 or residual < count:  # entries are >= 1, so sum >= count
+    # entries are 1..cap (none when cap < 1); with four, a residual past int64
+    # would also need a cap past it, which _PairSumTable refuses, so the join
+    # stays exact
+    if not count <= residual <= count * max(cap, 0) ** power:
         return []
-    if count == 1:
-        r = is_perfect_kth_power(residual, power)
-        return [(r,)] if r is not None and r <= cap else []
-    if count == 2:
-        return _two_pointer(residual, power, 1, cap)
-    if count == 4 and residual < 2**62:  # the table path is int64-only
-        root = int_kth_root(residual, power)
-        table_cap = min(cap, root)
-        if pair_table is not None and pair_table.power == power and pair_table.cap >= table_cap:
-            return _mitm4(residual, power, cap, pair_table)
-        # without a caller's table, build one only where descent would dominate
-        # and the table fits both int64 and the memory budget
-        if (
-            root * root // 2 > _MITM_PAIR_THRESHOLD
-            and _PairSumTable.feasible(power, table_cap)
-            and _PairSumTable.nbytes(table_cap) <= _memory_budget()
-        ):
-            return _mitm4(residual, power, cap, _PairSumTable(power, table_cap))
-    out: list[tuple[int, ...]] = []
-    _descend(residual, count, power, 1, cap, (), out)
-    return out
+    if count != 4:
+        out: list[tuple[int, ...]] = []
+        _descend(residual, count, power, 1, cap, (), out)
+        return out
+    cap = min(cap, int_kth_root(residual, power))
+    if pair_table is None or pair_table.power != power or pair_table.cap < cap:
+        pair_table = _PairSumTable(power, cap)
+    return _mitm4(residual, power, cap, pair_table)
 
 
 # --- the search proper -----------------------------------------------------
 
 
-def _needs_pair_table(kind: TupleKind, sieve: PsiSieve, bound: int) -> _PairSumTable | None:
-    """Build the shared pair-sum table when the kind can profit from it.
+def _needs_pair_table(kind: TupleKind, runs: _ClassRuns) -> _PairSumTable | None:
+    """The one pair-sum table of a search with four free entries, else None.
 
-    None where a table would not pay, or where its sums would leave int64
-    (decompose_sum_of_powers then falls back to descent); InputError where
-    it would exceed _memory_budget.
+    It covers the largest residual that any multiset can have.  Of the
+    multisets whose first entry is n, (n, ..., n) has the largest residual,
+    psi(n)**p - e * n**p; with one equal entry that is the residual itself,
+    so quartic residuals are first reduced by _quartic_descent, as
+    decompose_sum_of_powers will reduce them.  InputError where the table
+    would leave int64 or exceed the memory budget (_PairSumTable).
     """
     if kind.free != 4:
         return None
-    if kind.power == 4 and kind.equal == 1:
-        # the table only ever meets residuals reduced by _quartic_descent
-        psi = sieve.psi[1 : bound + 1].tolist()
-        reduced = (_quartic_descent(v**4 - a**4)[0] for a, v in enumerate(psi, start=1))
-        root = int_kth_root(max((r for r in reduced if r < 2**62), default=0), 4)
-    else:
-        # residual < psi(a)**p, so free entries stay below max psi
-        root = int(sieve.psi[1 : bound + 1].max())
-    if root * root // 2 <= _MITM_PAIR_THRESHOLD or not _PairSumTable.feasible(kind.power, root):
-        return None  # past int64, decompose_sum_of_powers falls back to descent
-    need, budget = _PairSumTable.nbytes(root), _memory_budget()
-    if need > budget:
-        raise InputError(
-            f"the pair-sum table for bound {bound} needs {need} bytes "
-            f"({need // 8} pairs), over the memory budget of {budget} bytes"
-        )
-    return _PairSumTable(kind.power, root)
+    p, e = kind.power, kind.equal
+    tops = (v**p - e * n**p for v, n in zip(runs.psis.tolist(), runs.ns.tolist()))
+    if p == 4 and e == 1:
+        tops = (_quartic_descent(r)[0] for r in tops)
+    return _PairSumTable(p, int_kth_root(max(0, max(tops)), p))
 
 
 # --- the equal-class kernel ------------------------------------------------
@@ -615,7 +598,7 @@ def search(
         sieve = build_sieve(bound)
     runs = _build_class_runs(sieve, bound, kind.equal)
     fits = _kernel_fits_int64(int(runs.psis[-1]), kind.power, kind.equal)
-    state = (runs, _needs_pair_table(kind, sieve, bound), fits)
+    state = (runs, _needs_pair_table(kind, runs), fits)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(config.jobs, cpus or 1, _MAX_JOBS) if hasattr(os, "fork") else 1
     chunks = _plan_chunks(runs, jobs)

@@ -125,11 +125,11 @@ _T7_ROWS = (
 )
 
 # Default bounds cover each printed range where an exhaustive run is
-# desk-feasible (tables 1-4); the heavy tails of tables 5 and 7 fall back
-# to the bounded runs used by the acceptance suite, with out-of-range rows
-# spot-verified instead of searched.  Table 6 searches to 8192, where the
-# quartic congruence descent keeps the run to a few seconds; its printed
-# rows from 34432 on are spot-verified.
+# practical on a desk machine (tables 1-4); the heavy tails of tables 5
+# and 7 fall back to the bounded runs used by the acceptance suite, with
+# out-of-range rows spot-verified instead of searched.  Table 6 searches
+# to 8192, where the quartic congruence descent keeps the run to a few
+# seconds; its printed rows from 34432 on are spot-verified.
 TABLES: dict[int, TableSpec] = {
     1: TableSpec(1, kind_by_name("quadratic-triple"), _T1_ROWS, 262144),
     2: TableSpec(2, kind_by_name("quadratic-quadruple"), _T2_ROWS, 1408),

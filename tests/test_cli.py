@@ -70,10 +70,10 @@ def test_search_explicit_signature(capsys):
 
 
 def test_search_rejects_unsafe_bound(capsys):
-    code = run_expecting_usage_error(
-        capsys, "search", "--kind", "quintic-quintuple", "--bound", "99999999"
-    )
-    assert code == 2
+    # SearchConfig's InputError, the one bound check, exits 2 like a usage error
+    code, out, err = run(capsys, "search", "--kind", "quintic-quintuple", "--bound", "99999999")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bound 99999999 unsafe for power 5; maximum safe bound is ")
 
 
 def test_search_rejects_unknown_kind(capsys):

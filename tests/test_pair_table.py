@@ -1,14 +1,23 @@
 """Pair-sum table and its meet-in-the-middle join: contents, block edges,
-dense hits against the oracle, the memory budget and the memory bounds."""
+dense hits against the oracle, one table per search and its int64 limit,
+the memory budget and the memory bounds."""
 
 import importlib
 import os
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from psituples import SearchConfig, brute_force_oracle, build_sieve, kind_by_name, search
+from psituples import (
+    InputError,
+    SearchConfig,
+    brute_force_oracle,
+    build_sieve,
+    kind_by_name,
+    search,
+)
 from psituples.arith import int_kth_root
 from psituples.cli import main
 from psituples.search import _descend, _mitm4, _PairSumTable, decompose_sum_of_powers
@@ -39,14 +48,16 @@ def test_table_holds_every_pair_sum_sorted(power):
 
 
 def test_table_at_the_largest_quintic_cap():
-    cap = int_kth_root((2**63 - 1) // 4, 5)
-    while not _PairSumTable.feasible(5, cap):
-        cap -= 1
-    assert not _PairSumTable.feasible(5, cap + 1)
-    sums = _PairSumTable(5, cap).sums
-    assert sums.size == cap * (cap + 1) // 2
-    assert int(sums[0]) == 2 and int(sums[-1]) == 2 * cap**5
+    # 4 * 4705**5 < 2**63 <= 4 * 4706**5: the largest table int64 allows
+    assert 4 * 4705**5 < 2**63 <= 4 * 4706**5
+    sums = _PairSumTable(5, 4705).sums
+    assert sums.size == 4705 * 4706 // 2
+    assert int(sums[0]) == 2 and int(sums[-1]) == 2 * 4705**5
     assert bool(np.all(sums[1:] >= sums[:-1]))
+    with pytest.raises(InputError, match="cap 4706 would leave int64.* at most 4705"):
+        _PairSumTable(5, 4706)
+    with pytest.raises(InputError, match="cap 38968 would leave int64.* at most 38967"):
+        _PairSumTable(4, 38968)
 
 
 # --- the join in blocks -------------------------------------------------------------
@@ -118,9 +129,82 @@ def test_mitm_without_a_head_match_recovers_nothing(monkeypatch):
 def test_dense_hits_agree_with_oracle(kind, bound):
     # p <= 3 leaves most pair sums with several representations, so the
     # pair recovery after the join does the most work here
-    assert search_module._needs_pair_table(kind, build_sieve(bound), bound) is not None
+    runs = search_module._build_class_runs(build_sieve(bound), bound, kind.equal)
+    assert search_module._needs_pair_table(kind, runs) is not None
     cfg = SearchConfig(kind, bound)
     assert search(cfg) == brute_force_oracle(cfg)
+
+
+# --- one table per search, and its int64 crossing ------------------------------------
+
+
+def _counting_tables(monkeypatch):
+    """Route every _PairSumTable construction through a counter; returns
+    the list of (power, cap) built."""
+    built = []
+
+    class Counted(_PairSumTable):
+        __slots__ = ()
+
+        def __init__(self, power, cap):
+            built.append((power, cap))
+            super().__init__(power, cap)
+
+    monkeypatch.setattr(search_module, "_PairSumTable", Counted)
+    return built
+
+
+@pytest.mark.parametrize("kind, bound, tables", [
+    (kind_by_name("quartic-quintuple"), 600, 1),
+    (kind_by_name("quintic-quintuple"), 300, 1),
+    (TupleKind(4, 2, 4), 150, 1),
+    (TupleKind(3, 1, 4), 300, 1),
+    (kind_by_name("cubic-quintuple"), 96, 0),
+])
+def test_a_search_builds_one_table_or_none(monkeypatch, kind, bound, tables):
+    built = _counting_tables(monkeypatch)
+    assert search(SearchConfig(kind, bound))
+    assert len(built) == tables, built
+
+
+def test_decompose_four_equals_descent_on_small_residuals():
+    # every count-4 call builds its own table, for caps below, at and above
+    # the residual's root, and residuals outside count..4 * cap**p
+    for power in (2, 3, 4, 5):
+        for cap in (0, 1, 2, 3, 7, 100):
+            for residual in range(3000):
+                expected = descend4(residual, power, cap)
+                assert decompose_sum_of_powers(residual, 4, power, cap) == expected, (
+                    power, cap, residual)
+
+
+@pytest.mark.parametrize("power", [2, 3, 4, 5])
+@pytest.mark.parametrize("equal", [1, 2, 3])
+def test_four_free_search_equals_oracle_at_small_bounds(power, equal):
+    kind = TupleKind(power, equal, 4)
+    for bound in (1, 2, 3, 5, 8, 13, 40):
+        cfg = SearchConfig(kind, bound)
+        assert search(cfg) == brute_force_oracle(cfg), bound
+
+
+def test_table_7_at_the_int64_crossing(monkeypatch, capsys):
+    # from N = 1890 (psi 5184) the quintic table needs cap 5177, past the
+    # 4705 that int64 allows: the search stops at plan time, exit 2
+    start = time.perf_counter()
+    code = main(["table", "--id", "7", "--bound", "1890"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "cap 5177 would leave int64" in captured.err and "4705" in captured.err
+    assert elapsed < 1.0
+    # one below, the table fits: record its cap without building 85 MB
+    caps = []
+    monkeypatch.setattr(search_module, "_PairSumTable", lambda power, cap: caps.append(cap))
+    kind = kind_by_name("quintic-quintuple")
+    for bound in (1889, 1890):
+        runs = search_module._build_class_runs(build_sieve(bound), bound, kind.equal)
+        search_module._needs_pair_table(kind, runs)
+    assert caps == [4602, 5177]
 
 
 # --- the memory budget ----------------------------------------------------------------
@@ -140,16 +224,17 @@ def test_search_over_budget_is_an_error(monkeypatch, capsys):
 
 def test_budget_spares_what_needs_no_table(monkeypatch):
     monkeypatch.setattr(search_module, "_memory_budget", lambda: 1000)
-    # a cap past the int64 guard builds no table and is not an error
-    kind = TupleKind(5, 2, 4)
-    sieve = build_sieve(3000)
-    assert not _PairSumTable.feasible(5, int(sieve.psi[1:].max()))
-    assert search_module._needs_pair_table(kind, sieve, 3000) is None
-    # a decomposition given no table falls back to descent
+    # kinds without four free entries build no table and are not an error
+    for name, bound in (("cubic-quintuple", 96), ("quadratic-quadruple", 300)):
+        kind = kind_by_name(name)
+        runs = search_module._build_class_runs(build_sieve(bound), bound, kind.equal)
+        assert search_module._needs_pair_table(kind, runs) is None
+        assert search(SearchConfig(kind, bound))
+    # a four-entry decomposition always joins a table: one past the budget
+    # is an error, not a fall back to descent
     residual = 3**5 + 17**5 + 40**5 + 90**5
-    cap = int_kth_root(residual, 5)
-    assert cap * cap // 2 > search_module._MITM_PAIR_THRESHOLD
-    assert decompose_sum_of_powers(residual, 4, 5, cap) == descend4(residual, 5, cap)
+    with pytest.raises(InputError, match="budget of 1000 bytes"):
+        decompose_sum_of_powers(residual, 4, 5, int_kth_root(residual, 5))
 
 
 def test_memory_budget_reads_meminfo_or_sysconf(monkeypatch):

@@ -192,8 +192,8 @@ def test_mitm_several_representations():
 
 
 def test_decompose_uses_a_larger_passed_table():
-    # a caller's table serves every count-4 residual it covers, also those
-    # far below the size at which decompose would build one itself
+    # a caller's table serves every count-4 residual it covers, however much
+    # larger it is; without one, decompose builds a table of its own
     import random
 
     rng = random.Random(5)
