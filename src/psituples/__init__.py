@@ -17,7 +17,6 @@ from .search import (
     brute_force_oracle,
     build_class_index,
     decompose_sum_of_powers,
-    max_safe_bound,
     search,
 )
 from .tables import TABLES, TableDiff, TableSpec, reproduce_table

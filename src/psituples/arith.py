@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: factorization sieve, Dedekind psi, integer k-th roots.
+"""Exact integer arithmetic: the psi sieve, factorization, Dedekind psi, integer k-th roots.
 
 Everything downstream (tuple verification, searches, obstruction reports)
 consumes these primitives.  All functions are pure; a built sieve is
@@ -102,18 +102,15 @@ class Factorization(_Record):
 
 
 class PsiSieve(_Record):
-    """Smallest-prime-factor and psi tables for 1..limit.
+    """The psi table for 1..limit: uint64, psi[1] == 1, 8 bytes per entry.
 
-    spf is uint32 with spf[1] == 1 as a sentinel; psi is uint64 with
-    psi[1] == 1.  Storage is about 12 bytes per entry.  Arrays are marked
-    read-only after construction.
+    The array is marked read-only after construction.
     """
 
-    __slots__ = ("limit", "spf", "psi")
+    __slots__ = ("limit", "psi")
 
-    def __init__(self, limit: int, spf: np.ndarray, psi: np.ndarray) -> None:
+    def __init__(self, limit: int, psi: np.ndarray) -> None:
         self._set("limit", limit)
-        self._set("spf", spf)
         self._set("psi", psi)
 
     def psi_at(self, n: int) -> int:
@@ -122,41 +119,31 @@ class PsiSieve(_Record):
             raise InputError(f"n={n} outside sieve range 1..{self.limit}")
         return int(self.psi[n])
 
-    def spf_at(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise InputError(f"n={n} outside sieve range 1..{self.limit}")
-        return int(self.spf[n])
-
 
 def build_sieve(limit: int) -> PsiSieve:
-    """Build the shared sieve for 1..limit in O(N log log N).
+    """Build the psi table for 1..limit in O(N log log N).
 
     psi is computed multiplicatively: every n starts at n, and each prime
     p <= sqrt(limit) rescales all of its multiples by (p+1)/p.  The division
     is exact at every step because each multiple of p still carries the
-    factor p when its turn comes.  What is left of n once every power of
-    those primes is divided out is 1 or its single prime factor above
-    sqrt(limit); one vectorized step applies that last factor.
+    factor p when its turn comes.  A uint32 cofactor array tracks what is
+    left of n once every power of the primes so far is divided out; it also
+    finds those primes, since at p's turn its cofactor is still p exactly
+    when p is prime.  At the end the cofactor is 1 or the single prime
+    factor of n above sqrt(limit); one vectorized step applies that last
+    factor.  The build peaks at 13 bytes per entry (psi, the cofactors and
+    one mask) and keeps 8.
     """
     if limit < 1:
         raise InputError("sieve limit must be >= 1")
     if limit >= 2**32:
         raise InputError(
-            f"sieve limit {limit} must be below 2**32: spf and the index are uint32"
+            f"sieve limit {limit} must be below 2**32: the cofactors and the index are uint32"
         )
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    idx = np.arange(limit + 1, dtype=np.uint32)
-    unmarked = spf == 0
-    spf[unmarked] = idx[unmarked]  # primes, plus the 0/1 sentinels
-
     psi_vals = np.arange(limit + 1, dtype=np.uint64)
-    cofactor = idx  # reused: n with the powers of every prime <= sqrt(limit) divided out
+    cofactor = np.arange(limit + 1, dtype=np.uint32)
     for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] != p:
+        if cofactor[p] != p:  # a smaller prime divides p
             continue
         view = psi_vals[p::p]
         np.floor_divide(view, p, out=view)
@@ -172,13 +159,19 @@ def build_sieve(limit: int) -> PsiSieve:
     np.floor_divide(psi_vals[1:], c, out=psi_vals[1:])
     c += c > 1
     psi_vals[1:] *= c
-    spf.flags.writeable = False
     psi_vals.flags.writeable = False
-    return PsiSieve(limit=limit, spf=spf, psi=psi_vals)
+    return PsiSieve(limit=limit, psi=psi_vals)
 
 
-def _factorize_trial(n: int) -> Factorization:
-    """Trial division up to sqrt(n); fine for spot checks of table entries."""
+def factorize(n: int) -> Factorization:
+    """Factor n into (prime, exponent) pairs with primes increasing.
+
+    Trial division by 2, 3 and then 6k +- 1 up to sqrt(n): about 0.4 ms for
+    n near 2**32.  Only the scalar explainers call it; the batch kernels
+    read the sieve's psi table.
+    """
+    if n < 1:
+        raise InputError("factorize requires n >= 1")
     original = n
     factors: list[tuple[int, int]] = []
     for p in (2, 3):
@@ -200,33 +193,6 @@ def _factorize_trial(n: int) -> Factorization:
     if n > 1:
         factors.append((n, 1))
     return Factorization(original, tuple(factors))
-
-
-def factorize(n: int, sieve: PsiSieve | None = None) -> Factorization:
-    """Factor n into (prime, exponent) pairs with primes increasing.
-
-    With a sieve the factorization walks the spf chain; without one it
-    falls back to trial division.
-    """
-    if n < 1:
-        raise InputError("factorize requires n >= 1")
-    if n == 1:
-        return Factorization(1, ())
-    if sieve is None:
-        return _factorize_trial(n)
-    if n > sieve.limit:
-        raise InputError(f"n={n} exceeds sieve limit {sieve.limit}")
-    spf = sieve.spf
-    factors: list[tuple[int, int]] = []
-    m = n
-    while m > 1:
-        p = int(spf[m])
-        a = 0
-        while m % p == 0:
-            m //= p
-            a += 1
-        factors.append((p, a))
-    return Factorization(n, tuple(factors))
 
 
 def psi(n: int, sieve: PsiSieve | None = None) -> int:

@@ -2,15 +2,13 @@
 
 Subcommands: psi, search, verify, table, obstruct, theorem1, classify, family.
 Exit codes: 0 success, 1 verification, table or scan failure, 2 invalid input
-(InputError; any other exception is an internal fault and propagates), 3
-internal arithmetic overflow (reserved; unreachable with native big
-integers, kept for interface stability), 4 a search worker process died.
+(InputError; any other exception is an internal fault and propagates), 4 a
+search worker process died.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import os
 import sys
@@ -83,6 +81,8 @@ def _emit_solutions(solutions: Sequence[Solution], kind: TupleKind, fmt: str) ->
         for s in solutions:
             print(solution_to_json(s))
     else:
+        import csv  # only --format csv needs it
+
         writer = csv.writer(sys.stdout)
         writer.writerow(csv_header(kind))
         for s in solutions:
@@ -285,9 +285,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:  # reserved; native ints never raise this here
-        print(f"arithmetic overflow: {exc}", file=sys.stderr)
-        return 3
     except SearchWorkerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -7,7 +7,8 @@ int64 where that is exact, as Python ints otherwise.  One or two free
 entries are split off int64 residuals all at once; every other residual is
 decomposed on its own into f k-th powers.  Four free entries join one
 pair-sum table, sized once per search for the largest residual; a table
-past int64 or the memory budget is refused up front with InputError.  Sums
+past int64 or the memory budget is refused up front with InputError, as
+is a search whose sieve and class runs alone would exceed the budget.  Sums
 of four fourth powers first pass a congruence descent mod 16 and mod 625,
 which rules out most residuals and shrinks the rest before they meet the
 table.  The brute-force oracle at the bottom re-derives the same sets
@@ -50,27 +51,15 @@ __all__ = [
     "decompose_sum_of_powers",
     "search",
     "brute_force_oracle",
-    "max_safe_bound",
     "ORACLE_MAX_BOUND",
 ]
 
 ORACLE_MAX_BOUND = 500
 
-_UINT128_MAX = (1 << 128) - 1
-
 # Multisets per block of the batched equal-class kernel.  A block holds a
 # few int64 arrays of about this length, so the kernel's memory does not
 # grow with the search bound.
 _KERNEL_BLOCK = 1 << 14
-
-
-def max_safe_bound(power: int) -> int:
-    """Largest bound N with psi(N)**power provably inside 128 bits.
-
-    Conservative: uses psi(n) < 4n, which holds for every n below the
-    primorial of 31 (far beyond any sieve that fits in memory).
-    """
-    return int_kth_root(_UINT128_MAX, power) // 4
 
 
 class SearchConfig(_Record):
@@ -81,11 +70,6 @@ class SearchConfig(_Record):
             raise InputError("bound must be >= 1")
         if jobs < 1:
             raise InputError("jobs must be >= 1")
-        safe = max_safe_bound(kind.power)
-        if bound > safe:
-            raise InputError(
-                f"bound {bound} unsafe for power {kind.power}; maximum safe bound is {safe}"
-            )
         self._set("kind", kind)
         self._set("bound", bound)
         self._set("jobs", jobs)
@@ -165,7 +149,7 @@ class _PairSumTable:
 
 
 def _memory_budget() -> int:
-    """Bytes a pair-sum table may take: half of the available memory.
+    """Bytes a search's arrays may take: half of the available memory.
 
     MemAvailable from /proc/meminfo where it exists, else the available
     (or, failing that, all) physical pages from sysconf.
@@ -569,6 +553,27 @@ def _plan_chunks(runs: _ClassRuns, jobs: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
+# Bytes per entry of 1..bound, from the arrays allocated: the sieve keeps
+# psi (uint64; its build peaks at 13 B, before any class run exists), and
+# _build_class_runs keeps four int64 arrays but holds eight at its peak,
+# plus the per-class starts and lengths (67.5 B measured at 10**6).
+_SIEVE_BYTES = 8
+_RUNS_BYTES = 68
+
+
+def _check_plan_memory(bound: int) -> None:
+    """Refuse, before anything is allocated, a search whose sieve and class
+    runs would exceed _memory_budget.  The pair-sum table, sized only once
+    the runs exist, is checked by _PairSumTable."""
+    sieve, runs = _SIEVE_BYTES * (bound + 1), _RUNS_BYTES * bound
+    need, budget = sieve + runs, _memory_budget()
+    if need > budget:
+        raise InputError(
+            f"a search to bound {bound} needs {need} bytes, over the memory budget of "
+            f"{budget} bytes: {runs} for the class runs and {sieve} for the sieve"
+        )
+
+
 def _search_chunk(kind: TupleKind, chunk: tuple[int, int], state: tuple) -> list[Solution]:
     return _search_runs(kind, *state, *chunk)  # state is (runs, table, fits)
 
@@ -594,6 +599,7 @@ def search(
     be with jobs 1.
     """
     kind, bound = config.kind, config.bound
+    _check_plan_memory(bound)
     if sieve is None or sieve.limit < bound:
         sieve = build_sieve(bound)
     runs = _build_class_runs(sieve, bound, kind.equal)

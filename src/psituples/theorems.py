@@ -114,9 +114,9 @@ class PairObstructionReport(_Record):
         self._set("obstruction", obstruction)
 
 
-def _classify_shape(x: int, sieve: PsiSieve | None) -> tuple[PairCase, int, tuple[int, ...]]:
+def _classify_shape(x: int) -> tuple[PairCase, int, tuple[int, ...]]:
     """(case, exponent of 2, distinct odd primes) from the shape of x."""
-    fac = factorize(x, sieve if sieve is not None and x <= sieve.limit else None)
+    fac = factorize(x)
     k = fac.two_exponent()
     odd = fac.odd_primes()
     if k >= 1 and not odd:
@@ -141,7 +141,7 @@ def pair_obstruction(x: int, sieve: PsiSieve | None = None) -> PairObstructionRe
     """
     if x < 2:
         raise InputError("pair obstruction requires x >= 2")
-    case, k, odd = _classify_shape(x, sieve)
+    case, k, odd = _classify_shape(x)
     px = psi(x, sieve)
     u = px - x
     v = px + x
@@ -177,7 +177,7 @@ def congruence_witness(x: int, sieve: PsiSieve | None = None) -> Witness:
     square test on u1/v1.  Mirrors the five-case analysis."""
     if x < 2:
         raise InputError("requires x >= 2")
-    case, k, odd = _classify_shape(x, sieve)
+    case, k, odd = _classify_shape(x)
     px = psi(x, sieve)
     u = px - x
     v = px + x
@@ -410,8 +410,8 @@ def triple_family(k: int) -> Solution:
     """The k-th member (2^k, 2^k, 2^(k-1)) of the power-of-two triple family.
 
     psi(2^k)^2 = 9 * 2^(2(k-1)) = 2^(2k) + 2^(2k) + 2^(2(k-1)) holds for
-    every k >= 1; k is capped at 62 to keep the squared values inside the
-    contractual 128-bit envelope.
+    every k >= 1; k is capped at 62, which keeps the squared values below
+    2**128.
     """
     if not 1 <= k <= 62:
         raise InputError("k must be in 1..62")
@@ -475,7 +475,7 @@ def classify_equal_pair(a: int, sieve: PsiSieve | None = None) -> Theorem2Report
     """
     if a < 2:
         raise InputError("classification requires a >= 2")
-    fac = factorize(a, sieve if sieve is not None and a <= sieve.limit else None)
+    fac = factorize(a)
     k = fac.two_exponent()
     odd = fac.odd_primes()
     pa = psi(a, sieve)

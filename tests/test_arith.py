@@ -33,7 +33,6 @@ def test_sieve_limit_one():
     s = build_sieve(1)
     assert s.limit == 1
     assert s.psi_at(1) == 1
-    assert s.spf_at(1) == 1
 
 
 def test_sieve_small_values():
@@ -59,11 +58,19 @@ def test_sieve_rejects_uint32_overflow():
         build_sieve(10**12)
 
 
+def eratosthenes(n: int) -> np.ndarray:
+    """is_prime[0..n] by the plain sieve of Eratosthenes, independent of build_sieve."""
+    is_prime = np.ones(n + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return is_prime
+
+
 def test_sieve_prime_entries(sieve_100k):
-    # psi(p) = p + 1 exactly at primes, and spf[p] = p
-    spf = np.asarray(sieve_100k.spf)
-    idx = np.arange(sieve_100k.limit + 1, dtype=spf.dtype)
-    primes = np.flatnonzero(spf == idx)[2:]
+    # psi(p) = p + 1 exactly at primes
+    primes = np.flatnonzero(eratosthenes(sieve_100k.limit))
     psi_arr = np.asarray(sieve_100k.psi)
     assert np.all(psi_arr[primes] == primes.astype(np.uint64) + 1)
 
@@ -74,9 +81,7 @@ def test_sieve_growth_invariant(sieve_1m):
     psi_arr = np.asarray(sieve_1m.psi)[2:]
     values = np.arange(2, n + 1, dtype=np.uint64)
     assert np.all(psi_arr >= values + 1)
-    spf = np.asarray(sieve_1m.spf)[2:]
-    is_prime = spf == np.arange(2, n + 1, dtype=spf.dtype)
-    assert np.array_equal(psi_arr == values + 1, is_prime)
+    assert np.array_equal(psi_arr == values + 1, eratosthenes(n)[2:])
 
 
 def test_sieve_immutable(sieve_1k):
@@ -87,18 +92,17 @@ def test_sieve_immutable(sieve_1k):
 # --- factorization ----------------------------------------------------------
 
 
-def test_factorize_examples(sieve_1k):
+def test_factorize_examples():
     assert factorize(1).factors == ()
     assert factorize(12).factors == ((2, 2), (3, 1))
-    assert factorize(538, build_sieve(600)).factors == ((2, 1), (269, 1))
-    assert factorize(12, sieve_1k).factors == ((2, 2), (3, 1))
+    assert factorize(538).factors == ((2, 1), (269, 1))
+    assert factorize(4294967291).factors == ((4294967291, 1),)  # the largest prime below 2**32
+    assert factorize(2**32 - 1).factors == ((3, 1), (5, 1), (17, 1), (257, 1), (65537, 1))
 
 
-def test_factorize_rejects_bad_input(sieve_1k):
+def test_factorize_rejects_bad_input():
     with pytest.raises(ValueError):
         factorize(0)
-    with pytest.raises(ValueError):
-        factorize(2000, sieve_1k)
 
 
 @given(st.integers(min_value=1, max_value=200_000))
@@ -115,8 +119,12 @@ def test_factorization_invariants(n):
 
 
 def test_factorize_sieve_agrees_with_trial(sieve_10k):
+    # psi from the factorization is the sieve's psi for every n
     for n in range(1, 10_001):
-        assert factorize(n, sieve_10k).factors == factorize(n).factors
+        value = n
+        for p, _ in factorize(n).factors:
+            value = value // p * (p + 1)
+        assert value == sieve_10k.psi_at(n)
 
 
 # --- psi --------------------------------------------------------------------
@@ -167,10 +175,15 @@ def test_psi_sieve_matches_trial_division(sieve_100k):
     10_007,  # a prime: itself the cofactor left above sqrt(limit)
     10_200, 10_201,  # 101**2 - 1 and 101**2: 101 above, then at sqrt(limit)
     16_384,  # 2**14
+    # sqrt(limit) is the last p the prime loop visits:
+    9, 4_489,  # 3**2 and 67**2: sqrt(limit) is a prime
+    16, 14_641,  # 4**2 and 121**2: sqrt(limit) is a prime square
+    4_096,  # 64**2: sqrt(limit) is a power of two
 ])
 def test_psi_sieve_at_edge_limits(limit):
     sieve = build_sieve(limit)
     assert sieve.psi.tolist() == [0] + [psi(n) for n in range(1, limit + 1)]
+    assert sieve.psi.nbytes == 8 * (limit + 1)
 
 
 # --- integer roots ----------------------------------------------------------

@@ -69,11 +69,16 @@ def test_search_explicit_signature(capsys):
     assert (28, 32, 10, 38) in found
 
 
-def test_search_rejects_unsafe_bound(capsys):
-    # SearchConfig's InputError, the one bound check, exits 2 like a usage error
+def test_search_rejects_unsafe_bound(capsys, monkeypatch):
+    # the plan-time memory check's InputError exits 2 like a usage error; the
+    # budget is fixed at that of a machine with 8 GiB available, so that the
+    # search is refused on any machine
+    monkeypatch.setattr(importlib.import_module("psituples.search"), "_memory_budget",
+                        lambda: 2**32)
     code, out, err = run(capsys, "search", "--kind", "quintic-quintuple", "--bound", "99999999")
     assert code == 2 and out == ""
-    assert err.startswith("error: bound 99999999 unsafe for power 5; maximum safe bound is ")
+    assert err.startswith("error: a search to bound 99999999 needs ")
+    assert "over the memory budget of 4294967296 bytes" in err
 
 
 def test_search_rejects_unknown_kind(capsys):
@@ -394,6 +399,11 @@ def python(*args):
     done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def test_command_line_import_leaves_csv_out():
+    # csv serves only --format csv, and is imported there
+    assert python("-c", "import sys, psituples.cli; print('csv' in sys.modules)") == "False\n"
 
 
 def test_only_the_command_line_freezes_the_heap():

@@ -211,19 +211,21 @@ def test_table_7_at_the_int64_crossing(monkeypatch, capsys):
 
 
 def test_search_over_budget_is_an_error(monkeypatch, capsys):
-    monkeypatch.setattr(search_module, "_memory_budget", lambda: 1000)
+    # above the plan estimate of the sieve and class runs (about 23 kB at
+    # 300), below the pair-sum table
+    monkeypatch.setattr(search_module, "_memory_budget", lambda: 100000)
     cfg = SearchConfig(kind_by_name("quintic-quintuple"), 300)
-    with pytest.raises(ValueError, match=r"needs \d+ bytes .* budget of 1000 bytes"):
+    with pytest.raises(ValueError, match=r"needs \d+ bytes .* budget of 100000 bytes"):
         search(cfg)
     code = main(["search", "--kind", "quintic-quintuple", "--bound", "300", "--jobs", "1"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: the pair-sum table")
-    assert "budget of 1000 bytes" in captured.err
+    assert "budget of 100000 bytes" in captured.err
 
 
 def test_budget_spares_what_needs_no_table(monkeypatch):
-    monkeypatch.setattr(search_module, "_memory_budget", lambda: 1000)
+    monkeypatch.setattr(search_module, "_memory_budget", lambda: 100000)
     # kinds without four free entries build no table and are not an error
     for name, bound in (("cubic-quintuple", 96), ("quadratic-quadruple", 300)):
         kind = kind_by_name(name)
@@ -232,9 +234,41 @@ def test_budget_spares_what_needs_no_table(monkeypatch):
         assert search(SearchConfig(kind, bound))
     # a four-entry decomposition always joins a table: one past the budget
     # is an error, not a fall back to descent
+    monkeypatch.setattr(search_module, "_memory_budget", lambda: 1000)
     residual = 3**5 + 17**5 + 40**5 + 90**5
     with pytest.raises(InputError, match="budget of 1000 bytes"):
         decompose_sum_of_powers(residual, 4, 5, int_kth_root(residual, 5))
+
+
+def _no_sieve(limit):
+    raise AssertionError(f"build_sieve({limit}) called")
+
+
+def test_plan_over_budget_allocates_nothing(monkeypatch, capsys):
+    monkeypatch.setattr(search_module, "_memory_budget", lambda: 10**6)
+    monkeypatch.setattr(search_module, "build_sieve", _no_sieve)
+    cfg = SearchConfig(kind_by_name("quadratic-triple"), 100000)
+    # 68 B per entry for the class runs, the larger part, and 8 for the sieve
+    with pytest.raises(InputError, match=(
+        r"^a search to bound 100000 needs 7600008 bytes, over the memory budget of "
+        r"1000000 bytes: 6800000 for the class runs and 800008 for the sieve$"
+    )):
+        search(cfg)
+    code = main(["search", "--kind", "quadratic-triple", "--bound", "100000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "memory budget of 1000000 bytes" in captured.err
+
+
+def test_plan_at_the_budget_runs(monkeypatch):
+    bound = 500
+    need = 8 * (bound + 1) + 68 * bound
+    cfg = SearchConfig(kind_by_name("quadratic-triple"), bound)
+    monkeypatch.setattr(search_module, "_memory_budget", lambda: need)
+    assert search(cfg) == brute_force_oracle(cfg)
+    monkeypatch.setattr(search_module, "_memory_budget", lambda: need - 1)
+    with pytest.raises(InputError, match=f"needs {need} bytes"):
+        search(cfg)
 
 
 def test_memory_budget_reads_meminfo_or_sysconf(monkeypatch):

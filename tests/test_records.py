@@ -32,6 +32,7 @@ from psituples import (
     Witness,
     build_sieve,
     kind_by_name,
+    search,
 )
 
 _ClassRuns = importlib.import_module("psituples.search")._ClassRuns
@@ -48,7 +49,7 @@ _WITNESS = Witness("non-square", "v1 = 5 is not a perfect square",
 RECORDS = [
     (Factorization, ("n", "factors"), (12, ((2, 2), (3, 1))), 2, (), True,
      ("n", 13)),
-    (PsiSieve, ("limit", "spf", "psi"), (10, _SIEVE.spf, _SIEVE.psi), 3, (), False,
+    (PsiSieve, ("limit", "psi"), (10, _SIEVE.psi), 2, (), False,
      ("limit", 9)),
     (SearchConfig, ("kind", "bound", "jobs"), (_KIND, 100, 2), 2, (1,), True,
      ("bound", 99)),
@@ -159,7 +160,7 @@ def test_fixed_reprs():
         lambda: TupleKind(2, 1, 0),
         lambda: SearchConfig(_KIND, 0),
         lambda: SearchConfig(_KIND, 10, 0),
-        lambda: SearchConfig(_KIND, 10**40),
+        lambda: search(SearchConfig(_KIND, 10**40)),  # refused before any allocation
     ],
 )
 def test_validation_raises_input_error(make):

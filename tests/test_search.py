@@ -22,7 +22,6 @@ from psituples import (
     build_sieve,
     decompose_sum_of_powers,
     kind_by_name,
-    max_safe_bound,
     search,
     verify_solution,
 )
@@ -762,7 +761,7 @@ def test_kernel_int64_crossover(monkeypatch):
         bound = max(equal) * k
         psi = np.arange(bound + 1, dtype=np.uint64)
         psi[[a * k for a in equal]] = v * k
-        sieve = PsiSieve(bound, np.zeros(bound + 1, dtype=np.uint32), psi)
+        sieve = PsiSieve(bound, psi)
         assert _kernel_fits_int64(int(psi.max()), 4, kind.equal) == (v * k <= top)
         cfg = SearchConfig(kind, bound)
         found = search(cfg, sieve=sieve)
@@ -881,10 +880,6 @@ def test_config_validation():
         SearchConfig(kind, 0)
     with pytest.raises(ValueError):
         SearchConfig(kind, 10, jobs=0)
-    safe = max_safe_bound(5)
-    with pytest.raises(ValueError, match=str(safe)):
-        SearchConfig(kind, safe + 1)
-    SearchConfig(kind, safe)  # boundary itself is fine
 
 
 def test_oracle_refuses_large_bounds():

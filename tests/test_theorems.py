@@ -188,7 +188,7 @@ def test_scan_reports_planted_failures(sieve_1k):
     # psi(7) = 6 breaks the identity u > 0
     psi = sieve_1k.psi.copy()
     psi[4], psi[7] = 5, 6
-    fake = PsiSieve(sieve_1k.limit, sieve_1k.spf, psi)
+    fake = PsiSieve(sieve_1k.limit, psi)
     window = _pair_window(2, psi[2:12])
     assert window.x[window.suspect].tolist() == [4, 7]
     assert window.witness[window.x == 4].tolist() == [-1]
