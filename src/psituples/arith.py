@@ -8,6 +8,7 @@ immutable and safe to share across threads and processes.
 from __future__ import annotations
 
 import math
+import os
 from operator import attrgetter
 from typing import NoReturn
 
@@ -120,6 +121,23 @@ class PsiSieve(_Record):
         return int(self.psi[n])
 
 
+def _memory_budget() -> int:
+    """Bytes a computation's arrays may take: half of the available memory.
+
+    MemAvailable from /proc/meminfo where it exists, else the available
+    (or, failing that, all) physical pages from sysconf.
+    """
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024 // 2
+    except OSError:
+        pass
+    pages = "SC_AVPHYS_PAGES" if "SC_AVPHYS_PAGES" in os.sysconf_names else "SC_PHYS_PAGES"
+    return os.sysconf(pages) * os.sysconf("SC_PAGE_SIZE") // 2
+
+
 def build_sieve(limit: int) -> PsiSieve:
     """Build the psi table for 1..limit in O(N log log N).
 
@@ -132,13 +150,19 @@ def build_sieve(limit: int) -> PsiSieve:
     when p is prime.  At the end the cofactor is 1 or the single prime
     factor of n above sqrt(limit); one vectorized step applies that last
     factor.  The build peaks at 13 bytes per entry (psi, the cofactors and
-    one mask) and keeps 8.
+    one mask) and keeps 8; a build whose peak would exceed _memory_budget
+    raises InputError before it allocates.
     """
     if limit < 1:
         raise InputError("sieve limit must be >= 1")
     if limit >= 2**32:
         raise InputError(
             f"sieve limit {limit} must be below 2**32: the cofactors and the index are uint32"
+        )
+    need, budget = 13 * (limit + 1), _memory_budget()
+    if need > budget:
+        raise InputError(
+            f"the sieve to {limit} needs {need} bytes, over the memory budget of {budget} bytes"
         )
     psi_vals = np.arange(limit + 1, dtype=np.uint64)
     cofactor = np.arange(limit + 1, dtype=np.uint32)

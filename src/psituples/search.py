@@ -3,17 +3,18 @@
 Every kind runs one kernel.  It sorts 1..N by psi value, so that each psi
 class is one run, enumerates the equal-class multisets of every class as
 arrays, block by block, and forms their residuals psi**p - sum(a**p): in
-int64 where that is exact, as Python ints otherwise.  One or two free
-entries are split off int64 residuals all at once; every other residual is
-decomposed on its own into f k-th powers.  Four free entries join one
-pair-sum table, sized once per search for the largest residual; a table
-past int64 or the memory budget is refused up front with InputError, as
-is a search whose sieve and class runs alone would exceed the budget.  Sums
-of four fourth powers first pass a congruence descent mod 16 and mod 625,
-which rules out most residuals and shrinks the rest before they meet the
-table.  The brute-force oracle at the bottom re-derives the same sets
-with plain nested loops and no shared machinery; differential tests
-compare the two.
+int64 where that is exact, as Python ints otherwise.  One free entry is
+one perfect-power test of the int64 residuals, two are split off them by
+_split_pairs; every other residual is decomposed on its own into f k-th
+powers.  Four free entries join one pair-sum table, sized once per search
+for the largest residual, and _split_pairs recovers the pairs of the sums
+the join matched.  A table past int64 or the memory budget is refused up
+front with InputError, as is a search whose sieve and class runs alone
+would exceed the budget.  Sums of four fourth powers first pass a
+congruence descent mod 16 and mod 625, which rules out most residuals
+and shrinks the rest before they meet the table.  The brute-force oracle
+at the bottom re-derives the same sets with plain nested loops and no
+shared machinery; differential tests compare the two.
 
 Bound semantics: N limits equal-class entries only; free entries are
 bounded by the residual automatically.  Output is always the canonical
@@ -32,10 +33,12 @@ import numpy as np
 
 from .arith import (
     _INT64_MAX,
+    _INT64_ROOT_MAX,
     InputError,
     PsiSieve,
     _exact_root_vec,
     _floor_root_vec,
+    _memory_budget,
     _Record,
     build_sieve,
     int_kth_root,
@@ -148,23 +151,6 @@ class _PairSumTable:
         self.sums.sort()
 
 
-def _memory_budget() -> int:
-    """Bytes a search's arrays may take: half of the available memory.
-
-    MemAvailable from /proc/meminfo where it exists, else the available
-    (or, failing that, all) physical pages from sysconf.
-    """
-    try:
-        with open("/proc/meminfo") as f:
-            for line in f:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024 // 2
-    except OSError:
-        pass
-    pages = "SC_AVPHYS_PAGES" if "SC_AVPHYS_PAGES" in os.sysconf_names else "SC_PHYS_PAGES"
-    return os.sysconf(pages) * os.sysconf("SC_PAGE_SIZE") // 2
-
-
 def _two_pointer(residual: int, power: int, lo: int, cap: int) -> list[tuple[int, int]]:
     """All pairs lo <= x <= y <= cap with x**p + y**p == residual, ascending."""
     out: list[tuple[int, int]] = []
@@ -223,7 +209,7 @@ def _mitm4(
     times the head, so its complements residual - tail, ascending when the
     tail is read backwards, are searched in the head, _KERNEL_BLOCK of them
     at a time; the temporaries stay that small however large the table is.
-    _sum_pairs recovers the pairs of each matched head sum and its tail,
+    _split_pairs recovers the pairs of each matched head sum and its tail,
     and the b2 <= x junction keeps each canonical 4-tuple unique; with no
     head sum matched, there is nothing to recover.  The tuples come back
     sorted.
@@ -256,9 +242,11 @@ def _mitm4(
     x_top = _floor_root_vec(tails // 2, power)
     b1_lo = _floor_root_vec(heads - x_top**power - 1, power) + 1
     x_lo = _floor_root_vec((heads - 1) // 2, power) + 1
-    pairs = _sum_pairs(
-        np.concatenate((heads, tails)), np.concatenate((b1_lo, x_lo)), power, min(cap, table.cap)
-    )
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(2 * heads.size)]
+    sums, u_lo = np.concatenate((heads, tails)), np.concatenate((b1_lo, x_lo))
+    for rows, u, v in _split_pairs(sums, u_lo, power, min(cap, table.cap)):
+        for i, pair in zip(rows.tolist(), zip(u.tolist(), v.tolist())):
+            pairs[i].append(pair)
     return sorted(
         (b1, b2, x, y)
         for head, tail in zip(pairs[: heads.size], pairs[heads.size :])
@@ -266,35 +254,6 @@ def _mitm4(
         for x, y in tail
         if b2 <= x
     )
-
-
-def _sum_pairs(
-    sums: np.ndarray, u_lo: np.ndarray, power: int, cap: int
-) -> list[list[tuple[int, int]]]:
-    """For each sums[i], every pair u_lo[i] <= u <= v <= cap with
-    u**p + v**p == sums[i], ascending.
-
-    Each sum s splits into (s, u) for u = u_lo..floor((s // 2) ** (1/p)),
-    since 2 * u**p <= s exactly when u <= v.  Every s - u**p passes one
-    exact perfect-power test (_exact_root_vec), and a root v above cap is
-    dropped.  The splits run in pieces of about _KERNEL_BLOCK, so memory
-    stays bounded.
-    """
-    pw = np.arange(cap + 1, dtype=np.int64) ** power
-    counts = np.maximum(np.minimum(_floor_root_vec(sums // 2, power), cap) - u_lo + 1, 0)
-    start = np.concatenate(([0], np.cumsum(counts)))
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(sums.size)]
-    edges = _cut(start, 0, sums.size, _KERNEL_BLOCK)
-    for lo, hi in zip(edges, edges[1:]):
-        n = counts[lo:hi]
-        rows = np.repeat(np.arange(lo, hi), n)
-        u = np.arange(start[lo], start[hi]) - np.repeat(start[lo:hi] - u_lo[lo:hi], n)
-        rest = np.repeat(sums[lo:hi], n) - pw[u]
-        v, hits = _exact_root_vec(rest, power)
-        hits &= v <= cap
-        for i, pair in zip(rows[hits].tolist(), zip(u[hits].tolist(), v[hits].tolist())):
-            pairs[i].append(pair)
-    return pairs
 
 
 def _quartic_descent(residual: int) -> tuple[int, int]:
@@ -458,34 +417,31 @@ def _cut(start: np.ndarray, lo: int, hi: int, budget: int) -> list[int]:
     return edges.tolist() + [hi]
 
 
-def _split_residuals(
-    residual: np.ndarray, power: int, free: int
-) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
-    """Every way to write residual[i] > 0 as `free` (1 or 2) power-th powers.
+def _split_pairs(
+    sums: np.ndarray, u_lo: np.ndarray | int, power: int, cap: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every pair u_lo[i] <= u <= v <= cap with u**p + v**p == sums[i], as
+    (rows, u, v) per piece, ascending in row and then in u.
 
-    Yields (i, free-entry columns) per piece.  With one free entry that is
-    one perfect-power pass.  With two, each residual R is expanded by its
-    smaller entry b1 = 1..floor((R // 2) ** (1/p)), since 2 * b1**p <= R
-    exactly when b1 <= b2, and every R - b1**p is tested for a perfect
-    power; the (R, b1) splits run in pieces of about _KERNEL_BLOCK, so
-    memory stays bounded however large the residuals are.  The tests are
-    _exact_root_vec's rounded roots; only the split counts need a floor
-    root.  All values stay below R, so int64 is exact wherever R is.
+    Each sum s splits into (s, u) for u = u_lo..floor((s // 2) ** (1/p)),
+    since 2 * u**p <= s exactly when u <= v, and every s - u**p passes one
+    exact perfect-power test (_exact_root_vec); a root above cap is
+    dropped.  The splits run in pieces of about _KERNEL_BLOCK plus those of
+    one sum (_cut never divides a sum's splits), so memory grows with the
+    largest root, not with the number of sums.  u_lo is one bound for all
+    sums or one per sum.  All values stay below s, so int64 is exact
+    wherever s is.
     """
-    if free == 1:
-        roots, hits = _exact_root_vec(residual, power)
-        hits = np.flatnonzero(hits)
-        yield hits, (roots[hits],)
-        return
-    counts = _floor_root_vec(residual // 2, power)
+    counts = np.maximum(np.minimum(_floor_root_vec(sums // 2, power), cap) - u_lo + 1, 0)
     start = np.concatenate(([0], np.cumsum(counts)))
-    edges = _cut(start, 0, residual.size, _KERNEL_BLOCK)
+    first = start[:-1] - u_lo  # split j of row i has u = j - first[i]
+    edges = _cut(start, 0, sums.size, _KERNEL_BLOCK)
     for lo, hi in zip(edges, edges[1:]):
         rows = np.repeat(np.arange(lo, hi), counts[lo:hi])
-        b1 = np.arange(start[lo], start[hi]) - start[rows] + 1
-        rest = residual[rows] - b1**power
-        b2, hits = _exact_root_vec(rest, power)
-        yield rows[hits], (b1[hits], b2[hits])
+        u = np.arange(start[lo], start[hi]) - first[rows]
+        v, hits = _exact_root_vec(sums[rows] - u**power, power)
+        hits &= v <= cap
+        yield rows[hits], u[hits], v[hits]
 
 
 def _search_runs(
@@ -495,12 +451,14 @@ def _search_runs(
     lo..hi-1.
 
     Each block of about _KERNEL_BLOCK multisets is expanded to position
-    arrays with the repeat/offset trick of _PairSumTable.  The residuals
-    psi**p - sum(a**p) are formed in int64 when fits (the search decides it
-    once, by _kernel_fits_int64), and as Python ints in object arrays
-    otherwise.  With one or two free entries, int64 residuals are split by
-    _split_residuals; every other residual of at least `free` goes to
-    decompose_sum_of_powers, with the shared pair-sum table.
+    arrays, one equal entry at a time: every position is repeated once per
+    later position of its run, and an offset counts through them.  The
+    residuals psi**p - sum(a**p) are formed in int64 when fits (the search
+    decides it once, by _kernel_fits_int64), and as Python ints in object
+    arrays otherwise.  With one free entry, the positive int64 residuals
+    take one perfect-power test; with two, _split_pairs splits them.  Every
+    other residual of at least `free` goes to decompose_sum_of_powers, with
+    the shared pair-sum table.
     """
     p, e, f = kind.power, kind.equal, kind.free
     out: list[Solution] = []
@@ -524,7 +482,13 @@ def _search_runs(
             residual -= a**p
         if fits and f <= 2:
             live = np.flatnonzero(residual > 0)
-            for rows, frees in _split_residuals(residual[live], p, f):
+            if f == 1:
+                roots, hits = _exact_root_vec(residual[live], p)
+                splits = [(np.flatnonzero(hits), roots[hits])]
+                del roots, hits  # not held through the next block's peak
+            else:
+                splits = _split_pairs(residual[live], 1, p, _INT64_ROOT_MAX[p])
+            for rows, *frees in splits:
                 rows = live[rows]
                 equal = zip(*(a[rows].tolist() for a in entries))
                 free = zip(*(b.tolist() for b in frees))

@@ -186,28 +186,19 @@ def reproduce_table(
     spec = TABLES[table_id]
     bound = spec.default_bound if bound is None else bound
     found = search(SearchConfig(kind=spec.kind, bound=bound, jobs=jobs), sieve=sieve)
-    printed_in_range: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    in_range: list[tuple[tuple[int, ...], tuple]] = []  # (row, its canonical key)
     out_of_range: list[tuple[tuple[int, ...], bool]] = []
     for row in spec.rows:
         equal, free = spec.split_row(row)
         if spec.row_in_range(row, bound):
-            printed_in_range.add((tuple(sorted(equal)), tuple(sorted(free))))
+            in_range.append((row, (tuple(sorted(equal)), tuple(sorted(free)))))
         else:
-            report = verify_solution(spec.kind, equal, free, sieve)
-            out_of_range.append((row, report.ok))
-    matched = tuple(s for s in found if s.sort_key() in printed_in_range)
-    extra = tuple(s for s in found if s.sort_key() not in printed_in_range)
+            out_of_range.append((row, verify_solution(spec.kind, equal, free, sieve).ok))
+    printed = {key for _, key in in_range}
+    matched = tuple(s for s in found if s.sort_key() in printed)
+    extra = tuple(s for s in found if s.sort_key() not in printed)
     found_keys = {s.sort_key() for s in found}
-    missing = tuple(
-        row
-        for row in spec.rows
-        if spec.row_in_range(row, bound)
-        and (
-            tuple(sorted(spec.split_row(row)[0])),
-            tuple(sorted(spec.split_row(row)[1])),
-        )
-        not in found_keys
-    )
+    missing = tuple(row for row, key in in_range if key not in found_keys)
     return TableDiff(
         table_id=table_id,
         bound=bound,

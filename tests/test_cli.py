@@ -355,6 +355,15 @@ def test_theorem1_limit_past_the_kernel_is_refused_before_the_sieve(capsys, monk
     assert code == 2 and "2**32" in err
 
 
+def test_theorem1_sieve_over_the_memory_budget_exits_2(capsys, monkeypatch):
+    # the sieve's build peaks at 13 B per entry of 0..limit
+    monkeypatch.setattr(importlib.import_module("psituples.arith"), "_memory_budget",
+                        lambda: 10**6)
+    code, out, err = run(capsys, "theorem1", "100000")
+    assert code == 2 and out == ""
+    assert "needs 1300013 bytes, over the memory budget of 1000000 bytes" in err
+
+
 def test_theorem1_command(capsys, monkeypatch):
     code, out, _ = run(capsys, "theorem1", "100")
     assert code == 0

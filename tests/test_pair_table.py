@@ -103,9 +103,9 @@ def test_mitm_without_a_head_match_recovers_nothing(monkeypatch):
     import random
 
     def fail(*args):
-        raise AssertionError("_sum_pairs called without a matched head sum")
+        raise AssertionError("_split_pairs called without a matched head sum")
 
-    monkeypatch.setattr(search_module, "_sum_pairs", fail)
+    monkeypatch.setattr(search_module, "_split_pairs", fail)
     rng = random.Random(1111)
     for power, top in ((4, 10**7), (5, 10**9)):
         cap = int_kth_root(top, power)
@@ -282,7 +282,9 @@ def test_memory_budget_reads_meminfo_or_sysconf(monkeypatch):
     def no_meminfo(*args, **kwargs):
         raise FileNotFoundError("/proc/meminfo")
 
-    monkeypatch.setattr(search_module, "open", no_meminfo, raising=False)
+    # the budget lives in arith, which search imports it from
+    monkeypatch.setattr(importlib.import_module("psituples.arith"), "open", no_meminfo,
+                        raising=False)
     assert search_module._memory_budget() > 0
 
 

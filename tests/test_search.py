@@ -25,7 +25,7 @@ from psituples import (
     search,
     verify_solution,
 )
-from psituples.arith import _INT64_MAX, _floor_root_vec, int_kth_root
+from psituples.arith import _INT64_MAX, _INT64_ROOT_MAX, _floor_root_vec, int_kth_root
 from psituples.search import (
     _build_class_runs,
     _cut,
@@ -33,6 +33,7 @@ from psituples.search import (
     _kernel_fits_int64,
     _PairSumTable,
     _quartic_descent,
+    _split_pairs,
 )
 from psituples.tuples import Solution, TupleKind, sort_solutions
 
@@ -741,6 +742,44 @@ def test_two_free_kernel_generic_kinds():
         max_psi = int(build_sieve(bound).psi[1:].max())
         assert _kernel_fits_int64(max_psi, kind.power, kind.equal)
         assert search(cfg) == reference_search(cfg), kind
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, None])
+@pytest.mark.parametrize("power", [2, 3, 4, 5])
+def test_split_pairs_equals_brute_force(monkeypatch, power, budget):
+    # every pair sum of 1..40, every sum twice (per-row lower bounds of 1 and
+    # above), and random values; the cap of 35 drops roots up to 40
+    import random
+
+    rng = random.Random(power)
+    top, cap = 40, 35
+    root_of = {b**power: b for b in range(2 * top + 1)}
+    pair_sums = {x**power + y**power for x in range(1, top + 1) for y in range(x, top + 1)}
+    values = sorted(pair_sums) + [1, 2] + [rng.randrange(1, 2 * top**power) for _ in range(200)]
+    sums = np.array(values * 2, dtype=np.int64)
+    u_lo = np.array([1] * len(values) + [rng.randint(2, top) for _ in values], dtype=np.int64)
+
+    def brute(u_lo, cap):
+        return [(i, u, root_of[s - u**power])
+                for i, (s, lo) in enumerate(zip(sums.tolist(), u_lo.tolist()))
+                for u in range(lo, min(cap, top) + 1)
+                if u <= root_of.get(s - u**power, 0) <= cap]
+
+    if budget is not None:
+        monkeypatch.setattr(search_module, "_KERNEL_BLOCK", budget)
+        splits = [min(int_kth_root(s // 2, power), cap) - lo + 1
+                  for s, lo in zip(sums.tolist(), u_lo.tolist())]
+        assert max(splits) > budget  # a budget multiple falls inside one sum's splits
+    for lo, c in ((u_lo, cap), (u_lo, 2 * top), (1, _INT64_ROOT_MAX[power])):
+        pieces = list(_split_pairs(sums, lo, power, c))
+        got = [t for rows, u, v in pieces for t in zip(rows.tolist(), u.tolist(), v.tolist())]
+        expected = brute(np.broadcast_to(lo, sums.shape), c)
+        assert got == expected, (lo, c)  # ascending in row, then in u
+        assert any(u > 1 for _, u, _ in expected) and len({i for i, _, _ in expected}) > 1
+        if budget is not None:
+            assert len(pieces) > 1
+    # the cap drops roots: some pair of the uncapped splits has v above it
+    assert any(v > cap for _, _, v in brute(u_lo, 2 * top))
 
 
 def test_kernel_int64_crossover(monkeypatch):
