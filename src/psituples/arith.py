@@ -7,6 +7,7 @@ immutable and safe to share across threads and processes.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from operator import attrgetter
@@ -121,11 +122,14 @@ class PsiSieve(_Record):
         return int(self.psi[n])
 
 
+@functools.cache
 def _memory_budget() -> int:
     """Bytes a computation's arrays may take: half of the available memory.
 
     MemAvailable from /proc/meminfo where it exists, else the available
-    (or, failing that, all) physical pages from sysconf.
+    (or, failing that, all) physical pages from sysconf.  Read once per
+    process: a pair-sum table built per call (decompose_sum_of_powers
+    without a table) would otherwise read /proc/meminfo every time.
     """
     try:
         with open("/proc/meminfo") as f:
@@ -309,15 +313,19 @@ def _exact_root_vec(vals: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarra
     and its float root is within a few units in the last place of r,
     below 2e-6, so rint returns r.  Clipped to 0..R_p, no candidate's p-th
     power overflows, and a v that is not a p-th power never equals it.
-    Where there is no hit, roots[i] is only the rounded candidate.
+    Where there is no hit, roots[i] is only the rounded candidate.  The
+    float work is done in place in one buffer.
     """
-    f = np.maximum(vals, 0).astype(np.float64)
+    f = vals.astype(np.float64)
+    np.maximum(f, 0, out=f)
     if power == 2:
-        f = np.sqrt(f)
+        np.sqrt(f, out=f)
     elif power == 3:
-        f = np.cbrt(f)
+        np.cbrt(f, out=f)
     else:
-        f = np.power(f, 1.0 / power)
-    roots = np.rint(f).astype(np.int64)
-    np.clip(roots, 0, _INT64_ROOT_MAX[power], out=roots)
+        np.power(f, 1.0 / power, out=f)
+    np.rint(f, out=f)
+    np.clip(f, 0, _INT64_ROOT_MAX[power], out=f)
+    roots = f.astype(np.int64)
+    del f
     return roots, roots**power == vals

@@ -367,11 +367,13 @@ def _kernel_fits_int64(max_psi: int, power: int, equal: int) -> bool:
 class _ClassRuns(_Record):
     """1..bound sorted by (psi, n), so that each psi class is one run.
 
-    ns and psis are the entries and their psi values (int64).  run_end[i]
-    is one past the last position of the run holding position i.
-    tuple_start[i] counts the non-decreasing equal-tuples of positions
-    inside one run whose first position is below i; it has one more entry
-    than ns, the total.
+    ns are the entries (uint32) and psis their psi values (int64).
+    run_end[i] (uint32) is one past the last position of the run holding
+    position i.  tuple_start[i] (int64) counts the non-decreasing
+    equal-tuples of positions inside one run whose first position is below
+    i; it has one more entry than ns, the total.  24 bytes per entry in
+    all; uint32 is exact because the sieve's limit is below 2**32, and a
+    uint32 entry must be widened before it is raised to a power.
     """
 
     __slots__ = ("ns", "psis", "run_end", "tuple_start")
@@ -386,20 +388,32 @@ class _ClassRuns(_Record):
 
 
 def _build_class_runs(sieve: PsiSieve, bound: int, equal: int) -> _ClassRuns:
-    psi = sieve.psi[1 : bound + 1].astype(np.int64)
+    """The class runs of 1..bound; the build peaks at _RUNS_BYTES per entry."""
+    psi = sieve.psi[1 : bound + 1]
     order = np.argsort(psi, kind="stable")
-    psis = psi[order]
-    starts = np.flatnonzero(np.diff(psis, prepend=-1))
-    lengths = np.diff(starts, append=psis.size)
-    run_end = np.repeat(starts + lengths, lengths)
+    psis = psi[order].view(np.int64)  # the one sorted copy; psi < 2**63
+    ns = order.astype(np.uint32)
+    ns += 1
+    del order
+    starts = np.flatnonzero(psis[1:] != psis[:-1]) + 1
+    lengths = np.diff(starts, prepend=0, append=bound)
+    run_end = np.repeat(np.append(starts, bound).astype(np.uint32), lengths)
+    del starts, lengths
     # With m positions left in the run, C(m + equal - 2, equal - 1) tuples
     # start at a position; the product below steps through C(m - 1 + j, j).
-    left = run_end - np.arange(psis.size)
-    counts = np.ones(psis.size, dtype=np.int64)
-    for j in range(1, equal):
-        counts = counts * (left - 1 + j) // j
-    tuple_start = np.concatenate(([0], np.cumsum(counts)))
-    return _ClassRuns(order + 1, psis, run_end, tuple_start)
+    # _KERNEL_BLOCK positions at a time, so that the temporaries stay small.
+    tuple_start = np.empty(bound + 1, dtype=np.int64)
+    tuple_start[0] = 0
+    counts = tuple_start[1:]
+    for lo in range(0, bound, _KERNEL_BLOCK):
+        hi = min(lo + _KERNEL_BLOCK, bound)
+        left = run_end[lo:hi] - np.arange(lo, hi)
+        c = np.ones(hi - lo, dtype=np.int64)
+        for j in range(1, equal):
+            c = c * (left - 1 + j) // j
+        counts[lo:hi] = c
+    np.cumsum(counts, out=counts)
+    return _ClassRuns(ns, psis, run_end, tuple_start)
 
 
 def _cut(start: np.ndarray, lo: int, hi: int, budget: int) -> list[int]:
@@ -469,17 +483,22 @@ def _search_runs(
             last = cols[-1]
             counts = runs.run_end[last] - last
             owner = np.repeat(np.arange(last.size), counts)
-            offsets = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+            # the next position is last + its offset among the owner's copies
+            shift = last - (np.cumsum(counts) - counts)
+            nxt = np.arange(owner.size)
+            nxt += shift[owner]
             cols = [c[owner] for c in cols]
-            cols.append(cols[-1] + offsets)
-        entries = [runs.ns[c] for c in cols]
-        psis = runs.psis[cols[0]]
+            cols.append(nxt)
+            del last, counts, owner, shift  # not held while the residuals form
+        residual = runs.psis[cols[0]]
         if not fits:
-            entries = [a.astype(object) for a in entries]
-            psis = psis.astype(object)
-        residual = psis**p
-        for a in entries:
-            residual -= a**p
+            residual = residual.astype(object)
+        residual **= p
+        for c in cols:
+            a = runs.ns[c].astype(residual.dtype)
+            a **= p
+            residual -= a
+            del a
         if fits and f <= 2:
             live = np.flatnonzero(residual > 0)
             if f == 1:
@@ -490,16 +509,16 @@ def _search_runs(
                 splits = _split_pairs(residual[live], 1, p, _INT64_ROOT_MAX[p])
             for rows, *frees in splits:
                 rows = live[rows]
-                equal = zip(*(a[rows].tolist() for a in entries))
+                equal = zip(*(runs.ns[c[rows]].tolist() for c in cols))
                 free = zip(*(b.tolist() for b in frees))
-                for v, eq, fr in zip(psis[rows].tolist(), equal, free):
+                for v, eq, fr in zip(runs.psis[cols[0][rows]].tolist(), equal, free):
                     out.append(Solution(kind, eq, fr, v, v**p))
             continue
         live = np.flatnonzero(residual >= f)
         for i, r in zip(live.tolist(), residual[live].tolist()):
             found = decompose_sum_of_powers(r, f, p, int_kth_root(r, p), table)
             if found:
-                v, eq = int(psis[i]), tuple(int(a[i]) for a in entries)
+                v, eq = int(runs.psis[cols[0][i]]), tuple(int(runs.ns[c[i]]) for c in cols)
                 out.extend(Solution(kind, eq, fr, v, v**p) for fr in found)
     return out
 
@@ -519,10 +538,12 @@ def _plan_chunks(runs: _ClassRuns, jobs: int) -> list[tuple[int, int]]:
 
 # Bytes per entry of 1..bound, from the arrays allocated: the sieve keeps
 # psi (uint64; its build peaks at 13 B, before any class run exists), and
-# _build_class_runs keeps four int64 arrays but holds eight at its peak,
-# plus the per-class starts and lengths (67.5 B measured at 10**6).
+# _build_class_runs peaks at the 24 B it keeps (_ClassRuns): the argsort
+# order and the per-class arrays are gone before tuple_start exists, and
+# its counts are formed one slice at a time, beside about 0.6 MB of
+# temporaries whatever the bound (24.14 B measured at 2**22).
 _SIEVE_BYTES = 8
-_RUNS_BYTES = 68
+_RUNS_BYTES = 24
 
 
 def _check_plan_memory(bound: int) -> None:
@@ -567,6 +588,7 @@ def search(
     if sieve is None or sieve.limit < bound:
         sieve = build_sieve(bound)
     runs = _build_class_runs(sieve, bound, kind.equal)
+    del sieve  # one this search built is freed here; the runs hold psi
     fits = _kernel_fits_int64(int(runs.psis[-1]), kind.power, kind.equal)
     state = (runs, _needs_pair_table(kind, runs), fits)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

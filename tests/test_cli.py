@@ -71,14 +71,14 @@ def test_search_explicit_signature(capsys):
 
 def test_search_rejects_unsafe_bound(capsys, monkeypatch):
     # the plan-time memory check's InputError exits 2 like a usage error; the
-    # budget is fixed at that of a machine with 8 GiB available, so that the
+    # budget is fixed at that of a machine with 4 GiB available, so that the
     # search is refused on any machine
     monkeypatch.setattr(importlib.import_module("psituples.search"), "_memory_budget",
-                        lambda: 2**32)
+                        lambda: 2**31)
     code, out, err = run(capsys, "search", "--kind", "quintic-quintuple", "--bound", "99999999")
     assert code == 2 and out == ""
     assert err.startswith("error: a search to bound 99999999 needs ")
-    assert "over the memory budget of 4294967296 bytes" in err
+    assert "over the memory budget of 2147483648 bytes" in err
 
 
 def test_search_rejects_unknown_kind(capsys):
@@ -202,10 +202,13 @@ def test_search_class_and_range_chunks_jobs_one_two_three(capsys, argv):
     ("--kind", "cubic-quintuple", "--bound", "300", "--format", "csv"),
     ("--kind", "quartic-quintuple", "--bound", "600"),
     ("--power", "3", "--equal", "2", "--free", "3", "--bound", "100"),
+    ("--kind", "quadratic-triple", "--bound", "65536"),
+    ("--kind", "quadratic-quadruple", "--bound", "8000"),
 ])
 def test_search_one_two_three_processes_byte_identical(capsys, monkeypatch, forks, argv):
     # f = 1 and 2 split in int64, then f = 4 and f = 3 residuals one at a
-    # time; four usable CPUs, so that --jobs 3 runs 3 processes
+    # time, and f = 1 again over many blocks of the uint32 class runs; four
+    # usable CPUs, so that --jobs 3 runs 3 processes
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     outs = set()
     faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)  # no hang

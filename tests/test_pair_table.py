@@ -211,7 +211,7 @@ def test_table_7_at_the_int64_crossing(monkeypatch, capsys):
 
 
 def test_search_over_budget_is_an_error(monkeypatch, capsys):
-    # above the plan estimate of the sieve and class runs (about 23 kB at
+    # above the plan estimate of the sieve and class runs (about 10 kB at
     # 300), below the pair-sum table
     monkeypatch.setattr(search_module, "_memory_budget", lambda: 100000)
     cfg = SearchConfig(kind_by_name("quintic-quintuple"), 300)
@@ -248,10 +248,14 @@ def test_plan_over_budget_allocates_nothing(monkeypatch, capsys):
     monkeypatch.setattr(search_module, "_memory_budget", lambda: 10**6)
     monkeypatch.setattr(search_module, "build_sieve", _no_sieve)
     cfg = SearchConfig(kind_by_name("quadratic-triple"), 100000)
-    # 68 B per entry for the class runs, the larger part, and 8 for the sieve
+    # _RUNS_BYTES per entry of 1..N for the class runs, the larger part, and
+    # _SIEVE_BYTES per entry of 0..N for the sieve
+    runs = search_module._RUNS_BYTES * 100000
+    sieve = search_module._SIEVE_BYTES * 100001
+    assert runs > sieve and runs + sieve > 10**6
     with pytest.raises(InputError, match=(
-        r"^a search to bound 100000 needs 7600008 bytes, over the memory budget of "
-        r"1000000 bytes: 6800000 for the class runs and 800008 for the sieve$"
+        rf"^a search to bound 100000 needs {runs + sieve} bytes, over the memory budget of "
+        rf"1000000 bytes: {runs} for the class runs and {sieve} for the sieve$"
     )):
         search(cfg)
     code = main(["search", "--kind", "quadratic-triple", "--bound", "100000"])
@@ -262,7 +266,7 @@ def test_plan_over_budget_allocates_nothing(monkeypatch, capsys):
 
 def test_plan_at_the_budget_runs(monkeypatch):
     bound = 500
-    need = 8 * (bound + 1) + 68 * bound
+    need = search_module._SIEVE_BYTES * (bound + 1) + search_module._RUNS_BYTES * bound
     cfg = SearchConfig(kind_by_name("quadratic-triple"), bound)
     monkeypatch.setattr(search_module, "_memory_budget", lambda: need)
     assert search(cfg) == brute_force_oracle(cfg)
@@ -271,8 +275,13 @@ def test_plan_at_the_budget_runs(monkeypatch):
         search(cfg)
 
 
-def test_memory_budget_reads_meminfo_or_sysconf(monkeypatch):
-    budget = search_module._memory_budget()
+def test_memory_budget_reads_meminfo_or_sysconf(monkeypatch, request):
+    # the reading is cached per process: cleared first, and again at the end,
+    # so that no other test sees the sysconf reading made under the patch
+    budget_of = search_module._memory_budget
+    budget_of.cache_clear()
+    request.addfinalizer(budget_of.cache_clear)
+    budget = budget_of()
     assert budget > 0
     if os.path.exists("/proc/meminfo"):
         with open("/proc/meminfo") as f:
@@ -285,7 +294,9 @@ def test_memory_budget_reads_meminfo_or_sysconf(monkeypatch):
     # the budget lives in arith, which search imports it from
     monkeypatch.setattr(importlib.import_module("psituples.arith"), "open", no_meminfo,
                         raising=False)
-    assert search_module._memory_budget() > 0
+    assert budget_of() == budget  # read once per process: the file is not opened again
+    budget_of.cache_clear()
+    assert budget_of() > 0
 
 
 # --- memory bounds --------------------------------------------------------------------
@@ -305,6 +316,34 @@ def test_table_build_peaks_at_eight_bytes_per_pair():
     pairs = 720 * 721 // 2
     assert table.sums.nbytes == 8 * pairs
     assert peak <= 9 * pairs + 64 * 1024
+
+
+@pytest.mark.parametrize("equal", [1, 2, 3])
+def test_class_runs_build_peaks_within_the_plan(equal):
+    bound = 10**5
+    sieve = build_sieve(bound)
+    runs, peak = _traced_peak(lambda: search_module._build_class_runs(sieve, bound, equal))
+    kept = (runs.ns, runs.psis, runs.run_end, runs.tuple_start)
+    assert sum(a.nbytes for a in kept) == 24 * bound + 8
+    # beside the kept arrays, only a few int64 temporaries of one slice of
+    # _KERNEL_BLOCK positions
+    assert peak <= search_module._RUNS_BYTES * bound + 48 * search_module._KERNEL_BLOCK
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("quadratic-pair", 100000), ("quadratic-triple", 100000), ("quadratic-quadruple", 4000),
+])
+def test_kernel_block_peaks_at_fifty_six_bytes_per_multiset(name, bound):
+    # one full block from the middle of the search, the runs built outside
+    kind = kind_by_name(name)
+    runs = search_module._build_class_runs(build_sieve(bound), bound, kind.equal)
+    edges = search_module._cut(runs.tuple_start, 0, bound, search_module._KERNEL_BLOCK)
+    assert len(edges) > 4
+    lo, hi = edges[len(edges) // 2], edges[len(edges) // 2 + 1]
+    multisets = int(runs.tuple_start[hi] - runs.tuple_start[lo])
+    assert multisets > search_module._KERNEL_BLOCK // 2
+    _, peak = _traced_peak(lambda: search_module._search_runs(kind, runs, None, True, lo, hi))
+    assert peak <= 56 * multisets + 64 * 1024, peak / multisets
 
 
 @pytest.mark.parametrize("block", [1 << 12, 1 << 14])

@@ -659,6 +659,43 @@ def block_edges(kind, bound, budget):
     return [x for x in edges if x in starts], [x for x in edges if x not in starts]
 
 
+def reference_class_runs(bound, equal):
+    """(ns, psis, run_end, tuple_start) as plain lists, from the dict class
+    index: the classes by ascending psi, each class's members ascending,
+    and the tuples that start at each position counted one by one."""
+    classes = build_class_index(build_sieve(bound)).classes
+    ns, psis, run_end, tuple_start = [], [], [], [0]
+    for v in sorted(classes):
+        members = classes[v]
+        end = len(ns) + len(members)
+        for k, n in enumerate(members):
+            ns.append(n)
+            psis.append(v)
+            run_end.append(end)
+            # the equal-tuples whose first entry is this one: the other
+            # equal - 1 entries are drawn from it and the run after it
+            count = sum(1 for _ in combinations_with_replacement(members[k:], equal - 1))
+            tuple_start.append(tuple_start[-1] + count)
+    return ns, psis, run_end, tuple_start
+
+
+@pytest.mark.parametrize("equal, bound", [(1, 20000), (2, 2511), (3, 720), (4, 400)])
+def test_class_runs_equal_reference(monkeypatch, equal, bound):
+    # each bound puts a _KERNEL_BLOCK edge inside a class; the build counts
+    # tuples one slice of _KERNEL_BLOCK positions at a time, and slices of 7
+    # cut most classes
+    kind = TupleKind(2, equal, 1)
+    on, inside = block_edges(kind, bound, search_module._KERNEL_BLOCK)
+    assert inside and not on
+    reference = list(reference_class_runs(bound, equal))
+    for block in (search_module._KERNEL_BLOCK, 7):
+        monkeypatch.setattr(search_module, "_KERNEL_BLOCK", block)
+        runs = _build_class_runs(build_sieve(bound), bound, equal)
+        arrays = (runs.ns, runs.psis, runs.run_end, runs.tuple_start)
+        assert [a.dtype for a in arrays] == [np.uint32, np.int64, np.uint32, np.int64]
+        assert [a.tolist() for a in arrays] == reference, block
+
+
 @pytest.mark.parametrize(
     "name, bound, block_edge",
     [
