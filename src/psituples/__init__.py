@@ -9,6 +9,7 @@ from .arith import (
     int_kth_root,
     is_perfect_kth_power,
     psi,
+    psi_segment,
 )
 from .search import (
     ORACLE_MAX_BOUND,

@@ -20,6 +20,7 @@ __all__ = [
     "Factorization",
     "PsiSieve",
     "build_sieve",
+    "psi_segment",
     "factorize",
     "psi",
     "int_kth_root",
@@ -115,6 +116,10 @@ class PsiSieve(_Record):
         self._set("limit", limit)
         self._set("psi", psi)
 
+    def primes(self) -> np.ndarray:
+        """The primes up to limit: the n with psi(n) = n + 1, as int64."""
+        return np.flatnonzero(self.psi == np.arange(1, self.limit + 2, dtype=np.uint64))
+
     def psi_at(self, n: int) -> int:
         """psi(n) as a plain Python int; n must be within the sieve."""
         if not 1 <= n <= self.limit:
@@ -143,19 +148,14 @@ def _memory_budget() -> int:
 
 
 def build_sieve(limit: int) -> PsiSieve:
-    """Build the psi table for 1..limit in O(N log log N).
+    """Build the psi table for 1..limit in O(N log log N): psi_segment over
+    0..limit, with psi[0] = 0.
 
-    psi is computed multiplicatively: every n starts at n, and each prime
-    p <= sqrt(limit) rescales all of its multiples by (p+1)/p.  The division
-    is exact at every step because each multiple of p still carries the
-    factor p when its turn comes.  A uint32 cofactor array tracks what is
-    left of n once every power of the primes so far is divided out; it also
-    finds those primes, since at p's turn its cofactor is still p exactly
-    when p is prime.  At the end the cofactor is 1 or the single prime
-    factor of n above sqrt(limit); one vectorized step applies that last
-    factor.  The build peaks at 13 bytes per entry (psi, the cofactors and
-    one mask) and keeps 8; a build whose peak would exceed _memory_budget
-    raises InputError before it allocates.
+    The primes up to sqrt(limit) that psi_segment needs are the n with
+    psi(n) = n + 1 in build_sieve(isqrt(limit)), a table of about
+    sqrt(limit) entries.  The build peaks at 13 bytes per entry and keeps
+    8; a build whose peak would exceed _memory_budget raises InputError
+    before the table is allocated.
     """
     if limit < 1:
         raise InputError("sieve limit must be >= 1")
@@ -163,32 +163,55 @@ def build_sieve(limit: int) -> PsiSieve:
         raise InputError(
             f"sieve limit {limit} must be below 2**32: the cofactors and the index are uint32"
         )
-    need, budget = 13 * (limit + 1), _memory_budget()
+    root = math.isqrt(limit)
+    primes = build_sieve(root).primes() if root > 1 else ()
+    psi_vals = psi_segment(0, limit + 1, primes)
+    psi_vals.flags.writeable = False
+    return PsiSieve(limit=limit, psi=psi_vals)
+
+
+def psi_segment(lo: int, hi: int, primes) -> np.ndarray:
+    """psi(n) for lo <= n < hi as a uint64 array, given every prime up to
+    sqrt(hi - 1) (Python ints or an integer array; more primes do no harm).
+
+    psi is computed multiplicatively: every n starts at n, and each prime p
+    rescales its multiples in the segment, from the first one >= lo, by
+    (p+1)/p.  The division is exact at every step because each multiple of
+    p still carries the factor p when its turn comes.  A uint32 cofactor
+    array tracks what is left of n once every power of the primes so far is
+    divided out.  At the end the cofactor is 1 or the single prime factor
+    of n above sqrt(hi - 1); one vectorized step applies that last factor.
+    n = 0, allowed as lo, gets 0.  The segment peaks at 13 bytes per entry
+    (psi, the cofactors and one mask) and returns 8; a segment whose peak
+    would exceed _memory_budget raises InputError before it allocates.
+    """
+    if not 0 <= lo < hi <= 2**32:
+        raise InputError(f"psi segment [{lo}, {hi}) must satisfy 0 <= lo < hi <= 2**32")
+    need, budget = 13 * (hi - lo), _memory_budget()
     if need > budget:
         raise InputError(
-            f"the sieve to {limit} needs {need} bytes, over the memory budget of {budget} bytes"
+            f"the psi segment [{lo}, {hi}) needs {need} bytes, "
+            f"over the memory budget of {budget} bytes"
         )
-    psi_vals = np.arange(limit + 1, dtype=np.uint64)
-    cofactor = np.arange(limit + 1, dtype=np.uint32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if cofactor[p] != p:  # a smaller prime divides p
-            continue
-        view = psi_vals[p::p]
+    psi_vals = np.arange(lo, hi, dtype=np.uint64)
+    cofactor = np.arange(lo, hi, dtype=np.uint32)
+    for p in map(int, primes):
+        view = psi_vals[-lo % p :: p]
         np.floor_divide(view, p, out=view)
         view *= p + 1
         q = p
-        while q <= limit:
-            view = cofactor[q::q]
+        while q < hi:
+            view = cofactor[-lo % q :: q]
             np.floor_divide(view, p, out=view)
             q *= p
-    # n <= limit has at most one prime factor above sqrt(limit), to the first
+    # n < hi has at most one prime factor above sqrt(hi - 1), to the first
     # power, so the cofactor is 1 or that prime c, still a factor of psi_vals
-    c = cofactor[1:]
-    np.floor_divide(psi_vals[1:], c, out=psi_vals[1:])
+    skip = int(lo == 0)  # 0 is a multiple of every q: its cofactor is 0
+    c = cofactor[skip:]
+    np.floor_divide(psi_vals[skip:], c, out=psi_vals[skip:])
     c += c > 1
-    psi_vals[1:] *= c
-    psi_vals.flags.writeable = False
-    return PsiSieve(limit=limit, psi=psi_vals)
+    psi_vals[skip:] *= c
+    return psi_vals
 
 
 def factorize(n: int) -> Factorization:

@@ -30,6 +30,7 @@ from .arith import (
     factorize,
     is_perfect_kth_power,
     psi,
+    psi_segment,
 )
 from .tuples import Solution, kind_by_name
 
@@ -50,10 +51,17 @@ __all__ = [
 
 _QUADRATIC_TRIPLE = kind_by_name("quadratic-triple")
 
-# x per window of the Theorem-1 scan kernel.  A window holds a few int64
-# arrays of this length, so the scan's memory does not grow with the limit
-# beyond the sieve itself.
-_SCAN_WINDOW = 1 << 14
+# x per window of the Theorem-1 scan kernel.  Forming a window peaks at
+# about 102 bytes per x (tracemalloc), so 4096 x keep one window near 0.4
+# MB; windows of 8192 or 16384 x were no faster.
+_SCAN_WINDOW = 1 << 12
+# x per psi segment of the scan without a covering sieve: the power of two
+# at or above the larger of _SEGMENT_MIN and _SEGMENT_PER_PRIME times the
+# number of primes up to sqrt(limit), so that psi_segment's per-prime
+# slicing stays a few percent of the kernel (32768 up to about 5.3e5,
+# 131072 at 1e7, 2**20 at 1e9), rounded up to a multiple of _SCAN_WINDOW.
+_SEGMENT_MIN = 1 << 15
+_SEGMENT_PER_PRIME = 256
 
 
 class PairCase(Enum):
@@ -359,11 +367,29 @@ def _pair_window(lo: int, psi_window: np.ndarray) -> _PairWindow:
     return _PairWindow(x, u, v, d, u1, v1, case, witness, suspect)
 
 
-def _pair_windows(sieve: PsiSieve, limit: int) -> Iterator[_PairWindow]:
-    """The kernel over 2..limit, one window of _SCAN_WINDOW x at a time."""
-    for lo in range(2, limit + 1, _SCAN_WINDOW):
-        hi = min(lo + _SCAN_WINDOW, limit + 1)
-        yield _pair_window(lo, sieve.psi[lo:hi])
+def _segment_length(nprimes: int) -> int:
+    """x per psi segment when nprimes primes lie up to sqrt(limit)."""
+    n = 1 << (max(_SEGMENT_MIN, _SEGMENT_PER_PRIME * nprimes) - 1).bit_length()
+    return -(-n // _SCAN_WINDOW) * _SCAN_WINDOW
+
+
+def _pair_windows(sieve: PsiSieve | None, limit: int) -> Iterator[_PairWindow]:
+    """The kernel over 2..limit, one window of _SCAN_WINDOW x at a time.
+
+    psi comes one segment at a time: a slice of sieve when it covers limit,
+    else psi_segment with the primes up to sqrt(limit), which are the
+    primes of build_sieve(isqrt(limit)).  Either way the scan holds one
+    segment and one window's temporaries, whatever the limit.
+    """
+    covered = sieve is not None and sieve.limit >= limit
+    primes = () if covered else build_sieve(math.isqrt(limit)).primes()
+    step = _segment_length(len(primes))
+    for lo in range(2, limit + 1, step):
+        hi = min(lo + step, limit + 1)
+        psi_lo = sieve.psi[lo:hi] if covered else psi_segment(lo, hi, primes)
+        for start in range(0, hi - lo, _SCAN_WINDOW):
+            yield _pair_window(lo + start, psi_lo[start : start + _SCAN_WINDOW])
+        del psi_lo  # freed before the next segment is built
 
 
 def verify_theorem1(limit: int, sieve: PsiSieve | None = None) -> TheoremScan:
@@ -371,17 +397,17 @@ def verify_theorem1(limit: int, sieve: PsiSieve | None = None) -> TheoremScan:
     positive perfect square.
 
     A numpy kernel checks the pair_obstruction identities and the square
-    tests window by window.  Any x it cannot clear, because an identity
-    fails or u1 and v1 are both squares, is listed in failures, and
-    pair_obstruction is asked for its report: a failure that still gets a
-    witness there means the kernel and the scalar path disagree.
+    tests window by window, on psi from sieve when it covers limit and
+    otherwise from a segmented sieve (_pair_windows), so that memory does
+    not grow with the limit.  Any x the kernel cannot clear, because an
+    identity fails or u1 and v1 are both squares, is listed in failures,
+    and pair_obstruction is asked for its report: a failure that still
+    gets a witness there means the kernel and the scalar path disagree.
     """
     if limit < 2:
         raise InputError("limit must be >= 2")
     if limit >= 2**32:
         raise InputError(f"limit {limit} must be below 2**32: the scan kernel needs psi(x) < 4x")
-    if sieve is None or sieve.limit < limit:
-        sieve = build_sieve(limit)
     cases = np.zeros(len(PairCase), dtype=np.int64)
     cleared = 0
     witnesses: dict[str, int] = {}
@@ -396,6 +422,7 @@ def verify_theorem1(limit: int, sieve: PsiSieve | None = None) -> TheoremScan:
             except (ValueError, ArithmeticError):
                 continue
             witnesses[kind] = witnesses.get(kind, 0) + 1
+        del w  # freed before the next window is formed
     if cleared:
         witnesses["non-square"] = witnesses.get("non-square", 0) + cleared
     return TheoremScan(

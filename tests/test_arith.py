@@ -13,7 +13,9 @@ from psituples import (
     int_kth_root,
     is_perfect_kth_power,
     psi,
+    psi_segment,
 )
+from psituples import arith
 from psituples.arith import _INT64_ROOT_MAX, _exact_root_vec, _floor_root_vec
 
 
@@ -184,6 +186,85 @@ def test_psi_sieve_at_edge_limits(limit):
     sieve = build_sieve(limit)
     assert sieve.psi.tolist() == [0] + [psi(n) for n in range(1, limit + 1)]
     assert sieve.psi.nbytes == 8 * (limit + 1)
+
+
+# --- psi segments -------------------------------------------------------------
+
+
+def primes_to(n: int) -> list[int]:
+    return np.flatnonzero(eratosthenes(n)).tolist() if n >= 2 else []
+
+
+def test_sieve_primes_are_the_primes(sieve_100k):
+    assert build_sieve(1).primes().tolist() == []
+    assert sieve_100k.primes().tolist() == primes_to(100_000)
+
+
+def segment_edges(top: int) -> list[tuple[int, int]]:
+    """(lo, hi) pairs whose edges fall where psi_segment could slip: lo = 1,
+    length 1, primes, p**2 - 1 / p**2 / p**2 + 1, powers of two and p**k."""
+    points = set()
+    for p in primes_to(math.isqrt(top)):
+        points.update((p, p * p - 1, p * p, p * p + 1))
+        q = p
+        while q <= top:
+            points.add(q)
+            q *= p
+    points.update((9973, 10007, 99991))  # primes above sqrt(top)
+    points = sorted(n for n in points if 1 <= n <= top)
+    edges = [(1, 2), (1, 100), (1, top + 1)]
+    edges += [(n, n + 1) for n in points]  # length 1
+    edges += [(n, min(n + 37, top + 1)) for n in points[::3]]  # starting on an edge
+    edges += [(max(n - 36, 1), n + 1) for n in points[1::3]]  # ending on an edge
+    edges += [(n, m + 1) for n, m in zip(points[::5], points[4::5])]  # both
+    return edges
+
+
+def test_psi_segment_equals_build_sieve_and_trial_division(sieve_100k):
+    # each segment gets exactly the primes up to sqrt(hi - 1)
+    table = sieve_100k.psi.tolist()
+    for lo, hi in segment_edges(100_000):
+        got = psi_segment(lo, hi, primes_to(math.isqrt(hi - 1)))
+        assert got.dtype == np.uint64 and got.size == hi - lo
+        assert got.tolist() == table[lo:hi], (lo, hi)
+        if hi - lo <= 37:
+            assert got.tolist() == [psi(n) for n in range(lo, hi)], (lo, hi)
+
+
+def test_psi_segment_takes_surplus_primes_and_an_array(sieve_100k):
+    primes = build_sieve(math.isqrt(100_000)).primes()
+    assert psi_segment(50_000, 70_001, primes).tolist() == sieve_100k.psi[50_000:70_001].tolist()
+    assert psi_segment(10, 20, primes).tolist() == [psi(n) for n in range(10, 20)]
+    assert psi_segment(0, 5, [2]).tolist() == [0, 1, 3, 4, 6]  # psi(0) is 0
+
+
+def test_psi_segment_at_the_uint32_top():
+    # 2**32 - 1 = 3 * 5 * 17 * 257 * 65537; the cofactors are uint32
+    primes = primes_to(65_535)
+    top = 2**32
+    got = psi_segment(top - 200, top, primes).tolist()
+    assert got == [psi(n) for n in range(top - 200, top)]
+    assert got[-1] == 4 * 6 * 18 * 258 * 65538
+
+
+def test_psi_segment_refuses_bad_ranges():
+    for lo, hi in ((5, 5), (6, 5), (-1, 3), (2**32 - 1, 2**32 + 1)):
+        with pytest.raises(ValueError, match="psi segment"):
+            psi_segment(lo, hi, [2, 3])
+
+
+def test_psi_segment_over_the_budget_allocates_nothing(monkeypatch):
+    # 13 B per entry at the peak: a budget one byte short refuses, exactly
+    # enough runs
+    arange = np.arange
+    calls = []
+    monkeypatch.setattr(np, "arange", lambda *a, **k: calls.append(a) or arange(*a, **k))
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 13 * 1000 - 1)
+    with pytest.raises(ValueError, match="needs 13000 bytes, over the memory budget of 12999"):
+        psi_segment(1000, 2000, primes_to(44))
+    assert calls == []
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 13 * 1000)
+    assert psi_segment(1000, 2000, primes_to(44)).tolist() == [psi(n) for n in range(1000, 2000)]
 
 
 # --- integer roots ----------------------------------------------------------

@@ -359,12 +359,16 @@ def test_theorem1_limit_past_the_kernel_is_refused_before_the_sieve(capsys, monk
 
 
 def test_theorem1_sieve_over_the_memory_budget_exits_2(capsys, monkeypatch):
-    # the sieve's build peaks at 13 B per entry of 0..limit
-    monkeypatch.setattr(importlib.import_module("psituples.arith"), "_memory_budget",
-                        lambda: 10**6)
+    # the scan builds psi one segment at a time; a segment peaks at 13 B per
+    # x, and below 5.3e5 a segment is 32768 x: 425984 bytes
+    arith = importlib.import_module("psituples.arith")
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 425983)
     code, out, err = run(capsys, "theorem1", "100000")
     assert code == 2 and out == ""
-    assert "needs 1300013 bytes, over the memory budget of 1000000 bytes" in err
+    assert "[2, 32770) needs 425984 bytes, over the memory budget of 425983 bytes" in err
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 425984)
+    code, out, _ = run(capsys, "theorem1", "100000")
+    assert code == 0 and out.startswith("checked:  99999\nfailures: []\n")
 
 
 def test_theorem1_command(capsys, monkeypatch):

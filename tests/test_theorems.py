@@ -1,6 +1,7 @@
 """Theorem lab: pair obstructions, the exhaustive scan, equal-pair branches."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -170,9 +171,82 @@ def test_verify_theorem1_histograms(sieve_100k, scalar_100k, limit):
     assert verify_theorem1(limit, build_sieve(limit - 1)) == expected  # rebuilt
 
 
+# (limit, window, _SEGMENT_MIN): segments of 4 or 64 x, rounded up to a
+# multiple of the window, so that a segment ends where a window does or is
+# a single window.  At 65537, windows of 1 and 2 take ~15 s per scan.
+SEGMENTED_CASES = [
+    (limit, window, segment)
+    for limit in (2, 3, 4, 2003, 2004)
+    for window in (1, 2, 7)
+    for segment in (3, 40)
+] + [(65537, 7, 40), (65537, 4096, 3)]
+
+
+@pytest.mark.parametrize("limit, window, segment", SEGMENTED_CASES)
+def test_segmented_scan_equals_the_sieve_fed_scan(
+    monkeypatch, sieve_100k, scalar_100k, limit, window, segment
+):
+    monkeypatch.setattr(theorems, "_SCAN_WINDOW", window)
+    monkeypatch.setattr(theorems, "_SEGMENT_MIN", segment)
+    monkeypatch.setattr(theorems, "_SEGMENT_PER_PRIME", 0)
+    scan = verify_theorem1(limit)  # equality covers both histograms
+    assert scan == verify_theorem1(limit, sieve_100k) == expected_scan(scalar_100k[: limit - 1])
+    if limit <= 2004:
+        assert kernel_rows(None, limit) == scalar_100k[: limit - 1]
+
+
+def test_segment_length():
+    # a power of two past 256 x per prime up to sqrt(limit), at least 32768
+    assert theorems._SCAN_WINDOW == 4096
+    assert [theorems._segment_length(n) for n in (0, 128, 129, 446, 3401)] == [
+        32768, 32768, 65536, 131072, 2**20,  # 446 primes to sqrt(1e7), 3401 to sqrt(1e9)
+    ]
+
+
+def scan_peak(limit):
+    tracemalloc.start()
+    try:
+        verify_theorem1(limit)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_segmented_scan_memory_does_not_grow_with_the_limit(monkeypatch):
+    # tracemalloc sees numpy's buffers.  The peak is the larger of a segment
+    # being built (13 B per x) and a segment's psi (8 B per x) with one
+    # window's temporaries (test below): 0.68 MB at 2**18 and 0.94 MB at
+    # 2**21 (numpy 2.4), where a whole sieve would take 3.4 and 27 MB.
+    verify_theorem1(100)  # first-call allocations stay out of the peaks
+    for limit in (2**18, 2**21):
+        segment = theorems._segment_length(len(build_sieve(math.isqrt(limit)).primes()))
+        bound = max(13 * segment, 8 * segment + 112 * theorems._SCAN_WINDOW) + 2**16
+        assert scan_peak(limit) <= bound, limit
+    # with the segment held at 32768 x the peak is the same at both limits
+    monkeypatch.setattr(theorems, "_SEGMENT_PER_PRIME", 0)
+    low, high = scan_peak(2**18), scan_peak(2**21)
+    assert abs(high - low) <= 2**13
+
+
+def test_pair_window_peaks_below_112_bytes_per_x(sieve_100k):
+    # the 51 B per x of the _PairWindow fields plus the kernel's
+    # temporaries: 101.5 B per x with numpy 2.4
+    n = theorems._SCAN_WINDOW
+    _pair_window(2, sieve_100k.psi[2 : 2 + n])
+    tracemalloc.start()
+    try:
+        _pair_window(2, sieve_100k.psi[2 : 2 + n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 112 * n
+
+
 def test_theorem1_histograms_to_one_million(sieve_1m):
-    # frozen from the scalar _classify_shape over the same range
+    # frozen from the scalar _classify_shape over the same range; the scan
+    # without a sieve, from psi segments, must give the same
     scan = verify_theorem1(1_000_000, sieve_1m)
+    assert verify_theorem1(1_000_000) == scan
     assert scan.cases == {
         "PowerOfTwo": 19,
         "OddOnly": 499_999,
