@@ -8,6 +8,7 @@ immutable and safe to share across threads and processes.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import os
 from operator import attrgetter
@@ -37,15 +38,20 @@ class _Record:
     """Base of the package's immutable value classes.
 
     A subclass lists its two or more fields, in order, as __slots__, and
-    its __init__ sets each one with self._set(name, value).  From the slots
-    this base gives what a frozen dataclass gives: equality and hash over
-    the field tuple, the dataclass repr, pickling through the constructor,
-    and AttributeError on assignment or deletion.
+    the defaults of its trailing fields, if it has any, in _defaults.  The
+    __init__ here binds arguments to the slots as a written-out signature
+    would, TypeError included; a subclass writes its own __init__ only to
+    validate input or to make a fresh default, and passes the fields on to
+    this one.  From the slots this base gives what a frozen dataclass
+    gives: the signature help() shows, equality and hash over the field
+    tuple, the dataclass repr, pickling through the constructor, and
+    AttributeError on assignment or deletion.
     """
 
     # A plain class costs nothing to define, where a dataclass execs about
     # six generated methods per class at import, in every process.
     __slots__ = ()
+    _defaults: dict[str, object] = {}
 
     # object.__setattr__, bound to the instance: the one way past the
     # __setattr__ below, and cheaper per call than naming it in full.
@@ -54,6 +60,37 @@ class _Record:
     def __init_subclass__(cls) -> None:
         # the field tuple; attrgetter returns a tuple for two or more names
         cls._values = attrgetter(*cls.__slots__)
+        if cls.__init__ is _Record.__init__:
+            # raises ValueError if a field without a default follows one with
+            kind, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+            cls.__signature__ = inspect.Signature(
+                inspect.Parameter(name, kind, default=cls._defaults.get(name, empty))
+                for name in cls.__slots__
+            )
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        if kwargs or len(args) != len(self.__slots__):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self.__slots__, args):
+            self._set(name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict[str, object]) -> tuple:
+        """Every field's value in slot order, or the TypeError of a
+        written-out signature."""
+        names, call = cls.__slots__, f"{cls.__qualname__}()"
+        if len(args) > len(names):
+            raise TypeError(f"{call} takes {len(names)} arguments but {len(args)} were given")
+        rest = names[len(args) :]
+        for name in kwargs:
+            if name not in rest:
+                problem = "multiple values for" if name in names else "an unexpected keyword"
+                raise TypeError(f"{call} got {problem} argument {name!r}")
+        given = {**cls._defaults, **kwargs}
+        missing = [name for name in rest if name not in given]
+        if missing:
+            raise TypeError(f"{call} missing required arguments {missing}")
+        return args + tuple(given[name] for name in rest)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -85,10 +122,6 @@ class Factorization(_Record):
 
     __slots__ = ("n", "factors")
 
-    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]) -> None:
-        self._set("n", n)
-        self._set("factors", factors)
-
     def distinct_primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
@@ -111,10 +144,6 @@ class PsiSieve(_Record):
     """
 
     __slots__ = ("limit", "psi")
-
-    def __init__(self, limit: int, psi: np.ndarray) -> None:
-        self._set("limit", limit)
-        self._set("psi", psi)
 
     def primes(self) -> np.ndarray:
         """The primes up to limit: the n with psi(n) = n + 1, as int64."""

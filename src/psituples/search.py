@@ -73,9 +73,7 @@ class SearchConfig(_Record):
             raise InputError("bound must be >= 1")
         if jobs < 1:
             raise InputError("jobs must be >= 1")
-        self._set("kind", kind)
-        self._set("bound", bound)
-        self._set("jobs", jobs)
+        super().__init__(kind, bound, jobs)
 
 
 class SearchWorkerError(RuntimeError):
@@ -87,10 +85,6 @@ class PsiClassIndex(_Record):
     """Map psi value -> sorted list of all n <= bound with that psi."""
 
     __slots__ = ("bound", "classes")
-
-    def __init__(self, bound: int, classes: dict[int, list[int]]) -> None:
-        self._set("bound", bound)
-        self._set("classes", classes)
 
 
 def build_class_index(sieve: PsiSieve, bound: int | None = None) -> PsiClassIndex:
@@ -377,14 +371,6 @@ class _ClassRuns(_Record):
     """
 
     __slots__ = ("ns", "psis", "run_end", "tuple_start")
-
-    def __init__(
-        self, ns: np.ndarray, psis: np.ndarray, run_end: np.ndarray, tuple_start: np.ndarray
-    ) -> None:
-        self._set("ns", ns)
-        self._set("psis", psis)
-        self._set("run_end", run_end)
-        self._set("tuple_start", tuple_start)
 
 
 def _build_class_runs(sieve: PsiSieve, bound: int, equal: int) -> _ClassRuns:

@@ -10,7 +10,7 @@ informational extras, never as errors.
 from __future__ import annotations
 
 from .arith import PsiSieve, _Record
-from .tuples import Solution, TupleKind, kind_by_name, verify_solution
+from .tuples import kind_by_name, verify_solution
 from .search import SearchConfig, search
 
 __all__ = ["TableSpec", "TableDiff", "TABLES", "reproduce_table"]
@@ -18,18 +18,6 @@ __all__ = ["TableSpec", "TableDiff", "TABLES", "reproduce_table"]
 
 class TableSpec(_Record):
     __slots__ = ("table_id", "kind", "rows", "default_bound")
-
-    def __init__(
-        self,
-        table_id: int,
-        kind: TupleKind,
-        rows: tuple[tuple[int, ...], ...],
-        default_bound: int,
-    ) -> None:
-        self._set("table_id", table_id)
-        self._set("kind", kind)
-        self._set("rows", rows)
-        self._set("default_bound", default_bound)
 
     def split_row(self, row: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         e = self.kind.equal
@@ -150,22 +138,6 @@ class TableDiff(_Record):
     """
 
     __slots__ = ("table_id", "bound", "matched", "extra", "missing", "out_of_range")
-
-    def __init__(
-        self,
-        table_id: int,
-        bound: int,
-        matched: tuple[Solution, ...],
-        extra: tuple[Solution, ...],
-        missing: tuple[tuple[int, ...], ...],
-        out_of_range: tuple[tuple[tuple[int, ...], bool], ...],
-    ) -> None:
-        self._set("table_id", table_id)
-        self._set("bound", bound)
-        self._set("matched", matched)
-        self._set("extra", extra)
-        self._set("missing", missing)
-        self._set("out_of_range", out_of_range)
 
     @property
     def ok(self) -> bool:

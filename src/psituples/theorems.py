@@ -86,11 +86,6 @@ class Witness(_Record):
 
     __slots__ = ("kind", "description", "values")
 
-    def __init__(self, kind: str, description: str, values: tuple[tuple[str, int], ...]) -> None:
-        self._set("kind", kind)
-        self._set("description", description)
-        self._set("values", values)
-
     def get(self, name: str) -> int:
         for key, val in self.values:
             if key == name:
@@ -100,26 +95,6 @@ class Witness(_Record):
 
 class PairObstructionReport(_Record):
     __slots__ = ("x", "u", "v", "d", "u1", "v1", "case_id", "obstruction")
-
-    def __init__(
-        self,
-        x: int,
-        u: int,
-        v: int,
-        d: int,
-        u1: int,
-        v1: int,
-        case_id: PairCase,
-        obstruction: Witness,
-    ) -> None:
-        self._set("x", x)
-        self._set("u", u)
-        self._set("v", v)
-        self._set("d", d)
-        self._set("u1", u1)
-        self._set("v1", v1)
-        self._set("case_id", case_id)
-        self._set("obstruction", obstruction)
 
 
 def _classify_shape(x: int) -> tuple[PairCase, int, tuple[int, ...]]:
@@ -290,10 +265,9 @@ class TheoremScan(_Record):
         cases: dict[str, int] | None = None,
         witnesses: dict[str, int] | None = None,
     ) -> None:
-        self._set("checked", checked)
-        self._set("failures", failures)
-        self._set("cases", {} if cases is None else cases)
-        self._set("witnesses", {} if witnesses is None else witnesses)
+        cases = {} if cases is None else cases
+        witnesses = {} if witnesses is None else witnesses
+        super().__init__(checked, failures, cases, witnesses)
 
     def __hash__(self) -> int:
         return hash((self.checked, self.failures))
@@ -469,28 +443,7 @@ class Theorem2Report(_Record):
     """
 
     __slots__ = ("a", "branch", "A", "B", "F", "P", "Q", "H", "c")
-
-    def __init__(
-        self,
-        a: int,
-        branch: EqualPairBranch,
-        A: int | None = None,
-        B: int | None = None,
-        F: int | None = None,
-        P: int | None = None,
-        Q: int | None = None,
-        H: int | None = None,
-        c: int | None = None,
-    ) -> None:
-        self._set("a", a)
-        self._set("branch", branch)
-        self._set("A", A)
-        self._set("B", B)
-        self._set("F", F)
-        self._set("P", P)
-        self._set("Q", Q)
-        self._set("H", H)
-        self._set("c", c)
+    _defaults = dict.fromkeys(__slots__[2:])  # None for every field after branch
 
 
 def classify_equal_pair(a: int, sieve: PsiSieve | None = None) -> Theorem2Report:

@@ -42,10 +42,7 @@ class TupleKind(_Record):
             raise InputError("power must be in 2..5")
         if equal < 1 or free < 1:
             raise InputError("equal and free class sizes must be >= 1")
-        self._set("power", power)
-        self._set("equal", equal)
-        self._set("free", free)
-        self._set("name", name)
+        super().__init__(power, equal, free, name)
 
     def signature(self) -> tuple[int, int, int]:
         return (self.power, self.equal, self.free)
@@ -87,34 +84,11 @@ class VerifyReport(_Record):
 
     __slots__ = ("ok", "psi_values", "lhs", "rhs", "discrepancy")
 
-    def __init__(
-        self, ok: bool, psi_values: tuple[int, ...], lhs: int, rhs: int, discrepancy: int
-    ) -> None:
-        self._set("ok", ok)
-        self._set("psi_values", psi_values)
-        self._set("lhs", lhs)
-        self._set("rhs", rhs)
-        self._set("discrepancy", discrepancy)
-
 
 class Solution(_Record):
     """A verified tuple in canonical form (both entry lists non-decreasing)."""
 
     __slots__ = ("kind", "equal_entries", "free_entries", "psi_value", "target")
-
-    def __init__(
-        self,
-        kind: TupleKind,
-        equal_entries: tuple[int, ...],
-        free_entries: tuple[int, ...],
-        psi_value: int,
-        target: int,
-    ) -> None:
-        self._set("kind", kind)
-        self._set("equal_entries", equal_entries)
-        self._set("free_entries", free_entries)
-        self._set("psi_value", psi_value)
-        self._set("target", target)
 
     def sort_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.equal_entries, self.free_entries)

@@ -8,6 +8,7 @@ public signature.
 
 import copy
 import importlib
+import inspect
 import pickle
 
 import numpy as np
@@ -36,6 +37,7 @@ from psituples import (
 )
 
 _ClassRuns = importlib.import_module("psituples.search")._ClassRuns
+_Record = importlib.import_module("psituples.arith")._Record
 
 _KIND = kind_by_name("cubic-triple")
 _SIEVE = build_sieve(10)
@@ -111,6 +113,23 @@ def test_record_contract(cls, names, values, required, defaults, hashable, chang
         if isinstance(getattr(short, name), dict):
             assert getattr(short, name) is not getattr(cls(*values[:required]), name)
 
+    # the TypeErrors of a written-out signature
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(*values[: required - 1])
+    with pytest.raises(TypeError):
+        cls(*values, no_such_field=1)
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: values[0]})
+
+    # help() lists the fields in order; a default None stands for a fresh dict
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == list(names)
+    assert all(p.default is p.empty for p in params[:required])
+    for p, default in zip(params[required:], defaults):
+        assert p.default == default or (p.default is None and default == {})
+
     for name in names:
         with pytest.raises(AttributeError):
             setattr(rec, name, values[0])
@@ -135,6 +154,16 @@ def test_record_contract(cls, names, values, required, defaults, hashable, chang
     for clone in (pickle.loads(pickle.dumps(rec)), copy.copy(rec)):
         assert type(clone) is cls and _holds(clone, names, values)
     assert copy.copy(rec) == rec
+
+
+def test_every_record_has_a_contract_row():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    defined = {c for c in subclasses(_Record) if c.__module__.startswith("psituples.")}
+    assert defined == {spec[0] for spec in RECORDS}
 
 
 def test_theorem_scan_hash_ignores_counts():
