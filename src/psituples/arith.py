@@ -11,7 +11,7 @@ import functools
 import inspect
 import math
 import os
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import NoReturn
 
 import numpy as np
@@ -122,8 +122,10 @@ class Factorization(_Record):
 
     __slots__ = ("n", "factors")
 
-    def distinct_primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
+    def psi(self) -> int:
+        """Dedekind psi of n: n * prod(1 + 1/p) over its distinct primes p."""
+        primes = [p for p, _ in self.factors]
+        return self.n // math.prod(primes) * math.prod(p + 1 for p in primes)
 
     def odd_primes(self) -> tuple[int, ...]:
         """Distinct odd primes (the odd radical's support)."""
@@ -243,13 +245,22 @@ def psi_segment(lo: int, hi: int, primes) -> np.ndarray:
     return psi_vals
 
 
+def _as_int(value: object) -> int:
+    """value as a Python int (numpy integers pass); InputError otherwise."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InputError(f"expected an integer, got {value!r}") from None
+
+
 def factorize(n: int) -> Factorization:
     """Factor n into (prime, exponent) pairs with primes increasing.
 
     Trial division by 2, 3 and then 6k +- 1 up to sqrt(n): about 0.4 ms for
     n near 2**32.  Only the scalar explainers call it; the batch kernels
-    read the sieve's psi table.
+    build the psi sieve.
     """
+    n = _as_int(n)
     if n < 1:
         raise InputError("factorize requires n >= 1")
     original = n
@@ -275,19 +286,12 @@ def factorize(n: int) -> Factorization:
     return Factorization(original, tuple(factors))
 
 
-def psi(n: int, sieve: PsiSieve | None = None) -> int:
+def psi(n: int) -> int:
     """Dedekind psi: psi(n) = n * prod(1 + 1/p) over distinct primes p | n.
 
-    psi(1) == 1.  Exact for any positive n; uses the sieve when it covers n.
+    psi(1) == 1.  Exact for any positive integer n, by trial division.
     """
-    if n < 1:
-        raise InputError("psi requires n >= 1")
-    if sieve is not None and n <= sieve.limit:
-        return int(sieve.psi[n])
-    result = n
-    for p, _ in factorize(n).factors:
-        result = result // p * (p + 1)
-    return result
+    return factorize(n).psi()
 
 
 def int_kth_root(x: int, k: int) -> int:

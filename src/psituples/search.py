@@ -3,10 +3,10 @@
 Every kind runs one kernel.  It sorts 1..N by psi value, so that each psi
 class is one run, enumerates the equal-class multisets of every class as
 arrays, block by block, and forms their residuals psi**p - sum(a**p): in
-int64 where that is exact, as Python ints otherwise.  One free entry is
-one perfect-power test of the int64 residuals, two are split off them by
-_split_pairs; every other residual is decomposed on its own into f k-th
-powers.  Four free entries join one pair-sum table, sized once per search
+int64 in each block where that is exact, as Python ints in the others.
+One free entry is one perfect-power test of the int64 residuals, two are
+split off them by _split_pairs; every other residual is decomposed on
+its own into f k-th powers.  Four free entries join one pair-sum table, sized once per search
 for the largest residual, and _split_pairs recovers the pairs of the sums
 the join matched.  A table past int64 or the memory budget is refused up
 front with InputError, as is a search whose sieve and class runs alone
@@ -348,16 +348,6 @@ def _needs_pair_table(kind: TupleKind, runs: _ClassRuns) -> _PairSumTable | None
 # --- the equal-class kernel ------------------------------------------------
 
 
-def _kernel_fits_int64(max_psi: int, power: int, equal: int) -> bool:
-    """Whether the kernel's int64 residuals are exact (else it uses Python ints).
-
-    The kernel forms psi**p and subtracts `equal` terms a**p, where every
-    class member has a <= psi(a) <= max_psi.  When equal * max_psi**p fits,
-    so do both, and every partial residual lies in (-2**63, 2**63).
-    """
-    return equal * max_psi**power <= _INT64_MAX
-
-
 class _ClassRuns(_Record):
     """1..bound sorted by (psi, n), so that each psi class is one run.
 
@@ -445,7 +435,7 @@ def _split_pairs(
 
 
 def _search_runs(
-    kind: TupleKind, runs: _ClassRuns, table: _PairSumTable | None, fits: bool, lo: int, hi: int
+    kind: TupleKind, runs: _ClassRuns, table: _PairSumTable | None, lo: int, hi: int
 ) -> list[Solution]:
     """All solutions whose equal-class multiset has its first position in
     lo..hi-1.
@@ -453,12 +443,13 @@ def _search_runs(
     Each block of about _KERNEL_BLOCK multisets is expanded to position
     arrays, one equal entry at a time: every position is repeated once per
     later position of its run, and an offset counts through them.  The
-    residuals psi**p - sum(a**p) are formed in int64 when fits (the search
-    decides it once, by _kernel_fits_int64), and as Python ints in object
-    arrays otherwise.  With one free entry, the positive int64 residuals
-    take one perfect-power test; with two, _split_pairs splits them.  Every
-    other residual of at least `free` goes to decompose_sum_of_powers, with
-    the shared pair-sum table.
+    residuals psi**p - sum(a**p) are formed in int64 where the block's
+    largest psi v, that of its last position, has e * v**p <= 2**63 - 1
+    (each entry a has a <= psi(a) <= v, so every partial residual fits),
+    and as Python ints in object arrays otherwise.  With one free entry,
+    the positive int64 residuals take one perfect-power test; with two,
+    _split_pairs splits them.  Every other residual of at least `free`
+    goes to decompose_sum_of_powers, with the shared pair-sum table.
     """
     p, e, f = kind.power, kind.equal, kind.free
     out: list[Solution] = []
@@ -476,6 +467,7 @@ def _search_runs(
             cols = [c[owner] for c in cols]
             cols.append(nxt)
             del last, counts, owner, shift  # not held while the residuals form
+        fits = e * int(runs.psis[b_hi - 1]) ** p <= _INT64_MAX
         residual = runs.psis[cols[0]]
         if not fits:
             residual = residual.astype(object)
@@ -546,37 +538,32 @@ def _check_plan_memory(bound: int) -> None:
 
 
 def _search_chunk(kind: TupleKind, chunk: tuple[int, int], state: tuple) -> list[Solution]:
-    return _search_runs(kind, *state, *chunk)  # state is (runs, table, fits)
+    return _search_runs(kind, *state, *chunk)  # state is (runs, table)
 
 
 def search(
-    config: SearchConfig,
-    sieve: PsiSieve | None = None,
-    progress: Callable[[int, int, list[Solution]], None] | None = None,
+    config: SearchConfig, *, progress: Callable[[int, int, list[Solution]], None] | None = None
 ) -> list[Solution]:
     """All canonical solutions of config.kind with equal-class max <= bound.
 
     Deterministic for any jobs value: the outer space is split into fixed
     contiguous chunks, each chunk runs the same code in this process or in
     a forked child, and the merged list is sorted canonically.  This
-    process builds the class runs and the pair-sum table once and is one
-    of the jobs processes: jobs is clamped to the usable CPUs and to
-    _MAX_JOBS, and to 1 where os.fork is missing.  With more than one
-    chunk, this process forks min(jobs, chunks) - 1 children, which
-    inherit both (_pool_parts).  progress (if given) is called with (chunk_index,
-    chunk_count, chunk_solutions) in chunk order, once a chunk and all
-    before it are done.  A dead child raises SearchWorkerError; an
+    process builds its own sieve, then the class runs and the pair-sum
+    table once, and is one of the jobs processes: jobs is clamped to the
+    usable CPUs and to _MAX_JOBS, and to 1 where os.fork is missing.  With
+    more than one chunk, this process forks min(jobs, chunks) - 1
+    children, which inherit the runs and the table (_pool_parts).
+    progress (if given) is called with (chunk_index, chunk_count,
+    chunk_solutions) in chunk order, once a chunk and all before it are
+    done.  A dead child raises SearchWorkerError; an
     exception that a chunk raises in a child is raised here, as it would
     be with jobs 1.
     """
     kind, bound = config.kind, config.bound
     _check_plan_memory(bound)
-    if sieve is None or sieve.limit < bound:
-        sieve = build_sieve(bound)
-    runs = _build_class_runs(sieve, bound, kind.equal)
-    del sieve  # one this search built is freed here; the runs hold psi
-    fits = _kernel_fits_int64(int(runs.psis[-1]), kind.power, kind.equal)
-    state = (runs, _needs_pair_table(kind, runs), fits)
+    runs = _build_class_runs(build_sieve(bound), bound, kind.equal)
+    state = (runs, _needs_pair_table(kind, runs))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(config.jobs, cpus or 1, _MAX_JOBS) if hasattr(os, "fork") else 1
     chunks = _plan_chunks(runs, jobs)

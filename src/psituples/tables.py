@@ -9,7 +9,7 @@ informational extras, never as errors.
 
 from __future__ import annotations
 
-from .arith import PsiSieve, _Record
+from .arith import InputError, _Record
 from .tuples import kind_by_name, verify_solution
 from .search import SearchConfig, search
 
@@ -144,20 +144,17 @@ class TableDiff(_Record):
         return not self.missing and all(good for _, good in self.out_of_range)
 
 
-def reproduce_table(
-    table_id: int,
-    bound: int | None = None,
-    jobs: int = 1,
-    sieve: PsiSieve | None = None,
-) -> TableDiff:
+def reproduce_table(table_id: int, bound: int | None = None, jobs: int = 1) -> TableDiff:
     """Search at the table's (or given) bound and diff against the print.
 
     Printed rows beyond the bound are verified arithmetically rather than
-    searched for.
+    searched for.  An unknown table_id raises InputError.
     """
-    spec = TABLES[table_id]
+    spec = TABLES.get(table_id)
+    if spec is None:
+        raise InputError(f"unknown table {table_id!r}; known tables: {sorted(TABLES)}")
     bound = spec.default_bound if bound is None else bound
-    found = search(SearchConfig(kind=spec.kind, bound=bound, jobs=jobs), sieve=sieve)
+    found = search(SearchConfig(kind=spec.kind, bound=bound, jobs=jobs))
     in_range: list[tuple[tuple[int, ...], tuple]] = []  # (row, its canonical key)
     out_of_range: list[tuple[tuple[int, ...], bool]] = []
     for row in spec.rows:
@@ -165,7 +162,7 @@ def reproduce_table(
         if spec.row_in_range(row, bound):
             in_range.append((row, (tuple(sorted(equal)), tuple(sorted(free)))))
         else:
-            out_of_range.append((row, verify_solution(spec.kind, equal, free, sieve).ok))
+            out_of_range.append((row, verify_solution(spec.kind, equal, free).ok))
     printed = {key for _, key in in_range}
     matched = tuple(s for s in found if s.sort_key() in printed)
     extra = tuple(s for s in found if s.sort_key() not in printed)

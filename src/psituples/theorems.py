@@ -23,13 +23,11 @@ import numpy as np
 
 from .arith import (
     InputError,
-    PsiSieve,
     _exact_root_vec,
     _Record,
     build_sieve,
     factorize,
     is_perfect_kth_power,
-    psi,
     psi_segment,
 )
 from .tuples import Solution, kind_by_name
@@ -55,11 +53,11 @@ _QUADRATIC_TRIPLE = kind_by_name("quadratic-triple")
 # about 102 bytes per x (tracemalloc), so 4096 x keep one window near 0.4
 # MB; windows of 8192 or 16384 x were no faster.
 _SCAN_WINDOW = 1 << 12
-# x per psi segment of the scan without a covering sieve: the power of two
-# at or above the larger of _SEGMENT_MIN and _SEGMENT_PER_PRIME times the
-# number of primes up to sqrt(limit), so that psi_segment's per-prime
-# slicing stays a few percent of the kernel (32768 up to about 5.3e5,
-# 131072 at 1e7, 2**20 at 1e9), rounded up to a multiple of _SCAN_WINDOW.
+# x per psi segment of the scan: the power of two at or above the larger
+# of _SEGMENT_MIN and _SEGMENT_PER_PRIME times the number of primes up to
+# sqrt(limit), so that psi_segment's per-prime slicing stays a few percent
+# of the kernel (32768 up to about 5.3e5, 131072 at 1e7, 2**20 at 1e9),
+# rounded up to a multiple of _SCAN_WINDOW.
 _SEGMENT_MIN = 1 << 15
 _SEGMENT_PER_PRIME = 256
 
@@ -97,23 +95,28 @@ class PairObstructionReport(_Record):
     __slots__ = ("x", "u", "v", "d", "u1", "v1", "case_id", "obstruction")
 
 
-def _classify_shape(x: int) -> tuple[PairCase, int, tuple[int, ...]]:
-    """(case, exponent of 2, distinct odd primes) from the shape of x."""
+def _classify_shape(x: int) -> tuple[PairCase, tuple[int, ...], tuple[int, int, int, int, int]]:
+    """(case, distinct odd primes, (u, v, d, u1, v1)) from the one
+    factorization of x >= 2."""
+    if x < 2:
+        raise InputError("requires x >= 2: u = psi(x) - x is 0 at x = 1")
     fac = factorize(x)
-    k = fac.two_exponent()
-    odd = fac.odd_primes()
-    if k >= 1 and not odd:
-        return PairCase.POWER_OF_TWO, k, odd
-    if k == 0:
-        return PairCase.ODD_ONLY, k, odd
+    x, px = fac.n, fac.psi()
+    u, v = px - x, px + x
+    d = math.gcd(u, v)
+    parts, odd = (u, v, d, u // d, v // d), fac.odd_primes()
+    if not odd:
+        return PairCase.POWER_OF_TWO, odd, parts
+    if x % 2:
+        return PairCase.ODD_ONLY, odd, parts
     if odd == (3,):
-        return PairCase.TWO_THREE, k, odd
+        return PairCase.TWO_THREE, odd, parts
     if len(odd) == 1:
-        return PairCase.TWO_TIMES_PRIME_POWER, k, odd
-    return PairCase.GENERAL, k, odd
+        return PairCase.TWO_TIMES_PRIME_POWER, odd, parts
+    return PairCase.GENERAL, odd, parts
 
 
-def pair_obstruction(x: int, sieve: PsiSieve | None = None) -> PairObstructionReport:
+def pair_obstruction(x: int) -> PairObstructionReport:
     """Classify x into its shape case and certify psi(x)^2 - x^2 is not a
     positive perfect square.
 
@@ -122,15 +125,7 @@ def pair_obstruction(x: int, sieve: PsiSieve | None = None) -> PairObstructionRe
     congruence_witness and used as a fallback.  x == 1 is rejected: u = 0
     degenerates the whole setup.
     """
-    if x < 2:
-        raise InputError("pair obstruction requires x >= 2")
-    case, k, odd = _classify_shape(x)
-    px = psi(x, sieve)
-    u = px - x
-    v = px + x
-    d = math.gcd(u, v)
-    u1 = u // d
-    v1 = v // d
+    case, odd, (u, v, d, u1, v1) = _classify_shape(x)
     if is_perfect_kth_power(u1, 2) is None:
         witness = Witness(
             "non-square",
@@ -147,7 +142,7 @@ def pair_obstruction(x: int, sieve: PsiSieve | None = None) -> PairObstructionRe
         # Both parts are squares: u1*v1 = (y/d)^2 would be a square, i.e. a
         # genuine pair.  The case congruences below still refute it; if they
         # ever failed too we would be holding a counterexample.
-        witness = congruence_witness(x, sieve)
+        witness = _congruence_witness(case, odd, u1, v1)
         if not witness_holds(
             PairObstructionReport(x, u, v, d, u1, v1, case, witness)
         ):
@@ -155,17 +150,15 @@ def pair_obstruction(x: int, sieve: PsiSieve | None = None) -> PairObstructionRe
     return PairObstructionReport(x, u, v, d, u1, v1, case, witness)
 
 
-def congruence_witness(x: int, sieve: PsiSieve | None = None) -> Witness:
+def congruence_witness(x: int) -> Witness:
     """The case-specific congruence certificate for x, independent of any
     square test on u1/v1.  Mirrors the five-case analysis."""
-    if x < 2:
-        raise InputError("requires x >= 2")
-    case, k, odd = _classify_shape(x)
-    px = psi(x, sieve)
-    u = px - x
-    v = px + x
-    d = math.gcd(u, v)
-    u1, v1 = u // d, v // d
+    case, odd, (_, _, _, u1, v1) = _classify_shape(x)
+    return _congruence_witness(case, odd, u1, v1)
+
+
+def _congruence_witness(case: PairCase, odd: tuple[int, ...], u1: int, v1: int) -> Witness:
+    """congruence_witness from x's case, distinct odd primes, u1 and v1."""
     if case is PairCase.POWER_OF_TWO:
         # u1 = 1, v1 = 5 explicitly
         return Witness(
@@ -347,36 +340,34 @@ def _segment_length(nprimes: int) -> int:
     return -(-n // _SCAN_WINDOW) * _SCAN_WINDOW
 
 
-def _pair_windows(sieve: PsiSieve | None, limit: int) -> Iterator[_PairWindow]:
+def _pair_windows(limit: int) -> Iterator[_PairWindow]:
     """The kernel over 2..limit, one window of _SCAN_WINDOW x at a time.
 
-    psi comes one segment at a time: a slice of sieve when it covers limit,
-    else psi_segment with the primes up to sqrt(limit), which are the
-    primes of build_sieve(isqrt(limit)).  Either way the scan holds one
-    segment and one window's temporaries, whatever the limit.
+    psi comes one segment at a time from psi_segment, with the primes of
+    build_sieve(isqrt(limit)), so the scan holds one segment and one
+    window's temporaries, whatever the limit.
     """
-    covered = sieve is not None and sieve.limit >= limit
-    primes = () if covered else build_sieve(math.isqrt(limit)).primes()
+    primes = build_sieve(math.isqrt(limit)).primes()
     step = _segment_length(len(primes))
     for lo in range(2, limit + 1, step):
         hi = min(lo + step, limit + 1)
-        psi_lo = sieve.psi[lo:hi] if covered else psi_segment(lo, hi, primes)
+        psi_lo = psi_segment(lo, hi, primes)
         for start in range(0, hi - lo, _SCAN_WINDOW):
             yield _pair_window(lo + start, psi_lo[start : start + _SCAN_WINDOW])
         del psi_lo  # freed before the next segment is built
 
 
-def verify_theorem1(limit: int, sieve: PsiSieve | None = None) -> TheoremScan:
+def verify_theorem1(limit: int) -> TheoremScan:
     """Confirm for every 2 <= x <= limit that psi(x)^2 - x^2 is not a
     positive perfect square.
 
     A numpy kernel checks the pair_obstruction identities and the square
-    tests window by window, on psi from sieve when it covers limit and
-    otherwise from a segmented sieve (_pair_windows), so that memory does
-    not grow with the limit.  Any x the kernel cannot clear, because an
-    identity fails or u1 and v1 are both squares, is listed in failures,
-    and pair_obstruction is asked for its report: a failure that still
-    gets a witness there means the kernel and the scalar path disagree.
+    tests window by window, on psi from a segmented sieve (_pair_windows),
+    so that memory does not grow with the limit.  Any x the kernel cannot
+    clear, because an identity fails or u1 and v1 are both squares, is
+    listed in failures, and pair_obstruction, which factorizes x on its
+    own, is asked for its report: a failure that still gets a witness
+    there means the kernel and the scalar path disagree.
     """
     if limit < 2:
         raise InputError("limit must be >= 2")
@@ -386,13 +377,13 @@ def verify_theorem1(limit: int, sieve: PsiSieve | None = None) -> TheoremScan:
     cleared = 0
     witnesses: dict[str, int] = {}
     failures: list[int] = []
-    for w in _pair_windows(sieve, limit):
+    for w in _pair_windows(limit):
         cases += np.bincount(w.case, minlength=len(PairCase))
         cleared += int(np.count_nonzero(~w.suspect))
         for x in w.x[w.suspect].tolist():
             failures.append(x)
             try:
-                kind = pair_obstruction(x, sieve).obstruction.kind
+                kind = pair_obstruction(x).obstruction.kind
             except (ValueError, ArithmeticError):
                 continue
             witnesses[kind] = witnesses.get(kind, 0) + 1
@@ -446,7 +437,7 @@ class Theorem2Report(_Record):
     _defaults = dict.fromkeys(__slots__[2:])  # None for every field after branch
 
 
-def classify_equal_pair(a: int, sieve: PsiSieve | None = None) -> Theorem2Report:
+def classify_equal_pair(a: int) -> Theorem2Report:
     """Branch on the shape of a and compute the square obstruction data.
 
     The completing entry c is determined by direct arithmetic (not by
@@ -458,7 +449,7 @@ def classify_equal_pair(a: int, sieve: PsiSieve | None = None) -> Theorem2Report
     fac = factorize(a)
     k = fac.two_exponent()
     odd = fac.odd_primes()
-    pa = psi(a, sieve)
+    pa = fac.psi()
     gap = pa * pa - 2 * a * a
     c = is_perfect_kth_power(gap, 2) if gap > 0 else None
 

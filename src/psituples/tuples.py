@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from .arith import InputError, PsiSieve, _Record, psi
+from .arith import InputError, _as_int, _Record, psi
 
 __all__ = [
     "TupleKind",
@@ -95,14 +95,11 @@ class Solution(_Record):
 
 
 def verify_solution(
-    kind: TupleKind,
-    equal_entries: Sequence[int],
-    free_entries: Sequence[int],
-    sieve: PsiSieve | None = None,
+    kind: TupleKind, equal_entries: Sequence[int], free_entries: Sequence[int]
 ) -> VerifyReport:
     """Exact arithmetic check of the defining equation.
 
-    Entry counts must match the kind and all entries must be >= 1
+    Entry counts must match the kind and all entries must be integers >= 1
     (InputError otherwise).  Python integers keep every intermediate
     exact, so a failed check is always a genuine failure.
     """
@@ -112,10 +109,12 @@ def verify_solution(
         )
     if len(free_entries) != kind.free:
         raise InputError(f"expected {kind.free} free entries, got {len(free_entries)}")
+    equal_entries = [_as_int(a) for a in equal_entries]
+    free_entries = [_as_int(b) for b in free_entries]
     if any(a < 1 for a in equal_entries) or any(b < 1 for b in free_entries):
         raise InputError("all entries must be positive integers")
     p = kind.power
-    psis = tuple(psi(a, sieve) for a in equal_entries)
+    psis = tuple(psi(a) for a in equal_entries)
     lhs = psis[0] ** p
     rhs = sum(a**p for a in equal_entries) + sum(b**p for b in free_entries)
     same_psi = all(v == psis[0] for v in psis)
@@ -129,17 +128,14 @@ def verify_solution(
 
 
 def canonicalize(
-    kind: TupleKind,
-    equal_entries: Sequence[int],
-    free_entries: Sequence[int],
-    sieve: PsiSieve | None = None,
+    kind: TupleKind, equal_entries: Sequence[int], free_entries: Sequence[int]
 ) -> Solution:
     """Verify and return the canonical Solution (sorted entry lists).
 
     Raises InputError when verification fails; two solutions are equal
     iff their canonical forms are equal.
     """
-    report = verify_solution(kind, equal_entries, free_entries, sieve)
+    report = verify_solution(kind, equal_entries, free_entries)
     if not report.ok:
         raise InputError(
             f"not a valid solution: psi values {report.psi_values}, "
@@ -147,8 +143,8 @@ def canonicalize(
         )
     return Solution(
         kind=kind,
-        equal_entries=tuple(sorted(equal_entries)),
-        free_entries=tuple(sorted(free_entries)),
+        equal_entries=tuple(sorted(map(_as_int, equal_entries))),
+        free_entries=tuple(sorted(map(_as_int, free_entries))),
         psi_value=report.psi_values[0],
         target=report.lhs,
     )
@@ -198,16 +194,20 @@ def solution_to_json(solution: Solution) -> str:
 
 
 def solution_from_json(line: str) -> Solution:
-    obj = json.loads(line)
-    k = obj["kind"]
-    kind = TupleKind(k["power"], k["equal"], k["free"], k.get("name"))
-    return Solution(
-        kind=kind,
-        equal_entries=tuple(obj["equal_entries"]),
-        free_entries=tuple(obj["free_entries"]),
-        psi_value=int(obj["psi"]),
-        target=int(obj["target"]),
-    )
+    """The Solution of a solution_to_json line; InputError if it is not one."""
+    try:
+        obj = json.loads(line)
+        k = obj["kind"]
+        kind = TupleKind(k["power"], k["equal"], k["free"], k.get("name"))
+        return Solution(
+            kind=kind,
+            equal_entries=tuple(obj["equal_entries"]),
+            free_entries=tuple(obj["free_entries"]),
+            psi_value=int(obj["psi"]),
+            target=int(obj["target"]),
+        )
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
+        raise InputError(f"not a JSON solution line: {exc!r}") from None
 
 
 def csv_header(kind: TupleKind) -> list[str]:

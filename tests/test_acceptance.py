@@ -33,15 +33,15 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def triple_search_full(sieve_1m):
+def triple_search_full():
     cfg = SearchConfig(kind_by_name("quadratic-triple"), 262144, jobs=2)
-    return search(cfg, sieve=sieve_1m)
+    return search(cfg)
 
 
 @pytest.fixture(scope="module")
-def bounded_table_diffs(sieve_1m):
+def bounded_table_diffs():
     return {
-        tid: reproduce_table(tid, bound=bound, jobs=2 if tid == 6 else 1, sieve=sieve_1m)
+        tid: reproduce_table(tid, bound=bound, jobs=2 if tid == 6 else 1)
         for tid, bound in BOUNDED_TABLE_RUNS
     }
 
@@ -53,8 +53,8 @@ def searches_at_200():
     }
 
 
-def test_criterion_1_no_pairs_below_one_million(sieve_1m):
-    scan = verify_theorem1(1_000_000, sieve_1m)
+def test_criterion_1_no_pairs_below_one_million():
+    scan = verify_theorem1(1_000_000)
     ok = scan.failures == () and scan.checked == 999_999
     report(1, ok, f"{scan.checked} candidates scanned, {len(scan.failures)} failures")
     assert scan.failures == ()
@@ -138,21 +138,21 @@ def test_criterion_5_oracle_equivalence_at_200(searches_at_200):
     assert mismatches == []
 
 
-def test_criterion_6_congruence_sweeps(sieve_100k):
+def test_criterion_6_congruence_sweeps():
     bad_f = [
         a
         for a in range(3, 100_001, 2)
-        if classify_equal_pair(a, sieve_100k).F % 4 != 2
+        if classify_equal_pair(a).F % 4 != 2
     ]
     assert bad_f == []
     bad_h = []
     for a in range(2, 100_001):
-        rep = classify_equal_pair(a, sieve_100k)
+        rep = classify_equal_pair(a)
         if rep.branch is EqualPairBranch.MIXED_BRANCH and rep.H % 16 not in (8, 12):
             bad_h.append(a)
     assert bad_h == []
     bad_w = [
-        x for x in range(2, 100_001) if not witness_holds(pair_obstruction(x, sieve_100k))
+        x for x in range(2, 100_001) if not witness_holds(pair_obstruction(x))
     ]
     assert bad_w == []
     report(6, True, "F = 2 mod 4, H in {8,12} mod 16, all witnesses re-check to 1e5")

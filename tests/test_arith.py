@@ -116,17 +116,16 @@ def test_factorization_invariants(n):
         assert trial_is_prime(p)
         product *= p**a
     assert product == n
-    assert list(fac.distinct_primes()) == sorted(fac.distinct_primes())
+    primes = [p for p, _ in fac.factors]
+    assert primes == sorted(set(primes))
     assert (fac.factors == ()) == (n == 1)
+    assert fac.psi() == psi(n) == n * math.prod(p + 1 for p in primes) // math.prod(primes)
 
 
 def test_factorize_sieve_agrees_with_trial(sieve_10k):
     # psi from the factorization is the sieve's psi for every n
     for n in range(1, 10_001):
-        value = n
-        for p, _ in factorize(n).factors:
-            value = value // p * (p + 1)
-        assert value == sieve_10k.psi_at(n)
+        assert factorize(n).psi() == sieve_10k.psi_at(n)
 
 
 # --- psi --------------------------------------------------------------------

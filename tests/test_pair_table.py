@@ -342,7 +342,7 @@ def test_kernel_block_peaks_at_fifty_six_bytes_per_multiset(name, bound):
     lo, hi = edges[len(edges) // 2], edges[len(edges) // 2 + 1]
     multisets = int(runs.tuple_start[hi] - runs.tuple_start[lo])
     assert multisets > search_module._KERNEL_BLOCK // 2
-    _, peak = _traced_peak(lambda: search_module._search_runs(kind, runs, None, True, lo, hi))
+    _, peak = _traced_peak(lambda: search_module._search_runs(kind, runs, None, lo, hi))
     assert peak <= 56 * multisets + 64 * 1024, peak / multisets
 
 

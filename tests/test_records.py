@@ -32,8 +32,15 @@ from psituples import (
     VerifyReport,
     Witness,
     build_sieve,
+    canonicalize,
+    factorize,
     kind_by_name,
+    psi,
+    reproduce_table,
     search,
+    solution_from_json,
+    solution_to_json,
+    verify_solution,
 )
 
 _ClassRuns = importlib.import_module("psituples.search")._ClassRuns
@@ -190,8 +197,24 @@ def test_fixed_reprs():
         lambda: SearchConfig(_KIND, 0),
         lambda: SearchConfig(_KIND, 10, 0),
         lambda: search(SearchConfig(_KIND, 10**40)),  # refused before any allocation
+        lambda: reproduce_table(8),
+        lambda: solution_from_json('{"kind": {}}'),
+        lambda: solution_from_json("[]"),
+        lambda: psi(2.5),
+        lambda: factorize(2.0),
+        lambda: verify_solution(kind_by_name("quadratic-pair"), [2.5], [1]),
+        lambda: verify_solution(kind_by_name("quadratic-pair"), [2], [1.0]),
     ],
 )
 def test_validation_raises_input_error(make):
     with pytest.raises(InputError):
         make()
+
+
+def test_numpy_integers_pass_as_integers():
+    assert psi(np.int64(538)) == psi(np.uint32(538)) == 810
+    kind = kind_by_name("cubic-triple")
+    report = verify_solution(kind, [np.int64(4)], [np.uint16(3), 5])
+    assert report.ok and all(type(v) is int for v in (report.lhs, report.rhs, *report.psi_values))
+    solution = canonicalize(kind, [np.int64(4)], [np.int64(5), np.uint16(3)])
+    assert solution_from_json(solution_to_json(solution)) == solution == _SOLUTION

@@ -30,7 +30,6 @@ from psituples.search import (
     _build_class_runs,
     _cut,
     _descend,
-    _kernel_fits_int64,
     _PairSumTable,
     _quartic_descent,
     _split_pairs,
@@ -626,15 +625,6 @@ def test_floor_root_vec_top_of_domain():
 # --- batched equal-class kernel ---------------------------------------------
 
 
-def test_kernel_fits_int64_at_crossover():
-    for power in (2, 3, 4, 5):
-        for equal in (1, 2, 3, 7):
-            top = int_kth_root(_INT64_MAX // equal, power)
-            assert equal * top**power <= _INT64_MAX < equal * (top + 1) ** power
-            assert _kernel_fits_int64(top, power, equal)
-            assert not _kernel_fits_int64(top + 1, power, equal)
-
-
 def reference_search(cfg):
     """Every solution one multiset at a time: the dict class index,
     itertools multisets and decompose_sum_of_powers, with no class runs,
@@ -745,10 +735,11 @@ def test_kernel_with_tiny_blocks(monkeypatch, budget):
 
 def test_kernel_generic_powers_and_fallback():
     # (5, 3, 1) at 2000 leaves the int64 domain (3 * 5184**5 > 2**63), so the
-    # kernel forms its residuals as Python ints there and in int64 below it
+    # kernel forms the residuals of its last blocks as Python ints, and those
+    # of every block below 1000 in int64
     sieve = build_sieve(2000)
-    assert not _kernel_fits_int64(int(sieve.psi[1:2001].max()), 5, 3)
-    assert _kernel_fits_int64(int(sieve.psi[1:1001].max()), 5, 3)
+    assert 3 * int(sieve.psi[1:2001].max()) ** 5 > _INT64_MAX
+    assert 3 * int(sieve.psi[1:1001].max()) ** 5 <= _INT64_MAX
     for kind, bound in [(TupleKind(3, 2, 1), 1500), (TupleKind(3, 3, 1), 400),
                         (TupleKind(4, 2, 1), 600), (TupleKind(5, 2, 1), 300),
                         (TupleKind(5, 3, 1), 2000)]:
@@ -777,7 +768,7 @@ def test_two_free_kernel_generic_kinds():
                         (TupleKind(5, 1, 2), 400)]:
         cfg = SearchConfig(kind, bound)
         max_psi = int(build_sieve(bound).psi[1:].max())
-        assert _kernel_fits_int64(max_psi, kind.power, kind.equal)
+        assert kind.equal * max_psi**kind.power <= _INT64_MAX  # int64 in every block
         assert search(cfg) == reference_search(cfg), kind
 
 
@@ -837,16 +828,62 @@ def test_kernel_int64_crossover(monkeypatch):
         bound = max(equal) * k
         psi = np.arange(bound + 1, dtype=np.uint64)
         psi[[a * k for a in equal]] = v * k
-        sieve = PsiSieve(bound, psi)
-        assert _kernel_fits_int64(int(psi.max()), 4, kind.equal) == (v * k <= top)
+        assert (kind.equal * int(psi.max()) ** 4 <= _INT64_MAX) == (v * k <= top)
         cfg = SearchConfig(kind, bound)
-        found = search(cfg, sieve=sieve)
-        assert [(s.equal_entries, s.free_entries) for s in found] == [
-            (tuple(a * k for a in equal), tuple(b * k for b in free))
-        ]
         with monkeypatch.context() as m:
-            m.setattr(search_module, "_kernel_fits_int64", lambda *args: False)
-            assert search(cfg, sieve=sieve) == found
+            m.setattr(search_module, "build_sieve", lambda limit: PsiSieve(limit, psi))
+            found = search(cfg)
+            assert [(s.equal_entries, s.free_entries) for s in found] == [
+                (tuple(a * k for a in equal), tuple(b * k for b in free))
+            ]
+            if kind.free <= 2:  # four free entries go one by one on both routes
+                m.setattr(search_module, "_INT64_MAX", -1)  # no block fits int64
+                assert search(cfg) == found
+
+
+@pytest.mark.parametrize("free", [1, 2])
+def test_kernel_int64_per_block_straddle(monkeypatch, free):
+    # Two planted classes on either side of the int64 crossover of (4, 2,
+    # free), top = 46340: {30k, 120k} with psi 353k for k = 131 (46243, in
+    # int64) and k = 132 (46596, past it); every other n <= 15840 gets psi
+    # n, a class of one with a negative residual.  Blocks of one position
+    # keep the two classes in different blocks, so the block of k = 131
+    # takes the vector path and only the multisets of k = 132 are
+    # decomposed one by one.  With two free entries both classes solve:
+    # 30**4 + 120**4 + 272**4 + 315**4 == 353**4.
+    kind, bound = TupleKind(4, 2, free), 15840
+    top = int_kth_root(_INT64_MAX // 2, 4)
+    psi = np.arange(bound + 1, dtype=np.uint64)
+    residuals = {}
+    for k in (131, 132):
+        v, members = 353 * k, (30 * k, 120 * k)
+        psi[list(members)] = v
+        residuals[k] = sorted(v**4 - a**4 - b**4 for a, b in combinations_with_replacement(members, 2))
+    assert 353 * 131 <= top < 353 * 132
+    decomposed = []
+    real = search_module.decompose_sum_of_powers
+    monkeypatch.setattr(search_module, "build_sieve", lambda limit: PsiSieve(limit, psi))
+    monkeypatch.setattr(search_module, "decompose_sum_of_powers",
+                        lambda r, *args: decomposed.append(r) or real(r, *args))
+    monkeypatch.setattr(search_module, "_KERNEL_BLOCK", 1)
+    cfg = SearchConfig(kind, bound)
+    found = search(cfg)
+    assert sorted(decomposed) == residuals[132]
+    expected = [((30 * k, 120 * k), (272 * k, 315 * k)) for k in (131, 132)] if free == 2 else []
+    assert [(s.equal_entries, s.free_entries) for s in found] == expected
+    decomposed.clear()
+    monkeypatch.setattr(search_module, "_INT64_MAX", -1)  # the per-residual path everywhere
+    assert search(cfg) == found
+    assert sorted(decomposed) == sorted(residuals[131] + residuals[132])
+
+
+def test_search_takes_no_sieve():
+    # progress is keyword-only, so a sieve passed where it used to go fails
+    cfg = SearchConfig(kind_by_name("quadratic-triple"), 16)
+    with pytest.raises(TypeError):
+        search(cfg, build_sieve(16))
+    with pytest.raises(TypeError):
+        search(cfg, sieve=build_sieve(16))
 
 
 def test_kernel_solutions_hold_python_ints():
@@ -900,22 +937,13 @@ def test_search_cubic_triples_matches_frozen_list():
     assert got == CUBIC_TRIPLES_TO_200
 
 
-def test_search_emits_verified_solutions(sieve_1k):
-    out = search(SearchConfig(kind_by_name("cubic-quintuple"), 100), sieve=sieve_1k)
+def test_search_emits_verified_solutions():
+    out = search(SearchConfig(kind_by_name("cubic-quintuple"), 100))
     assert out
     for s in out:
-        assert verify_solution(s.kind, s.equal_entries, s.free_entries, sieve_1k).ok
+        assert verify_solution(s.kind, s.equal_entries, s.free_entries).ok
         assert s.equal_entries == tuple(sorted(s.equal_entries))
         assert s.free_entries == tuple(sorted(s.free_entries))
-
-
-def test_oversized_sieve_respects_bound(sieve_1k):
-    # a sieve built past the bound must not leak larger equal entries
-    for name in ("quadratic-triple", "cubic-triple"):
-        cfg = SearchConfig(kind_by_name(name), 64)
-        with_big_sieve = search(cfg, sieve=sieve_1k)
-        assert with_big_sieve == search(cfg)
-        assert all(max(s.equal_entries) <= 64 for s in with_big_sieve)
 
 
 def test_search_agrees_with_oracle_small():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from psituples import TABLES, reproduce_table, verify_solution
+from psituples import TABLES, InputError, reproduce_table, verify_solution
 
 
 def test_embedded_row_counts():
@@ -51,7 +51,7 @@ def test_reproduce_table2_small_bound():
 
 
 def test_reproduce_rejects_unknown_table():
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError, match=r"unknown table 8; known tables: \[1, 2, 3, 4, 5, 6, 7\]"):
         reproduce_table(8)
 
 
@@ -64,8 +64,8 @@ def test_default_bounds_cover_or_spot_verify():
         assert len(diff.matched) + len(diff.out_of_range) == len(TABLES[tid].rows)
 
 
-def test_table1_default_bound_matches_all_rows(sieve_1m):
-    diff = reproduce_table(1, jobs=2, sieve=sieve_1m)
+def test_table1_default_bound_matches_all_rows():
+    diff = reproduce_table(1, jobs=2)
     assert diff.bound == 262144
     assert len(diff.matched) == 18
     assert diff.missing == () and diff.out_of_range == ()

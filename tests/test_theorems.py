@@ -9,7 +9,6 @@ import pytest
 from psituples import (
     EqualPairBranch,
     PairCase,
-    PsiSieve,
     SearchConfig,
     TheoremScan,
     build_sieve,
@@ -89,8 +88,8 @@ def test_mod5_witness_for_4l_plus_1():
 
 def test_identities_to_2000(sieve_10k):
     for x in range(2, 2001):
-        r = pair_obstruction(x, sieve_10k)
-        assert r.u + r.v == 2 * psi(x, sieve_10k)
+        r = pair_obstruction(x)
+        assert r.u + r.v == 2 * sieve_10k.psi_at(x)
         assert r.v - r.u == 2 * x
         assert r.d * r.u1 == r.u and r.d * r.v1 == r.v
         assert math.gcd(r.u1, r.v1) == 1
@@ -114,20 +113,20 @@ def test_verify_theorem1_rejects_bad_limit():
 CASES = [c.value for c in PairCase]
 
 
-def scalar_rows(sieve, limit):
+def scalar_rows(limit):
     """(x, u, v, d, u1, v1, case, witness kind, witness on v1) per x, from
     the scalar explainer."""
     rows = []
     for x in range(2, limit + 1):
-        r = pair_obstruction(x, sieve)
+        r = pair_obstruction(x)
         w = r.obstruction
         rows.append((x, r.u, r.v, r.d, r.u1, r.v1, r.case_id.value, w.kind, w.get("symbol_is_v1")))
     return rows
 
 
-def kernel_rows(sieve, limit):
+def window_rows(windows):
     rows = []
-    for w in _pair_windows(sieve, limit):
+    for w in windows:
         assert not w.suspect.any()
         for x, u, v, d, u1, v1, case, witness in zip(
             *(a.tolist() for a in (w.x, w.u, w.v, w.d, w.u1, w.v1, w.case, w.witness))
@@ -147,28 +146,35 @@ def expected_scan(rows):
 
 
 @pytest.fixture(scope="module")
-def scalar_100k(sieve_100k):
-    return scalar_rows(sieve_100k, 100_000)
+def scalar_100k():
+    return scalar_rows(100_000)
+
+
+def sieve_rows(sieve, limit, window):
+    """The kernel's rows for 2..limit, fed windows of a whole sieve's psi."""
+    return window_rows(
+        _pair_window(lo, sieve.psi[lo : min(lo + window, limit + 1)])
+        for lo in range(2, limit + 1, window)
+    )
 
 
 def test_scan_kernel_equals_pair_obstruction_to_100k(sieve_100k, scalar_100k):
-    assert kernel_rows(sieve_100k, 100_000) == scalar_100k
+    assert window_rows(_pair_windows(100_000)) == scalar_100k
+    assert sieve_rows(sieve_100k, 100_000, 4096) == scalar_100k
 
 
 @pytest.mark.parametrize("window", [1, 2, 7])
 @pytest.mark.parametrize("limit", [2003, 2004])
-def test_scan_kernel_window_edges(monkeypatch, sieve_100k, scalar_100k, window, limit):
+def test_scan_kernel_window_edges(monkeypatch, scalar_100k, window, limit):
     # 2003 ends a window of 2 and of 7; 2004 opens one
     monkeypatch.setattr(theorems, "_SCAN_WINDOW", window)
-    assert kernel_rows(sieve_100k, limit) == scalar_100k[: limit - 1]
-    assert verify_theorem1(limit, sieve_100k) == expected_scan(scalar_100k[: limit - 1])
+    assert window_rows(_pair_windows(limit)) == scalar_100k[: limit - 1]
+    assert verify_theorem1(limit) == expected_scan(scalar_100k[: limit - 1])
 
 
 @pytest.mark.parametrize("limit", [2, 3, 65537])
-def test_verify_theorem1_histograms(sieve_100k, scalar_100k, limit):
-    expected = expected_scan(scalar_100k[: limit - 1])
-    assert verify_theorem1(limit, sieve_100k) == expected  # sieve.limit > limit
-    assert verify_theorem1(limit, build_sieve(limit - 1)) == expected  # rebuilt
+def test_verify_theorem1_histograms(scalar_100k, limit):
+    assert verify_theorem1(limit) == expected_scan(scalar_100k[: limit - 1])
 
 
 # (limit, window, _SEGMENT_MIN): segments of 4 or 64 x, rounded up to a
@@ -190,9 +196,10 @@ def test_segmented_scan_equals_the_sieve_fed_scan(
     monkeypatch.setattr(theorems, "_SEGMENT_MIN", segment)
     monkeypatch.setattr(theorems, "_SEGMENT_PER_PRIME", 0)
     scan = verify_theorem1(limit)  # equality covers both histograms
-    assert scan == verify_theorem1(limit, sieve_100k) == expected_scan(scalar_100k[: limit - 1])
+    assert scan == expected_scan(scalar_100k[: limit - 1])
     if limit <= 2004:
-        assert kernel_rows(None, limit) == scalar_100k[: limit - 1]
+        rows = window_rows(_pair_windows(limit))
+        assert rows == sieve_rows(sieve_100k, limit, window) == scalar_100k[: limit - 1]
 
 
 def test_segment_length():
@@ -242,11 +249,9 @@ def test_pair_window_peaks_below_112_bytes_per_x(sieve_100k):
     assert peak <= 112 * n
 
 
-def test_theorem1_histograms_to_one_million(sieve_1m):
-    # frozen from the scalar _classify_shape over the same range; the scan
-    # without a sieve, from psi segments, must give the same
-    scan = verify_theorem1(1_000_000, sieve_1m)
-    assert verify_theorem1(1_000_000) == scan
+def test_theorem1_histograms_to_one_million():
+    # frozen from the scalar _classify_shape over the same range
+    scan = verify_theorem1(1_000_000)
     assert scan.cases == {
         "PowerOfTwo": 19,
         "OddOnly": 499_999,
@@ -257,19 +262,33 @@ def test_theorem1_histograms_to_one_million(sieve_1m):
     assert scan.witnesses == {"non-square": 999_999}
 
 
-def test_scan_reports_planted_failures(sieve_1k):
+def test_scan_reports_planted_failures(monkeypatch):
     # psi(4) = 5 would make 5^2 - 4^2 = 3^2 (u1 = 1, v1 = 9, both squares);
-    # psi(7) = 6 breaks the identity u > 0
-    psi = sieve_1k.psi.copy()
-    psi[4], psi[7] = 5, 6
-    fake = PsiSieve(sieve_1k.limit, psi)
-    window = _pair_window(2, psi[2:12])
-    assert window.x[window.suspect].tolist() == [4, 7]
+    # psi(7) = 6 breaks the identity u > 0.  Both are planted in the psi
+    # segments the kernel reads; pair_obstruction factorizes x on its own,
+    # so it still finds each planted x's true witness.
+    real = theorems.psi_segment
+
+    def planted(lo, hi, primes):
+        values = real(lo, hi, primes)
+        for x, fake in ((4, 5), (7, 6)):
+            if lo <= x < hi:
+                values[x - lo] = fake
+        return values
+
+    monkeypatch.setattr(theorems, "_SEGMENT_MIN", 3)
+    monkeypatch.setattr(theorems, "_SEGMENT_PER_PRIME", 0)
+    monkeypatch.setattr(theorems, "_SCAN_WINDOW", 4)  # x = 4 and x = 7 in two segments
+    monkeypatch.setattr(theorems, "psi_segment", planted)
+    window = next(w for w in _pair_windows(100) if 4 in w.x.tolist())
+    assert window.x.tolist() == [2, 3, 4, 5]
+    assert window.x[window.suspect].tolist() == [4]
     assert window.witness[window.x == 4].tolist() == [-1]
-    scan = verify_theorem1(100, fake)
+    scan = verify_theorem1(100)
     assert scan.failures == (4, 7)
-    assert scan.checked == 99 and scan.witnesses == {"non-square": 97}
+    assert scan.checked == 99 and scan.witnesses == {"non-square": 99}
     assert sum(scan.cases.values()) == 99
+    assert (pair_obstruction(4).v1, pair_obstruction(7).u) == (5, 1)  # the true psi
 
 
 # --- power-of-two triple family ----------------------------------------------
@@ -329,11 +348,11 @@ def test_classify_negative_f_is_still_2_mod_4():
     assert r.F % 4 == 2  # canonical nonnegative residue
 
 
-def test_h_residue_tracks_p_mod_4(sieve_10k):
+def test_h_residue_tracks_p_mod_4():
     # the two mixed subcases: P = 0 mod 4 gives H = 8 mod 16, P = 2 mod 4
     # gives H = 12 mod 16
     for a in range(2, 10_001):
-        rep = classify_equal_pair(a, sieve_10k)
+        rep = classify_equal_pair(a)
         if rep.branch is not EqualPairBranch.MIXED_BRANCH:
             continue
         if rep.P % 4 == 0:
@@ -353,14 +372,28 @@ def test_classify_rejects_one():
         classify_equal_pair(1)
 
 
-def test_classifier_agrees_with_search_to_10k(sieve_10k):
+def test_classifier_agrees_with_search_to_10k():
     # completing entries exist exactly at powers of two, matching the a = b
     # solutions the search finds
     with_c = {
-        a for a in range(2, 10_001) if classify_equal_pair(a, sieve_10k).c is not None
+        a for a in range(2, 10_001) if classify_equal_pair(a).c is not None
     }
     powers = {2**k for k in range(1, 14)}
     assert with_c == powers
-    found = search(SearchConfig(kind_by_name("quadratic-triple"), 10_000), sieve_10k)
+    found = search(SearchConfig(kind_by_name("quadratic-triple"), 10_000))
     equal_pairs = {s.equal_entries[0] for s in found if s.equal_entries[0] == s.equal_entries[1]}
     assert equal_pairs == powers
+
+
+# --- one factorization per scalar explainer -----------------------------------
+
+
+@pytest.mark.parametrize("explain", [pair_obstruction, congruence_witness, classify_equal_pair])
+def test_each_explainer_factorizes_once(monkeypatch, explain):
+    calls = []
+    real = theorems.factorize
+    monkeypatch.setattr(theorems, "factorize", lambda n: calls.append(n) or real(n))
+    for x in (2, 8, 12, 26, 45, 538, 1_000_003):
+        calls.clear()
+        explain(x)
+        assert calls == [x], (explain.__name__, x)
