@@ -34,6 +34,21 @@ class InputError(ValueError):
     wrong, not the computation.  The command line exits 2 on it."""
 
 
+def _integer(value: object, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """value as a Python int, bound through operator.index: Python and
+    numpy integers pass; floats (2.0 included), strings, None and a value
+    outside lo..hi (None leaves that side open) raise InputError, which
+    names the argument.  Every public function binds its integers here."""
+    try:
+        n = index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer, got {value!r}") from None
+    if (lo is not None and n < lo) or (hi is not None and n > hi):
+        allowed = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in {lo}..{hi}"
+        raise InputError(f"{name} must be {allowed}, got {n}")
+    return n
+
+
 class _Record:
     """Base of the package's immutable value classes.
 
@@ -153,9 +168,7 @@ class PsiSieve(_Record):
 
     def psi_at(self, n: int) -> int:
         """psi(n) as a plain Python int; n must be within the sieve."""
-        if not 1 <= n <= self.limit:
-            raise InputError(f"n={n} outside sieve range 1..{self.limit}")
-        return int(self.psi[n])
+        return int(self.psi[_integer(n, "n", 1, self.limit)])
 
 
 @functools.cache
@@ -188,8 +201,7 @@ def build_sieve(limit: int) -> PsiSieve:
     8; a build whose peak would exceed _memory_budget raises InputError
     before the table is allocated.
     """
-    if limit < 1:
-        raise InputError("sieve limit must be >= 1")
+    limit = _integer(limit, "limit", 1)
     if limit >= 2**32:
         raise InputError(
             f"sieve limit {limit} must be below 2**32: the cofactors and the index are uint32"
@@ -216,6 +228,7 @@ def psi_segment(lo: int, hi: int, primes) -> np.ndarray:
     (psi, the cofactors and one mask) and returns 8; a segment whose peak
     would exceed _memory_budget raises InputError before it allocates.
     """
+    lo, hi = _integer(lo, "lo"), _integer(hi, "hi")
     if not 0 <= lo < hi <= 2**32:
         raise InputError(f"psi segment [{lo}, {hi}) must satisfy 0 <= lo < hi <= 2**32")
     need, budget = 13 * (hi - lo), _memory_budget()
@@ -226,7 +239,7 @@ def psi_segment(lo: int, hi: int, primes) -> np.ndarray:
         )
     psi_vals = np.arange(lo, hi, dtype=np.uint64)
     cofactor = np.arange(lo, hi, dtype=np.uint32)
-    for p in map(int, primes):
+    for p in (_integer(q, "prime", 2) for q in primes):
         view = psi_vals[-lo % p :: p]
         np.floor_divide(view, p, out=view)
         view *= p + 1
@@ -245,14 +258,6 @@ def psi_segment(lo: int, hi: int, primes) -> np.ndarray:
     return psi_vals
 
 
-def _as_int(value: object) -> int:
-    """value as a Python int (numpy integers pass); InputError otherwise."""
-    try:
-        return index(value)
-    except TypeError:
-        raise InputError(f"expected an integer, got {value!r}") from None
-
-
 def factorize(n: int) -> Factorization:
     """Factor n into (prime, exponent) pairs with primes increasing.
 
@@ -260,9 +265,7 @@ def factorize(n: int) -> Factorization:
     n near 2**32.  Only the scalar explainers call it; the batch kernels
     build the psi sieve.
     """
-    n = _as_int(n)
-    if n < 1:
-        raise InputError("factorize requires n >= 1")
+    n = _integer(n, "n", 1)
     original = n
     factors: list[tuple[int, int]] = []
     for p in (2, 3):
@@ -300,10 +303,7 @@ def int_kth_root(x: int, k: int) -> int:
     Float seed plus integer Newton correction; the final compare loops
     guarantee result**k <= x < (result+1)**k regardless of seed error.
     """
-    if k not in (2, 3, 4, 5):
-        raise InputError("k must be in 2..5")
-    if x < 0:
-        raise InputError("x must be nonnegative")
+    x, k = _integer(x, "x", 0), _integer(k, "k", 2, 5)
     if k == 2:
         return math.isqrt(x)
     if x == 0:
@@ -328,6 +328,7 @@ def int_kth_root(x: int, k: int) -> int:
 
 def is_perfect_kth_power(x: int, k: int) -> int | None:
     """The exact k-th root of x when x = r**k, otherwise None."""
+    x, k = _integer(x, "x", 0), _integer(k, "k", 2, 5)
     r = int_kth_root(x, k)
     return r if r**k == x else None
 

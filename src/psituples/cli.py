@@ -89,7 +89,7 @@ def _emit_solutions(solutions: Sequence[Solution], kind: TupleKind, fmt: str) ->
             writer.writerow(solution_to_csv_row(s))
 
 
-def _cmd_psi(args: argparse.Namespace) -> int:
+def _cmd_psi(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     print(psi(args.n))
     return 0
 
@@ -136,7 +136,7 @@ def _format_row(row: Sequence[int]) -> str:
     return "(" + ", ".join(str(n) for n in row) + ")"
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     diff = reproduce_table(args.id, bound=args.bound, jobs=args.jobs)
     spec = TABLES[args.id]
     print(f"table {args.id} ({spec.kind.name}), bound {diff.bound}")
@@ -158,7 +158,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0 if diff.ok else 1
 
 
-def _cmd_obstruct(args: argparse.Namespace) -> int:
+def _cmd_obstruct(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     report = pair_obstruction(args.x)
     print(f"x:     {report.x}")
     print(f"case:  {report.case_id.value}")
@@ -171,7 +171,7 @@ def _cmd_obstruct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_theorem1(args: argparse.Namespace) -> int:
+def _cmd_theorem1(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     scan = verify_theorem1(args.limit)
     print(f"checked:  {scan.checked}")
     print(f"failures: {list(scan.failures)}")
@@ -181,7 +181,7 @@ def _cmd_theorem1(args: argparse.Namespace) -> int:
     return 1 if scan.failures else 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     report = classify_equal_pair(args.a)
     print(f"a:      {report.a}")
     print(f"branch: {report.branch.value}")
@@ -200,7 +200,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_family(args: argparse.Namespace) -> int:
+def _cmd_family(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     s = triple_family(args.k)
     print(_format_row(s.equal_entries + s.free_entries))
     return 0
@@ -214,14 +214,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("psi", help="print psi(n)")
+    p.set_defaults(run=_cmd_psi)
     p.add_argument("n", type=_positive_int)
 
     names = ", ".join(k.name for k in named_kinds())
-    p = sub.add_parser("search", help="exhaustive search for a tuple kind")
-    p.add_argument("--kind", help=f"named kind ({names})")
-    p.add_argument("--power", type=int, help="power p in 2..5")
-    p.add_argument("--equal", type=int, help="equal-class size")
-    p.add_argument("--free", type=int, help="free-class size")
+    kind_options = argparse.ArgumentParser(add_help=False)
+    kind_options.add_argument("--kind", help=f"named kind ({names})")
+    kind_options.add_argument("--power", type=int, help="power p in 2..5")
+    kind_options.add_argument("--equal", type=int, help="equal-class size")
+    kind_options.add_argument("--free", type=int, help="free-class size")
+
+    p = sub.add_parser("search", help="exhaustive search for a tuple kind", parents=[kind_options])
+    p.set_defaults(run=_cmd_search)
     p.add_argument("--bound", type=_positive_int, required=True,
                    help="equal-class entries range over 1..bound")
     p.add_argument("--jobs", type=_positive_int, default=None,
@@ -230,17 +234,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-partial", action="store_true",
                    help="stream per-chunk progress to stderr")
 
-    p = sub.add_parser("verify", help="check one candidate tuple exactly")
-    p.add_argument("--kind", help=f"named kind ({names})")
-    p.add_argument("--power", type=int)
-    p.add_argument("--equal", type=int)
-    p.add_argument("--free", type=int)
+    p = sub.add_parser("verify", help="check one candidate tuple exactly", parents=[kind_options])
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--equal-entries", dest="equal_entries", type=_int_list, required=True,
                    metavar='"a,b,..."')
     p.add_argument("--free-entries", dest="free_entries", type=_int_list, required=True,
                    metavar='"c,d,..."')
 
     p = sub.add_parser("table", help="reproduce a published table and diff")
+    p.set_defaults(run=_cmd_table)
     p.add_argument("--id", type=int, required=True, choices=sorted(TABLES))
     p.add_argument("--bound", type=_positive_int, default=None,
                    help="override the table's default bound")
@@ -248,15 +250,19 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="parallel workers (default: 1)")
 
     p = sub.add_parser("obstruct", help="case and witness for a pair candidate")
+    p.set_defaults(run=_cmd_obstruct)
     p.add_argument("x", type=int)
 
     p = sub.add_parser("theorem1", help="scan 2..LIMIT for a quadratic pair")
+    p.set_defaults(run=_cmd_theorem1)
     p.add_argument("limit", type=int, metavar="LIMIT")
 
     p = sub.add_parser("classify", help="equal-pair branch report for a")
+    p.set_defaults(run=_cmd_classify)
     p.add_argument("a", type=int)
 
     p = sub.add_parser("family", help="k-th power-of-two triple")
+    p.set_defaults(run=_cmd_family)
     p.add_argument("--k", type=int, required=True)
 
     return parser
@@ -266,29 +272,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "psi":
-            return _cmd_psi(args)
-        if args.command == "search":
-            return _cmd_search(parser, args)
-        if args.command == "verify":
-            return _cmd_verify(parser, args)
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "obstruct":
-            return _cmd_obstruct(args)
-        if args.command == "theorem1":
-            return _cmd_theorem1(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "family":
-            return _cmd_family(args)
+        return args.run(parser, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SearchWorkerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    raise AssertionError("unhandled command")
 
 
 def entrypoint() -> None:

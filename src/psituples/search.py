@@ -38,6 +38,7 @@ from .arith import (
     PsiSieve,
     _exact_root_vec,
     _floor_root_vec,
+    _integer,
     _memory_budget,
     _Record,
     build_sieve,
@@ -69,11 +70,7 @@ class SearchConfig(_Record):
     __slots__ = ("kind", "bound", "jobs")
 
     def __init__(self, kind: TupleKind, bound: int, jobs: int = 1) -> None:
-        if bound < 1:
-            raise InputError("bound must be >= 1")
-        if jobs < 1:
-            raise InputError("jobs must be >= 1")
-        super().__init__(kind, bound, jobs)
+        super().__init__(kind, _integer(bound, "bound", 1), _integer(jobs, "jobs", 1))
 
 
 class SearchWorkerError(RuntimeError):
@@ -93,10 +90,7 @@ def build_class_index(sieve: PsiSieve, bound: int | None = None) -> PsiClassInde
     A library and reference helper: search sorts 1..N into class runs
     instead (_build_class_runs).
     """
-    if bound is None:
-        bound = sieve.limit
-    if not 1 <= bound <= sieve.limit:
-        raise InputError(f"bound must be in 1..{sieve.limit}")
+    bound = sieve.limit if bound is None else _integer(bound, "bound", 1, sieve.limit)
     classes: dict[int, list[int]] = {}
     for n, v in enumerate(sieve.psi[1 : bound + 1].tolist(), start=1):
         classes.setdefault(v, []).append(n)
@@ -297,12 +291,8 @@ def decompose_sum_of_powers(
     otherwise the reduced residual is decomposed with entries <= cap //
     scale and the tuples are scaled back.
     """
-    if power not in (2, 3, 4, 5):
-        raise InputError("power must be in 2..5")
-    if count < 1:
-        raise InputError("count must be >= 1")
-    if residual < 0:
-        raise InputError("residual must be nonnegative")
+    residual, count = _integer(residual, "residual", 0), _integer(count, "count", 1)
+    power, cap = _integer(power, "power", 2, 5), _integer(cap, "cap")
     if count == 4 and power == 4:
         reduced, scale = _quartic_descent(residual)
         if reduced != residual:
@@ -768,9 +758,7 @@ def brute_force_oracle(config: SearchConfig) -> list[Solution]:
     off a plain table of k-th powers.  Arbitrary-precision arithmetic
     throughout.
     """
-    if config.bound > ORACLE_MAX_BOUND:
-        raise InputError(f"oracle bound capped at {ORACLE_MAX_BOUND}")
-    kind, N = config.kind, config.bound
+    kind, N = config.kind, _integer(config.bound, "oracle bound", hi=ORACLE_MAX_BOUND)
     p, e, f = kind.power, kind.equal, kind.free
     psis = [0] + [_psi_trial(a) for a in range(1, N + 1)]
     max_target = max(psis) ** p

@@ -9,7 +9,7 @@ informational extras, never as errors.
 
 from __future__ import annotations
 
-from .arith import InputError, _Record
+from .arith import InputError, _integer, _Record
 from .tuples import kind_by_name, verify_solution
 from .search import SearchConfig, search
 
@@ -25,7 +25,7 @@ class TableSpec(_Record):
 
     def row_in_range(self, row: tuple[int, ...], bound: int) -> bool:
         equal, _ = self.split_row(row)
-        return max(equal) <= bound
+        return max(equal) <= _integer(bound, "bound")
 
 
 # Table 1: quadratic triples (the power-of-two family).
@@ -150,16 +150,17 @@ def reproduce_table(table_id: int, bound: int | None = None, jobs: int = 1) -> T
     Printed rows beyond the bound are verified arithmetically rather than
     searched for.  An unknown table_id raises InputError.
     """
+    table_id = _integer(table_id, "table_id")
     spec = TABLES.get(table_id)
     if spec is None:
-        raise InputError(f"unknown table {table_id!r}; known tables: {sorted(TABLES)}")
-    bound = spec.default_bound if bound is None else bound
-    found = search(SearchConfig(kind=spec.kind, bound=bound, jobs=jobs))
+        raise InputError(f"unknown table {table_id}; known tables: {sorted(TABLES)}")
+    config = SearchConfig(spec.kind, spec.default_bound if bound is None else bound, jobs)
+    found = search(config)
     in_range: list[tuple[tuple[int, ...], tuple]] = []  # (row, its canonical key)
     out_of_range: list[tuple[tuple[int, ...], bool]] = []
     for row in spec.rows:
         equal, free = spec.split_row(row)
-        if spec.row_in_range(row, bound):
+        if spec.row_in_range(row, config.bound):
             in_range.append((row, (tuple(sorted(equal)), tuple(sorted(free)))))
         else:
             out_of_range.append((row, verify_solution(spec.kind, equal, free).ok))
@@ -170,7 +171,7 @@ def reproduce_table(table_id: int, bound: int | None = None, jobs: int = 1) -> T
     missing = tuple(row for row, key in in_range if key not in found_keys)
     return TableDiff(
         table_id=table_id,
-        bound=bound,
+        bound=config.bound,
         matched=matched,
         extra=extra,
         missing=missing,

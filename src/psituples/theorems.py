@@ -24,6 +24,7 @@ import numpy as np
 from .arith import (
     InputError,
     _exact_root_vec,
+    _integer,
     _Record,
     build_sieve,
     factorize,
@@ -95,16 +96,15 @@ class PairObstructionReport(_Record):
     __slots__ = ("x", "u", "v", "d", "u1", "v1", "case_id", "obstruction")
 
 
-def _classify_shape(x: int) -> tuple[PairCase, tuple[int, ...], tuple[int, int, int, int, int]]:
-    """(case, distinct odd primes, (u, v, d, u1, v1)) from the one
-    factorization of x >= 2."""
-    if x < 2:
-        raise InputError("requires x >= 2: u = psi(x) - x is 0 at x = 1")
+def _classify_shape(x: int) -> tuple[PairCase, tuple[int, ...], tuple[int, ...]]:
+    """(case, distinct odd primes, (x, u, v, d, u1, v1)) from the one
+    factorization of x >= 2, with x bound as a Python int."""
+    x = _integer(x, "x", 2)
     fac = factorize(x)
-    x, px = fac.n, fac.psi()
+    px = fac.psi()
     u, v = px - x, px + x
     d = math.gcd(u, v)
-    parts, odd = (u, v, d, u // d, v // d), fac.odd_primes()
+    parts, odd = (x, u, v, d, u // d, v // d), fac.odd_primes()
     if not odd:
         return PairCase.POWER_OF_TWO, odd, parts
     if x % 2:
@@ -125,19 +125,11 @@ def pair_obstruction(x: int) -> PairObstructionReport:
     congruence_witness and used as a fallback.  x == 1 is rejected: u = 0
     degenerates the whole setup.
     """
-    case, odd, (u, v, d, u1, v1) = _classify_shape(x)
+    case, odd, (x, u, v, d, u1, v1) = _classify_shape(x)
     if is_perfect_kth_power(u1, 2) is None:
-        witness = Witness(
-            "non-square",
-            f"u1 = {u1} is not a perfect square",
-            (("symbol_is_v1", 0), ("value", u1)),
-        )
+        witness = _non_square("u1", u1)
     elif is_perfect_kth_power(v1, 2) is None:
-        witness = Witness(
-            "non-square",
-            f"v1 = {v1} is not a perfect square",
-            (("symbol_is_v1", 1), ("value", v1)),
-        )
+        witness = _non_square("v1", v1)
     else:
         # Both parts are squares: u1*v1 = (y/d)^2 would be a square, i.e. a
         # genuine pair.  The case congruences below still refute it; if they
@@ -153,24 +145,15 @@ def pair_obstruction(x: int) -> PairObstructionReport:
 def congruence_witness(x: int) -> Witness:
     """The case-specific congruence certificate for x, independent of any
     square test on u1/v1.  Mirrors the five-case analysis."""
-    case, odd, (_, _, _, u1, v1) = _classify_shape(x)
+    case, odd, (*_, u1, v1) = _classify_shape(x)
     return _congruence_witness(case, odd, u1, v1)
 
 
 def _congruence_witness(case: PairCase, odd: tuple[int, ...], u1: int, v1: int) -> Witness:
     """congruence_witness from x's case, distinct odd primes, u1 and v1."""
-    if case is PairCase.POWER_OF_TWO:
-        # u1 = 1, v1 = 5 explicitly
-        return Witness(
-            "non-square", "v1 = 5 is not a perfect square",
-            (("symbol_is_v1", 1), ("value", v1)),
-        )
-    if case is PairCase.TWO_THREE:
-        # u1 = 1, v1 = 3 explicitly
-        return Witness(
-            "non-square", "v1 = 3 is not a perfect square",
-            (("symbol_is_v1", 1), ("value", v1)),
-        )
+    if case is PairCase.POWER_OF_TWO or case is PairCase.TWO_THREE:
+        # u1 = 1 explicitly, and v1 = 5 (PowerOfTwo) or 3 (TwoThree)
+        return _non_square("v1", v1)
     if case is PairCase.TWO_TIMES_PRIME_POWER:
         p = odd[0]
         if p % 4 == 1:
@@ -195,6 +178,15 @@ def _congruence_witness(case: PairCase, odd: tuple[int, ...], u1: int, v1: int) 
         f"u1 = {u1}, v1 = {v1} are odd with v1 - u1 = {v1 - u1} "
         f"not divisible by 8, so they cannot both be odd squares",
         (("u1", u1), ("v1", v1)),
+    )
+
+
+def _non_square(symbol: str, value: int) -> Witness:
+    """The witness that u1 or v1, as symbol names it, is not a perfect square."""
+    return Witness(
+        "non-square",
+        f"{symbol} = {value} is not a perfect square",
+        (("symbol_is_v1", int(symbol == "v1")), ("value", value)),
     )
 
 
@@ -369,8 +361,7 @@ def verify_theorem1(limit: int) -> TheoremScan:
     own, is asked for its report: a failure that still gets a witness
     there means the kernel and the scalar path disagree.
     """
-    if limit < 2:
-        raise InputError("limit must be >= 2")
+    limit = _integer(limit, "limit", 2)
     if limit >= 2**32:
         raise InputError(f"limit {limit} must be below 2**32: the scan kernel needs psi(x) < 4x")
     cases = np.zeros(len(PairCase), dtype=np.int64)
@@ -405,8 +396,7 @@ def triple_family(k: int) -> Solution:
     every k >= 1; k is capped at 62, which keeps the squared values below
     2**128.
     """
-    if not 1 <= k <= 62:
-        raise InputError("k must be in 1..62")
+    k = _integer(k, "k", 1, 62)
     a = 1 << k
     half = 1 << (k - 1)
     return Solution(
@@ -444,8 +434,7 @@ def classify_equal_pair(a: int) -> Theorem2Report:
     trusting the branch), so a report with c set always corresponds to a
     verifiable triple.
     """
-    if a < 2:
-        raise InputError("classification requires a >= 2")
+    a = _integer(a, "a", 2)
     fac = factorize(a)
     k = fac.two_exponent()
     odd = fac.odd_primes()

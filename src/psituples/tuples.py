@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from .arith import InputError, _as_int, _Record, psi
+from .arith import InputError, _integer, _Record, psi
 
 __all__ = [
     "TupleKind",
@@ -38,10 +38,8 @@ class TupleKind(_Record):
     __slots__ = ("power", "equal", "free", "name")
 
     def __init__(self, power: int, equal: int, free: int, name: str | None = None) -> None:
-        if power not in (2, 3, 4, 5):
-            raise InputError("power must be in 2..5")
-        if equal < 1 or free < 1:
-            raise InputError("equal and free class sizes must be >= 1")
+        power = _integer(power, "power", 2, 5)
+        equal, free = _integer(equal, "equal", 1), _integer(free, "free", 1)
         super().__init__(power, equal, free, name)
 
     def signature(self) -> tuple[int, int, int]:
@@ -109,10 +107,8 @@ def verify_solution(
         )
     if len(free_entries) != kind.free:
         raise InputError(f"expected {kind.free} free entries, got {len(free_entries)}")
-    equal_entries = [_as_int(a) for a in equal_entries]
-    free_entries = [_as_int(b) for b in free_entries]
-    if any(a < 1 for a in equal_entries) or any(b < 1 for b in free_entries):
-        raise InputError("all entries must be positive integers")
+    equal_entries = [_integer(a, "equal entry", 1) for a in equal_entries]
+    free_entries = [_integer(b, "free entry", 1) for b in free_entries]
     p = kind.power
     psis = tuple(psi(a) for a in equal_entries)
     lhs = psis[0] ** p
@@ -143,8 +139,8 @@ def canonicalize(
         )
     return Solution(
         kind=kind,
-        equal_entries=tuple(sorted(map(_as_int, equal_entries))),
-        free_entries=tuple(sorted(map(_as_int, free_entries))),
+        equal_entries=tuple(sorted(_integer(a, "equal entry") for a in equal_entries)),
+        free_entries=tuple(sorted(_integer(b, "free entry") for b in free_entries)),
         psi_value=report.psi_values[0],
         target=report.lhs,
     )
@@ -194,18 +190,22 @@ def solution_to_json(solution: Solution) -> str:
 
 
 def solution_from_json(line: str) -> Solution:
-    """The Solution of a solution_to_json line; InputError if it is not one."""
+    """The Solution of a solution_to_json line, built by canonicalize.
+
+    InputError if the line is not one, if it does not solve its equation,
+    or if its psi and its target, a decimal string, are not the solution's.
+    """
     try:
         obj = json.loads(line)
         k = obj["kind"]
         kind = TupleKind(k["power"], k["equal"], k["free"], k.get("name"))
-        return Solution(
-            kind=kind,
-            equal_entries=tuple(obj["equal_entries"]),
-            free_entries=tuple(obj["free_entries"]),
-            psi_value=int(obj["psi"]),
-            target=int(obj["target"]),
-        )
+        solution = canonicalize(kind, obj["equal_entries"], obj["free_entries"])
+        psi_value, target = _integer(obj["psi"], "psi"), obj["target"]
+        if (psi_value, target) != (solution.psi_value, str(solution.target)):
+            raise InputError(f'psi and target must be {solution.psi_value} and "{solution.target}"')
+        return solution
+    except InputError:
+        raise
     except (LookupError, TypeError, AttributeError, ValueError) as exc:
         raise InputError(f"not a JSON solution line: {exc!r}") from None
 

@@ -31,16 +31,26 @@ from psituples import (
     TupleKind,
     VerifyReport,
     Witness,
+    build_class_index,
     build_sieve,
     canonicalize,
+    classify_equal_pair,
+    congruence_witness,
+    decompose_sum_of_powers,
     factorize,
+    int_kth_root,
+    is_perfect_kth_power,
     kind_by_name,
+    pair_obstruction,
     psi,
+    psi_segment,
     reproduce_table,
     search,
     solution_from_json,
     solution_to_json,
+    triple_family,
     verify_solution,
+    verify_theorem1,
 )
 
 _ClassRuns = importlib.import_module("psituples.search")._ClassRuns
@@ -49,6 +59,7 @@ _Record = importlib.import_module("psituples.arith")._Record
 _KIND = kind_by_name("cubic-triple")
 _SIEVE = build_sieve(10)
 _SOLUTION = Solution(_KIND, (4,), (3, 5), 6, 216)
+_SOLUTION_LINE = solution_to_json(_SOLUTION)
 _WITNESS = Witness("non-square", "v1 = 5 is not a perfect square",
                    (("symbol_is_v1", 1), ("value", 5)))
 
@@ -204,6 +215,37 @@ def test_fixed_reprs():
         lambda: factorize(2.0),
         lambda: verify_solution(kind_by_name("quadratic-pair"), [2.5], [1]),
         lambda: verify_solution(kind_by_name("quadratic-pair"), [2], [1.0]),
+        # a float, 2.0 included, is refused wherever an integer is bound
+        lambda: build_sieve(10.0),
+        lambda: psi_segment(0.0, 10, [2, 3]),
+        lambda: psi_segment(0, 10.0, [2, 3]),
+        lambda: psi_segment(0, 10, [2.0, 3]),
+        lambda: _SIEVE.psi_at(2.0),
+        lambda: int_kth_root(8.0, 3),
+        lambda: int_kth_root(8, 3.0),
+        lambda: is_perfect_kth_power(8, 3.0),
+        lambda: TupleKind(2.0, 1, 1),
+        lambda: TupleKind(2, 1.0, 1),
+        lambda: TupleKind(2, 1, 1.0),
+        lambda: canonicalize(_KIND, [4.0], [3, 5]),
+        lambda: SearchConfig(_KIND, 10.5),
+        lambda: SearchConfig(_KIND, 10, 2.0),
+        lambda: build_class_index(_SIEVE, 5.0),
+        lambda: decompose_sum_of_powers(2.0, 2, 2, 1),
+        lambda: decompose_sum_of_powers(2, 2.0, 2, 1),
+        lambda: decompose_sum_of_powers(2, 2, 2.0, 1),
+        lambda: decompose_sum_of_powers(2, 2, 2, 1.0),
+        lambda: reproduce_table(6.0),
+        lambda: reproduce_table(6, bound=10.5),
+        lambda: reproduce_table(6, bound=10, jobs=1.0),
+        lambda: pair_obstruction(8.0),
+        lambda: congruence_witness(8.0),
+        lambda: verify_theorem1(100.0),
+        lambda: triple_family(5.0),
+        lambda: classify_equal_pair(10.0),
+        lambda: solution_from_json(_SOLUTION_LINE.replace('"equal_entries":[4]',
+                                                          '"equal_entries":[2.5]')),
+        lambda: solution_from_json(_SOLUTION_LINE.replace('"psi":6', '"psi":6.0')),
     ],
 )
 def test_validation_raises_input_error(make):

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from psituples import (
@@ -307,6 +308,33 @@ def test_family_identity_all_k():
         s = triple_family(k)
         assert psi(2**k) ** 2 == 9 * 4 ** (k - 1) == s.target
         assert verify_solution(s.kind, s.equal_entries, s.free_entries).ok
+
+
+def _python_ints(values):
+    """Whether every int among values, inside tuples too, is a Python int."""
+    return all(
+        _python_ints(v) if isinstance(v, tuple) else type(v) is int
+        for v in values
+        if isinstance(v, (tuple, int, np.integer))
+    )
+
+
+def test_numpy_arguments_give_the_python_int_reports():
+    # computed in numpy int64, the family's target 9 * 2**78 wraps to 0 and
+    # classify's 2 * a * a raises OverflowError: arguments are bound to
+    # Python ints before any arithmetic
+    family = triple_family(np.int64(40))
+    assert family == triple_family(40)
+    assert _python_ints((family.equal_entries, family.free_entries, family.psi_value, family.target))
+    report = classify_equal_pair(np.int64(2**40))
+    assert report == classify_equal_pair(2**40)
+    assert report.c == 2**39 and _python_ints(getattr(report, f) for f in report.__slots__)
+    for x in (np.int64(8), np.uint32(12), np.int64(2**40 + 15)):
+        report = pair_obstruction(x)
+        assert report == pair_obstruction(int(x))
+        assert _python_ints(getattr(report, f) for f in report.__slots__[:6])
+        assert _python_ints(v for _, v in report.obstruction.values)
+    assert verify_theorem1(np.int64(100)) == verify_theorem1(100)
 
 
 def test_family_range_check():

@@ -1,10 +1,14 @@
 """Tuple model: kinds, verification, canonical form, doubling, formats."""
 
+import json
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from psituples import (
+    InputError,
     canonicalize,
     csv_header,
     double_solution,
@@ -146,6 +150,39 @@ def test_json_round_trip():
     line = solution_to_json(s)
     assert '"target":"1934917632"' in line  # decimal string, may exceed 64 bits
     assert solution_from_json(line) == s
+
+
+def test_a_float_power_cannot_fake_a_quadratic_pair():
+    # in floats, psi(2**66)**2 = 9 * 2**130 and 2**132 + isqrt(5 * 2**130)**2
+    # round to the same double, a discrepancy of 0.0; the kind refuses 2.0
+    equal, free = [2**66], [math.isqrt(5 * 2**130)]
+    with pytest.raises(InputError, match="power must be an integer, got 2.0"):
+        TupleKind(2.0, 1, 1)
+    report = verify_solution(TupleKind(2, 1, 1), equal, free)
+    assert not report.ok and report.discrepancy != 0
+
+
+def test_solution_from_json_verifies_the_line():
+    line = solution_to_json(canonicalize(kind_by_name("cubic-triple"), [4], [5, 3]))
+    obj = json.loads(line)
+    # a reordered line is read back canonical
+    assert solution_from_json(json.dumps({**obj, "free_entries": [5, 3]})) == solution_from_json(line)
+    bad = [
+        {"equal_entries": [2.5]},
+        {"equal_entries": [4.0]},
+        {"free_entries": [3, "5"]},
+        {"free_entries": [3, 4, 5]},
+        {"free_entries": [3, 6]},  # does not solve psi(4)**3 = 4**3 + 3**3 + 6**3
+        {"psi": 2.5},
+        {"psi": 7},
+        {"target": 216},
+        {"target": "217"},
+    ]
+    for change in bad:
+        with pytest.raises(InputError) as exc:
+            solution_from_json(json.dumps({**obj, **change}))
+        # the inner InputError as it is, not wrapped in another one
+        assert "InputError" not in str(exc.value), change
 
 
 def test_csv_layout():
