@@ -54,13 +54,13 @@ class _Record:
 
     A subclass lists its two or more fields, in order, as __slots__, and
     the defaults of its trailing fields, if it has any, in _defaults.  The
-    __init__ here binds arguments to the slots as a written-out signature
-    would, TypeError included; a subclass writes its own __init__ only to
-    validate input or to make a fresh default, and passes the fields on to
-    this one.  From the slots this base gives what a frozen dataclass
-    gives: the signature help() shows, equality and hash over the field
-    tuple, the dataclass repr, pickling through the constructor, and
-    AttributeError on assignment or deletion.
+    __init__ here binds arguments to the slots through the signature built
+    from them, TypeError included; a subclass writes its own __init__ only
+    to validate input or to make a fresh default, and passes every field
+    on to this one, positionally.  From the slots this base gives what a
+    frozen dataclass gives: the signature help() shows, equality and hash
+    over the field tuple, the dataclass repr, pickling through the
+    constructor, and AttributeError on assignment or deletion.
     """
 
     # A plain class costs nothing to define, where a dataclass execs about
@@ -85,27 +85,11 @@ class _Record:
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         if kwargs or len(args) != len(self.__slots__):
-            args = self._bind(args, kwargs)
+            bound = self.__signature__.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
         for name, value in zip(self.__slots__, args):
             self._set(name, value)
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict[str, object]) -> tuple:
-        """Every field's value in slot order, or the TypeError of a
-        written-out signature."""
-        names, call = cls.__slots__, f"{cls.__qualname__}()"
-        if len(args) > len(names):
-            raise TypeError(f"{call} takes {len(names)} arguments but {len(args)} were given")
-        rest = names[len(args) :]
-        for name in kwargs:
-            if name not in rest:
-                problem = "multiple values for" if name in names else "an unexpected keyword"
-                raise TypeError(f"{call} got {problem} argument {name!r}")
-        given = {**cls._defaults, **kwargs}
-        missing = [name for name in rest if name not in given]
-        if missing:
-            raise TypeError(f"{call} missing required arguments {missing}")
-        return args + tuple(given[name] for name in rest)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -45,7 +45,7 @@ from .arith import (
     int_kth_root,
     is_perfect_kth_power,
 )
-from .tuples import Solution, TupleKind, sort_solutions
+from .tuples import Solution, TupleKind, _instance, sort_solutions
 
 __all__ = [
     "SearchConfig",
@@ -70,6 +70,7 @@ class SearchConfig(_Record):
     __slots__ = ("kind", "bound", "jobs")
 
     def __init__(self, kind: TupleKind, bound: int, jobs: int = 1) -> None:
+        kind = _instance(kind, TupleKind, "kind")
         super().__init__(kind, _integer(bound, "bound", 1), _integer(jobs, "jobs", 1))
 
 
@@ -101,41 +102,45 @@ def build_class_index(sieve: PsiSieve, bound: int | None = None) -> PsiClassInde
 
 
 class _PairSumTable:
-    """All sums x**p + y**p with 1 <= x <= y <= cap, sorted ascending.
+    """All sums x**p + y**p <= top with 1 <= x <= y <= cap, sorted ascending;
+    top defaults to 2 * cap**p, every pair.
 
-    Only the sums are kept, one int64 array of 8 B per pair: it is filled
-    one x at a time and sorted in place, so the build peaks at 8 B per pair
-    too.  _mitm4 recovers the pairs of the few sums it matches.  This is
-    the one place that decides whether a table can be built: before
-    allocating anything it raises InputError when 4 * cap**p would leave
-    int64 (the sums, and the residuals of up to four entries <= cap probed
-    against them, then stay exact) or when the table would exceed
-    _memory_budget.
+    Only the sums are kept, one int64 array of 8 B per pair: row x, which
+    ends at y = min(cap, floor((top - x**p) ** (1/p))), is filled one x at
+    a time, and the array is sorted in place, so the build peaks at 8 B
+    per pair too.  _mitm4 recovers the pairs of the few sums it matches.
+    This is the one place that decides whether a table can be built:
+    before allocating it raises InputError when top would leave int64 (a
+    join of a residual <= top forms nothing larger, so it stays exact) or
+    when the table would exceed _memory_budget.
     """
 
-    __slots__ = ("power", "cap", "sums")
+    __slots__ = ("power", "cap", "top", "sums")
 
-    def __init__(self, power: int, cap: int):
-        if 4 * cap**power > _INT64_MAX:
+    def __init__(self, power: int, cap: int, top: int | None = None):
+        top = 2 * cap**power if top is None else top
+        if top > _INT64_MAX:
+            raise InputError(f"the pair-sum table for residuals up to {top} would leave int64")
+        rows = min(cap, int_kth_root(top // 2, power))  # the x with 2 * x**p <= top
+        # the triangle y <= rows, all sums <= top, is a lower bound: a table far
+        # over the budget is refused on it before its row ends are formed
+        pairs, budget = rows * (rows + 1) // 2, _memory_budget()
+        if 8 * pairs <= budget:
+            ends = top - np.arange(1, rows + 1, dtype=np.int64) ** power
+            ends = np.minimum(_floor_root_vec(ends, power), cap)
+            pairs = int(ends.sum()) - pairs + rows
+        if 8 * pairs > budget:
             raise InputError(
-                f"the pair-sum table of cap {cap} would leave int64: power {power} "
-                f"allows a cap of at most {int_kth_root(_INT64_MAX // 4, power)}"
-            )
-        pairs = cap * (cap + 1) // 2
-        need, budget = 8 * pairs, _memory_budget()
-        if need > budget:
-            raise InputError(
-                f"the pair-sum table of cap {cap} needs {need} bytes ({pairs} pairs), "
+                f"the pair-sum table of cap {cap} needs {8 * pairs} bytes ({pairs} pairs), "
                 f"over the memory budget of {budget} bytes"
             )
-        self.power = power
-        self.cap = cap
-        pw = np.arange(cap + 1, dtype=np.int64) ** power
+        self.power, self.cap, self.top = power, cap, top
+        pw = np.arange(ends[0] + 1 if rows else 1, dtype=np.int64) ** power
         self.sums = np.empty(pairs, dtype=np.int64)
         end = 0
-        for x in range(1, cap + 1):  # x**p + y**p for y = x..cap
-            start, end = end, end + cap + 1 - x
-            np.add(pw[x], pw[x:], out=self.sums[start:end])
+        for x, y_end in zip(range(1, rows + 1), ends):  # x**p + y**p for y = x..y_end
+            start, end = end, end + y_end + 1 - x
+            np.add(pw[x], pw[x : y_end + 1], out=self.sums[start:end])
         self.sums.sort()
 
 
@@ -283,13 +288,13 @@ def decompose_sum_of_powers(
     power-th powers sum to residual, in lexicographic order.
 
     Four entries always join a meet-in-the-middle pair-sum table (_mitm4):
-    the caller's pair_table when it covers min(cap, root of residual),
-    otherwise one built here, which raises InputError past int64 or past
-    the memory budget (_PairSumTable).  Every other count recurses with
-    monotone residual pruning (_descend).  Four fourth powers first pass
-    _quartic_descent: a residual it rules out returns no tuples, and
-    otherwise the reduced residual is decomposed with entries <= cap //
-    scale and the tuples are scaled back.
+    the caller's pair_table when it covers residual and min(cap, root of
+    residual), otherwise one built here, which raises InputError past
+    int64 or past the memory budget (_PairSumTable).  Every other count
+    recurses with monotone residual pruning (_descend).  Four fourth
+    powers first pass _quartic_descent: a residual it rules out returns no
+    tuples, and otherwise the reduced residual is decomposed with entries
+    <= cap // scale and the tuples are scaled back.
     """
     residual, count = _integer(residual, "residual", 0), _integer(count, "count", 1)
     power, cap = _integer(power, "power", 2, 5), _integer(cap, "cap")
@@ -298,9 +303,7 @@ def decompose_sum_of_powers(
         if reduced != residual:
             found = decompose_sum_of_powers(reduced, 4, 4, cap // scale, pair_table)
             return [tuple(scale * b for b in t) for t in found]
-    # entries are 1..cap (none when cap < 1); with four, a residual past int64
-    # would also need a cap past it, which _PairSumTable refuses, so the join
-    # stays exact
+    # entries are 1..cap (none when cap < 1)
     if not count <= residual <= count * max(cap, 0) ** power:
         return []
     if count != 4:
@@ -308,9 +311,10 @@ def decompose_sum_of_powers(
         _descend(residual, count, power, 1, cap, (), out)
         return out
     cap = min(cap, int_kth_root(residual, power))
-    if pair_table is None or pair_table.power != power or pair_table.cap < cap:
-        pair_table = _PairSumTable(power, cap)
-    return _mitm4(residual, power, cap, pair_table)
+    t = pair_table
+    if t is None or t.power != power or t.cap < cap or t.top < residual:
+        t = _PairSumTable(power, cap, residual)
+    return _mitm4(residual, power, cap, t)
 
 
 # --- the search proper -----------------------------------------------------
@@ -323,8 +327,9 @@ def _needs_pair_table(kind: TupleKind, runs: _ClassRuns) -> _PairSumTable | None
     multisets whose first entry is n, (n, ..., n) has the largest residual,
     psi(n)**p - e * n**p; with one equal entry that is the residual itself,
     so quartic residuals are first reduced by _quartic_descent, as
-    decompose_sum_of_powers will reduce them.  InputError where the table
-    would leave int64 or exceed the memory budget (_PairSumTable).
+    decompose_sum_of_powers will reduce them.  The table holds the sums up
+    to the largest of them; InputError where that would leave int64 or the
+    table exceed the memory budget (_PairSumTable).
     """
     if kind.free != 4:
         return None
@@ -332,7 +337,8 @@ def _needs_pair_table(kind: TupleKind, runs: _ClassRuns) -> _PairSumTable | None
     tops = (v**p - e * n**p for v, n in zip(runs.psis.tolist(), runs.ns.tolist()))
     if p == 4 and e == 1:
         tops = (_quartic_descent(r)[0] for r in tops)
-    return _PairSumTable(p, int_kth_root(max(0, max(tops)), p))
+    top = max(0, max(tops))
+    return _PairSumTable(p, int_kth_root(top, p), top)
 
 
 # --- the equal-class kernel ------------------------------------------------
@@ -550,7 +556,7 @@ def search(
     exception that a chunk raises in a child is raised here, as it would
     be with jobs 1.
     """
-    kind, bound = config.kind, config.bound
+    kind, bound = _instance(config, SearchConfig, "config").kind, config.bound
     _check_plan_memory(bound)
     runs = _build_class_runs(build_sieve(bound), bound, kind.equal)
     state = (runs, _needs_pair_table(kind, runs))
@@ -758,6 +764,7 @@ def brute_force_oracle(config: SearchConfig) -> list[Solution]:
     off a plain table of k-th powers.  Arbitrary-precision arithmetic
     throughout.
     """
+    config = _instance(config, SearchConfig, "config")
     kind, N = config.kind, _integer(config.bound, "oracle bound", hi=ORACLE_MAX_BOUND)
     p, e, f = kind.power, kind.equal, kind.free
     psis = [0] + [_psi_trial(a) for a in range(1, N + 1)]

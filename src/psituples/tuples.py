@@ -12,7 +12,7 @@ allowed, and an entry may appear in both classes.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .arith import InputError, _integer, _Record, psi
 
@@ -44,6 +44,13 @@ class TupleKind(_Record):
 
     def signature(self) -> tuple[int, int, int]:
         return (self.power, self.equal, self.free)
+
+
+def _instance(value: object, cls: type, name: str) -> object:
+    """value itself when it is a cls, else an InputError naming the argument."""
+    if not isinstance(value, cls):
+        raise InputError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
 
 
 NAMED_KINDS: tuple[TupleKind, ...] = (
@@ -93,22 +100,22 @@ class Solution(_Record):
 
 
 def verify_solution(
-    kind: TupleKind, equal_entries: Sequence[int], free_entries: Sequence[int]
+    kind: TupleKind, equal_entries: Iterable[int], free_entries: Iterable[int]
 ) -> VerifyReport:
     """Exact arithmetic check of the defining equation.
 
-    Entry counts must match the kind and all entries must be integers >= 1
-    (InputError otherwise).  Python integers keep every intermediate
-    exact, so a failed check is always a genuine failure.
+    kind must be a TupleKind, the entries any iterables of integers >= 1,
+    as many as the kind has (InputError otherwise).  Python integers keep
+    every intermediate exact, so a failed check is always a genuine
+    failure.
     """
-    if len(equal_entries) != kind.equal:
-        raise InputError(
-            f"expected {kind.equal} equal entries, got {len(equal_entries)}"
-        )
-    if len(free_entries) != kind.free:
-        raise InputError(f"expected {kind.free} free entries, got {len(free_entries)}")
+    kind = _instance(kind, TupleKind, "kind")
     equal_entries = [_integer(a, "equal entry", 1) for a in equal_entries]
     free_entries = [_integer(b, "free entry", 1) for b in free_entries]
+    if len(equal_entries) != kind.equal:
+        raise InputError(f"expected {kind.equal} equal entries, got {len(equal_entries)}")
+    if len(free_entries) != kind.free:
+        raise InputError(f"expected {kind.free} free entries, got {len(free_entries)}")
     p = kind.power
     psis = tuple(psi(a) for a in equal_entries)
     lhs = psis[0] ** p
@@ -124,13 +131,14 @@ def verify_solution(
 
 
 def canonicalize(
-    kind: TupleKind, equal_entries: Sequence[int], free_entries: Sequence[int]
+    kind: TupleKind, equal_entries: Iterable[int], free_entries: Iterable[int]
 ) -> Solution:
     """Verify and return the canonical Solution (sorted entry lists).
 
     Raises InputError when verification fails; two solutions are equal
     iff their canonical forms are equal.
     """
+    equal_entries, free_entries = tuple(equal_entries), tuple(free_entries)
     report = verify_solution(kind, equal_entries, free_entries)
     if not report.ok:
         raise InputError(

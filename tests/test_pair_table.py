@@ -47,17 +47,58 @@ def test_table_holds_every_pair_sum_sorted(power):
         assert table.sums.tolist() == expected, (power, cap)
 
 
+@pytest.mark.parametrize("power", [2, 3, 4, 5])
+def test_clipped_table_holds_the_sums_up_to_top(power):
+    for cap in range(1, 25):
+        every = sorted(x**power + y**power for x in range(1, cap + 1) for y in range(x, cap + 1))
+        tops = (0, 1, every[0], every[len(every) // 2], every[-1], 2 * cap**power)
+        for top in tops:
+            table = _PairSumTable(power, cap, top)
+            assert table.top == top and table.sums.dtype == np.int64
+            assert table.sums.tolist() == [s for s in every if s <= top], (power, cap, top)
+
+
 def test_table_at_the_largest_quintic_cap():
-    # 4 * 4705**5 < 2**63 <= 4 * 4706**5: the largest table int64 allows
-    assert 4 * 4705**5 < 2**63 <= 4 * 4706**5
-    sums = _PairSumTable(5, 4705).sums
-    assert sums.size == 4705 * 4706 // 2
-    assert int(sums[0]) == 2 and int(sums[-1]) == 2 * 4705**5
-    assert bool(np.all(sums[1:] >= sums[:-1]))
-    with pytest.raises(InputError, match="cap 4706 would leave int64.* at most 4705"):
-        _PairSumTable(5, 4706)
-    with pytest.raises(InputError, match="cap 38968 would leave int64.* at most 38967"):
-        _PairSumTable(4, 38968)
+    # 2 * 5404**5 < 2**63 <= 2 * 5405**5: the largest full quintic table
+    # that int64 allows.  A table whose sums could reach 2**63 is refused,
+    # whatever its cap, before anything is allocated.
+    assert 2 * 5404**5 < 2**63 <= 2 * 5405**5
+    _refused(5, 5405, None)
+    for cap in (1, 6208):
+        _, peak = _traced_peak(lambda: _refused(5, cap, 2**63))
+        assert peak < 4096
+
+
+def _refused(power, cap, top):
+    top = 2 * cap**power if top is None else top
+    with pytest.raises(InputError, match=f"up to {top} would leave int64"):
+        _PairSumTable(power, cap, top)
+
+
+def test_table_limits_monkeypatched_small(monkeypatch):
+    # the one int64 rule: a table is refused exactly when its top is past
+    # _INT64_MAX, and a four-entry decomposition past it with it
+    monkeypatch.setattr(search_module, "_INT64_MAX", 10**6)
+    table = _PairSumTable(4, 40, 10**6)
+    assert int(table.sums[-1]) <= 10**6 and table.top == 10**6
+    _refused(4, 40, 10**6 + 1)
+    _refused(2, 1, 10**6 + 1)
+    residual = 1**4 + 2**4 + 3**4 + 31**4  # 923619: inside the patched limit
+    assert decompose_sum_of_powers(residual, 4, 4, 40) == descend4(residual, 4, 40)
+    with pytest.raises(InputError, match="would leave int64"):
+        decompose_sum_of_powers(10**6 + 1, 4, 5, 40)
+
+
+def test_decompose_rebuilds_a_table_below_the_residual(monkeypatch):
+    built = _counting_tables(monkeypatch)
+    residual = 3**5 + 17**5 + 40**5 + 90**5
+    table = search_module._PairSumTable(5, 100, 10**6)
+    assert decompose_sum_of_powers(residual, 4, 5, 100, table) == [(3, 17, 40, 90)]
+    assert built == [(5, 100, 10**6), (5, 90, residual)]
+    # a table that covers the residual and its root is used as it is
+    table = search_module._PairSumTable(5, 100, residual)
+    assert decompose_sum_of_powers(residual, 4, 5, 100, table) == [(3, 17, 40, 90)]
+    assert len(built) == 3
 
 
 # --- the join in blocks -------------------------------------------------------------
@@ -140,15 +181,15 @@ def test_dense_hits_agree_with_oracle(kind, bound):
 
 def _counting_tables(monkeypatch):
     """Route every _PairSumTable construction through a counter; returns
-    the list of (power, cap) built."""
+    the list of (power, cap, top) built."""
     built = []
 
     class Counted(_PairSumTable):
         __slots__ = ()
 
-        def __init__(self, power, cap):
-            built.append((power, cap))
-            super().__init__(power, cap)
+        def __init__(self, power, cap, top=None):
+            built.append((power, cap, top))
+            super().__init__(power, cap, top)
 
     monkeypatch.setattr(search_module, "_PairSumTable", Counted)
     return built
@@ -188,23 +229,26 @@ def test_four_free_search_equals_oracle_at_small_bounds(power, equal):
 
 
 def test_table_7_at_the_int64_crossing(monkeypatch, capsys):
-    # from N = 1890 (psi 5184) the quintic table needs cap 5177, past the
-    # 4705 that int64 allows: the search stops at plan time, exit 2
+    # the largest quintic residual, psi(n)**5 - n**5 at n = 2100 (psi 5760),
+    # is 0.68 * 2**63 at N = 2309; from N = 2310 (psi 6912) it is 1.70 *
+    # 2**63, and the search stops at plan time, exit 2
     start = time.perf_counter()
-    code = main(["table", "--id", "7", "--bound", "1890"])
+    code = main(["table", "--id", "7", "--bound", "2310"])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert "cap 5177 would leave int64" in captured.err and "4705" in captured.err
+    assert f"up to {6912**5 - 2310**5} would leave int64" in captured.err
     assert elapsed < 1.0
-    # one below, the table fits: record its cap without building 85 MB
-    caps = []
-    monkeypatch.setattr(search_module, "_PairSumTable", lambda power, cap: caps.append(cap))
+    # one below, the table fits: record its cap and top without building 120 MB
+    tables = []
+    monkeypatch.setattr(search_module, "_PairSumTable",
+                        lambda power, cap, top: tables.append((cap, top)))
     kind = kind_by_name("quintic-quintuple")
-    for bound in (1889, 1890):
+    for bound in (2309, 2310):
         runs = search_module._build_class_runs(build_sieve(bound), bound, kind.equal)
         search_module._needs_pair_table(kind, runs)
-    assert caps == [4602, 5177]
+    assert tables == [(5752, 5760**5 - 2100**5), (6906, 6912**5 - 2310**5)]
+    assert tables[0][1] < 2**63 <= tables[1][1]
 
 
 # --- the memory budget ----------------------------------------------------------------
@@ -238,6 +282,19 @@ def test_budget_spares_what_needs_no_table(monkeypatch):
     residual = 3**5 + 17**5 + 40**5 + 90**5
     with pytest.raises(InputError, match="budget of 1000 bytes"):
         decompose_sum_of_powers(residual, 4, 5, int_kth_root(residual, 5))
+
+
+def test_table_far_over_the_budget_allocates_nothing():
+    # 2**62 + 1 as four squares: its table would have 1.5e9 rows, whose row
+    # ends alone take 12 GB; the triangle of those rows is refused first
+    residual = 2**62 + 1
+
+    def refuse():
+        with pytest.raises(InputError, match="over the memory budget"):
+            decompose_sum_of_powers(residual, 4, 2, int_kth_root(residual, 2))
+
+    _, peak = _traced_peak(refuse)
+    assert peak < 64 * 1024
 
 
 def _no_sieve(limit):
@@ -316,6 +373,15 @@ def test_table_build_peaks_at_eight_bytes_per_pair():
     pairs = 720 * 721 // 2
     assert table.sums.nbytes == 8 * pairs
     assert peak <= 9 * pairs + 64 * 1024
+
+
+@pytest.mark.parametrize("power, cap", [(4, 2000), (5, 900)])
+def test_clipped_table_build_peaks_at_eight_bytes_per_pair(power, cap):
+    top = cap**power  # clips every row but the first
+    table, peak = _traced_peak(lambda: _PairSumTable(power, cap, top))
+    pairs = table.sums.size
+    assert 0 < pairs < cap * (cap + 1) // 2
+    assert peak <= 8 * pairs + 64 * 1024, peak / pairs
 
 
 @pytest.mark.parametrize("equal", [1, 2, 3])

@@ -31,6 +31,7 @@ from psituples import (
     TupleKind,
     VerifyReport,
     Witness,
+    brute_force_oracle,
     build_class_index,
     build_sieve,
     canonicalize,
@@ -246,6 +247,16 @@ def test_fixed_reprs():
         lambda: solution_from_json(_SOLUTION_LINE.replace('"equal_entries":[4]',
                                                           '"equal_entries":[2.5]')),
         lambda: solution_from_json(_SOLUTION_LINE.replace('"psi":6', '"psi":6.0')),
+        # a kind that is not a TupleKind, a config that is not a SearchConfig
+        lambda: SearchConfig("cubic-triple", 10),
+        lambda: SearchConfig((3, 1, 2), 10),
+        lambda: search((_KIND, 10, 1)),
+        lambda: search("cubic-triple"),
+        lambda: brute_force_oracle((_KIND, 10, 1)),
+        lambda: verify_solution("cubic-triple", [4], [3, 5]),
+        lambda: verify_solution((3, 1, 2), [4], [3, 5]),
+        lambda: canonicalize("cubic-triple", [4], [3, 5]),
+        lambda: canonicalize(None, [4], [3, 5]),
     ],
 )
 def test_validation_raises_input_error(make):

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from psituples import (
     InputError,
+    SearchConfig,
+    brute_force_oracle,
     canonicalize,
     csv_header,
     double_solution,
     kind_by_name,
     named_kinds,
+    search,
     solution_from_json,
     solution_to_csv_row,
     solution_to_json,
@@ -84,6 +87,41 @@ def test_verify_arity_and_positivity_errors():
         verify_solution(kind, [4], [3])
     with pytest.raises(ValueError):
         verify_solution(kind, [4], [0, 5])
+
+
+def test_entries_may_be_any_iterable():
+    kind = kind_by_name("cubic-triple")
+    expected = verify_solution(kind, [4], [3, 5])
+    assert verify_solution(kind, iter([4]), iter([3, 5])) == expected
+    assert verify_solution(kind, (a for a in [4]), (b for b in (5, 3))) == expected
+    assert verify_solution(kind, range(4, 5), {3: "x", 5: "y"}) == expected
+    solution = canonicalize(kind, [4], [3, 5])
+    assert canonicalize(kind, iter([4]), iter([5, 3])) == solution
+    assert canonicalize(kind, (a for a in [4]), (b for b in (5, 3))) == solution
+    # an iterator is counted once it is bound, and read only once
+    with pytest.raises(InputError, match="expected 2 free entries, got 1"):
+        verify_solution(kind, iter([4]), iter([3]))
+    with pytest.raises(InputError, match="expected 1 equal entries, got 2"):
+        canonicalize(kind, (a for a in (4, 4)), iter([3, 5]))
+    with pytest.raises(InputError, match="free entry must be >= 1, got 0"):
+        canonicalize(kind, iter([4]), (b for b in (0, 5)))
+
+
+def test_a_kind_or_config_of_another_type_names_the_argument():
+    kind = kind_by_name("cubic-triple")
+    for bad in ("cubic-triple", (3, 1, 2), None):
+        with pytest.raises(InputError) as exc:
+            verify_solution(bad, [4], [3, 5])
+        assert str(exc.value) == f"kind must be a TupleKind, got {bad!r}"
+        with pytest.raises(InputError, match="^kind must be a TupleKind"):
+            canonicalize(bad, [4], [3, 5])
+        with pytest.raises(InputError, match="^kind must be a TupleKind"):
+            SearchConfig(bad, 10)
+    for bad in ((kind, 10, 1), "cubic-triple", kind):
+        with pytest.raises(InputError, match="^config must be a SearchConfig"):
+            search(bad)
+        with pytest.raises(InputError, match="^config must be a SearchConfig"):
+            brute_force_oracle(bad)
 
 
 def test_verify_permutation_invariance():
