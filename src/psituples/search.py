@@ -352,25 +352,23 @@ class _ClassRuns(_Record):
     position i.  tuple_start[i] (int64) counts the non-decreasing
     equal-tuples of positions inside one run whose first position is below
     i; it has one more entry than ns, the total.  24 bytes per entry in
-    all; uint32 is exact because the sieve's limit is below 2**32, and a
-    uint32 entry must be widened before it is raised to a power.
+    all; a uint32 entry must be widened before it is raised to a power.
     """
 
     __slots__ = ("ns", "psis", "run_end", "tuple_start")
 
 
-def _build_class_runs(sieve: PsiSieve, bound: int, equal: int) -> _ClassRuns:
-    """The class runs of 1..bound; the build peaks at _RUNS_BYTES per entry."""
-    psi = sieve.psi[1 : bound + 1]
-    order = np.argsort(psi, kind="stable")
-    psis = psi[order].view(np.int64)  # the one sorted copy; psi < 2**63
-    ns = order.astype(np.uint32)
-    ns += 1
-    del order
-    starts = np.flatnonzero(psis[1:] != psis[:-1]) + 1
-    lengths = np.diff(starts, prepend=0, append=bound)
-    run_end = np.repeat(np.append(starts, bound).astype(np.uint32), lengths)
-    del starts, lengths
+def _build_class_runs(bound: int, equal: int) -> _ClassRuns:
+    """The class runs of 1..bound, ordered by the keys psi(n) << 31 | n; the
+    sieve built here dies once they exist, so the build peaks at _RUNS_BYTES."""
+    keys = build_sieve(bound).psi[1 : bound + 1] << 31
+    keys |= np.arange(1, bound + 1, dtype=np.uint64)
+    keys.sort()
+    ns = (keys & ((1 << 31) - 1)).astype(np.uint32)
+    psis = np.right_shift(keys, 31, out=keys).view(np.int64)
+    ends = np.append(np.flatnonzero(psis[1:] != psis[:-1]) + 1, bound)
+    run_end = np.repeat(ends.astype(np.uint32), np.diff(ends, prepend=0))
+    del ends
     # With m positions left in the run, C(m + equal - 2, equal - 1) tuples
     # start at a position; the product below steps through C(m - 1 + j, j).
     # _KERNEL_BLOCK positions at a time, so that the temporaries stay small.
@@ -510,27 +508,21 @@ def _plan_chunks(runs: _ClassRuns, jobs: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-# Bytes per entry of 1..bound, from the arrays allocated: the sieve keeps
-# psi (uint64; its build peaks at 13 B, before any class run exists), and
-# _build_class_runs peaks at the 24 B it keeps (_ClassRuns): the argsort
-# order and the per-class arrays are gone before tuple_start exists, and
-# its counts are formed one slice at a time, beside about 0.6 MB of
-# temporaries whatever the bound (24.14 B measured at 2**22).
-_SIEVE_BYTES = 8
-_RUNS_BYTES = 24
+_RUNS_BYTES = 24  # per entry of 1..bound: what _ClassRuns keeps and its build peaks at
 
 
 def _check_plan_memory(bound: int) -> None:
-    """Refuse, before anything is allocated, a search whose sieve and class
-    runs would exceed _memory_budget.  The pair-sum table, sized only once
-    the runs exist, is checked by _PairSumTable."""
-    sieve, runs = _SIEVE_BYTES * (bound + 1), _RUNS_BYTES * bound
-    need, budget = sieve + runs, _memory_budget()
+    """Refuse, before anything is allocated, a bound of 2**31 or more, past
+    the 31-bit entry field of the class-run keys (psi(n) < 3.75 * n < 2**33
+    fills the other 33 bits), or one whose class runs would exceed
+    _memory_budget.  The pair-sum table is checked by _PairSumTable."""
+    if bound >= 1 << 31:
+        raise InputError(f"a search bound must be below 2**31, the 31-bit entry field "
+                         f"of the class-run keys, got {bound}")
+    need, budget = _RUNS_BYTES * bound, _memory_budget()
     if need > budget:
-        raise InputError(
-            f"a search to bound {bound} needs {need} bytes, over the memory budget of "
-            f"{budget} bytes: {runs} for the class runs and {sieve} for the sieve"
-        )
+        raise InputError(f"a search to bound {bound} needs {need} bytes for the class runs, "
+                         f"over the memory budget of {budget} bytes")
 
 
 def _search_chunk(kind: TupleKind, chunk: tuple[int, int], state: tuple) -> list[Solution]:
@@ -558,7 +550,7 @@ def search(
     """
     kind, bound = _instance(config, SearchConfig, "config").kind, config.bound
     _check_plan_memory(bound)
-    runs = _build_class_runs(build_sieve(bound), bound, kind.equal)
+    runs = _build_class_runs(bound, kind.equal)
     state = (runs, _needs_pair_table(kind, runs))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(config.jobs, cpus or 1, _MAX_JOBS) if hasattr(os, "fork") else 1

@@ -99,6 +99,15 @@ class Solution(_Record):
         return (self.equal_entries, self.free_entries)
 
 
+def _entries(values: Iterable[int], name: str) -> tuple[int, ...]:
+    """The entries as Python ints >= 1; InputError, naming the argument, otherwise."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise InputError(f"{name}_entries must be iterable, got {values!r}") from None
+    return tuple(_integer(v, f"{name} entry", 1) for v in values)
+
+
 def verify_solution(
     kind: TupleKind, equal_entries: Iterable[int], free_entries: Iterable[int]
 ) -> VerifyReport:
@@ -110,8 +119,7 @@ def verify_solution(
     failure.
     """
     kind = _instance(kind, TupleKind, "kind")
-    equal_entries = [_integer(a, "equal entry", 1) for a in equal_entries]
-    free_entries = [_integer(b, "free entry", 1) for b in free_entries]
+    equal_entries, free_entries = _entries(equal_entries, "equal"), _entries(free_entries, "free")
     if len(equal_entries) != kind.equal:
         raise InputError(f"expected {kind.equal} equal entries, got {len(equal_entries)}")
     if len(free_entries) != kind.free:
@@ -138,7 +146,7 @@ def canonicalize(
     Raises InputError when verification fails; two solutions are equal
     iff their canonical forms are equal.
     """
-    equal_entries, free_entries = tuple(equal_entries), tuple(free_entries)
+    equal_entries, free_entries = _entries(equal_entries, "equal"), _entries(free_entries, "free")
     report = verify_solution(kind, equal_entries, free_entries)
     if not report.ok:
         raise InputError(
@@ -147,8 +155,8 @@ def canonicalize(
         )
     return Solution(
         kind=kind,
-        equal_entries=tuple(sorted(_integer(a, "equal entry") for a in equal_entries)),
-        free_entries=tuple(sorted(_integer(b, "free entry") for b in free_entries)),
+        equal_entries=tuple(sorted(equal_entries)),
+        free_entries=tuple(sorted(free_entries)),
         psi_value=report.psi_values[0],
         target=report.lhs,
     )

@@ -14,7 +14,6 @@ from psituples import (
     InputError,
     SearchConfig,
     brute_force_oracle,
-    build_sieve,
     kind_by_name,
     search,
 )
@@ -170,7 +169,7 @@ def test_mitm_without_a_head_match_recovers_nothing(monkeypatch):
 def test_dense_hits_agree_with_oracle(kind, bound):
     # p <= 3 leaves most pair sums with several representations, so the
     # pair recovery after the join does the most work here
-    runs = search_module._build_class_runs(build_sieve(bound), bound, kind.equal)
+    runs = search_module._build_class_runs(bound, kind.equal)
     assert search_module._needs_pair_table(kind, runs) is not None
     cfg = SearchConfig(kind, bound)
     assert search(cfg) == brute_force_oracle(cfg)
@@ -245,7 +244,7 @@ def test_table_7_at_the_int64_crossing(monkeypatch, capsys):
                         lambda power, cap, top: tables.append((cap, top)))
     kind = kind_by_name("quintic-quintuple")
     for bound in (2309, 2310):
-        runs = search_module._build_class_runs(build_sieve(bound), bound, kind.equal)
+        runs = search_module._build_class_runs(bound, kind.equal)
         search_module._needs_pair_table(kind, runs)
     assert tables == [(5752, 5760**5 - 2100**5), (6906, 6912**5 - 2310**5)]
     assert tables[0][1] < 2**63 <= tables[1][1]
@@ -273,7 +272,7 @@ def test_budget_spares_what_needs_no_table(monkeypatch):
     # kinds without four free entries build no table and are not an error
     for name, bound in (("cubic-quintuple", 96), ("quadratic-quadruple", 300)):
         kind = kind_by_name(name)
-        runs = search_module._build_class_runs(build_sieve(bound), bound, kind.equal)
+        runs = search_module._build_class_runs(bound, kind.equal)
         assert search_module._needs_pair_table(kind, runs) is None
         assert search(SearchConfig(kind, bound))
     # a four-entry decomposition always joins a table: one past the budget
@@ -305,14 +304,12 @@ def test_plan_over_budget_allocates_nothing(monkeypatch, capsys):
     monkeypatch.setattr(search_module, "_memory_budget", lambda: 10**6)
     monkeypatch.setattr(search_module, "build_sieve", _no_sieve)
     cfg = SearchConfig(kind_by_name("quadratic-triple"), 100000)
-    # _RUNS_BYTES per entry of 1..N for the class runs, the larger part, and
-    # _SIEVE_BYTES per entry of 0..N for the sieve
-    runs = search_module._RUNS_BYTES * 100000
-    sieve = search_module._SIEVE_BYTES * 100001
-    assert runs > sieve and runs + sieve > 10**6
+    # one term: _RUNS_BYTES per entry of 1..N, since the sieve is freed
+    # before the class runs grow
+    need = search_module._RUNS_BYTES * 100000
     with pytest.raises(InputError, match=(
-        rf"^a search to bound 100000 needs {runs + sieve} bytes, over the memory budget of "
-        rf"1000000 bytes: {runs} for the class runs and {sieve} for the sieve$"
+        rf"^a search to bound 100000 needs {need} bytes for the class runs, over the "
+        rf"memory budget of 1000000 bytes$"
     )):
         search(cfg)
     code = main(["search", "--kind", "quadratic-triple", "--bound", "100000"])
@@ -323,13 +320,36 @@ def test_plan_over_budget_allocates_nothing(monkeypatch, capsys):
 
 def test_plan_at_the_budget_runs(monkeypatch):
     bound = 500
-    need = search_module._SIEVE_BYTES * (bound + 1) + search_module._RUNS_BYTES * bound
+    need = search_module._RUNS_BYTES * bound
     cfg = SearchConfig(kind_by_name("quadratic-triple"), bound)
     monkeypatch.setattr(search_module, "_memory_budget", lambda: need)
     assert search(cfg) == brute_force_oracle(cfg)
     monkeypatch.setattr(search_module, "_memory_budget", lambda: need - 1)
     with pytest.raises(InputError, match=f"needs {need} bytes"):
         search(cfg)
+
+
+def test_bound_past_the_key_field_allocates_nothing(monkeypatch, capsys):
+    # n fills the low 31 bits of a class-run key: 2**31 is refused whatever
+    # the budget, before a sieve is built
+    monkeypatch.setattr(search_module, "build_sieve", _no_sieve)
+    monkeypatch.setattr(search_module, "_memory_budget", lambda: 2**62)
+    with pytest.raises(InputError, match=(
+        r"^a search bound must be below 2\*\*31, the 31-bit entry field of the class-run "
+        r"keys, got 2147483648$"
+    )):
+        search(SearchConfig(kind_by_name("quadratic-triple"), 2**31))
+    for command in (["search", "--kind", "quadratic-triple"], ["table", "--id", "1"]):
+        code = main(command + ["--bound", str(2**31)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "31-bit entry field" in captured.err
+    # 2**31 - 1 passes the key rule: a budget that holds its runs reaches the
+    # sieve, and a smaller one refuses it for memory alone
+    with pytest.raises(AssertionError, match=r"build_sieve\(2147483647\) called"):
+        search(SearchConfig(kind_by_name("quadratic-triple"), 2**31 - 1))
+    monkeypatch.setattr(search_module, "_memory_budget", lambda: 10**6)
+    with pytest.raises(InputError, match="^a search to bound 2147483647 needs 51539607528 bytes"):
+        search(SearchConfig(kind_by_name("quadratic-triple"), 2**31 - 1))
 
 
 def test_memory_budget_reads_meminfo_or_sysconf(monkeypatch, request):
@@ -386,9 +406,10 @@ def test_clipped_table_build_peaks_at_eight_bytes_per_pair(power, cap):
 
 @pytest.mark.parametrize("equal", [1, 2, 3])
 def test_class_runs_build_peaks_within_the_plan(equal):
-    bound = 10**5
-    sieve = build_sieve(bound)
-    runs, peak = _traced_peak(lambda: search_module._build_class_runs(sieve, bound, equal))
+    # the build makes its own sieve and frees it once the keys exist, so it
+    # never holds the sieve beside the runs
+    bound = 10**6
+    runs, peak = _traced_peak(lambda: search_module._build_class_runs(bound, equal))
     kept = (runs.ns, runs.psis, runs.run_end, runs.tuple_start)
     assert sum(a.nbytes for a in kept) == 24 * bound + 8
     # beside the kept arrays, only a few int64 temporaries of one slice of
@@ -402,7 +423,7 @@ def test_class_runs_build_peaks_within_the_plan(equal):
 def test_kernel_block_peaks_at_fifty_six_bytes_per_multiset(name, bound):
     # one full block from the middle of the search, the runs built outside
     kind = kind_by_name(name)
-    runs = search_module._build_class_runs(build_sieve(bound), bound, kind.equal)
+    runs = search_module._build_class_runs(bound, kind.equal)
     edges = search_module._cut(runs.tuple_start, 0, bound, search_module._KERNEL_BLOCK)
     assert len(edges) > 4
     lo, hi = edges[len(edges) // 2], edges[len(edges) // 2 + 1]

@@ -257,6 +257,13 @@ def test_fixed_reprs():
         lambda: verify_solution((3, 1, 2), [4], [3, 5]),
         lambda: canonicalize("cubic-triple", [4], [3, 5]),
         lambda: canonicalize(None, [4], [3, 5]),
+        # entries that are not iterable
+        lambda: verify_solution(_KIND, 4, [3, 5]),
+        lambda: verify_solution(_KIND, [4], 5),
+        lambda: verify_solution(_KIND, None, [3, 5]),
+        lambda: canonicalize(_KIND, 4, [3, 5]),
+        lambda: canonicalize(_KIND, [4], 5),
+        lambda: canonicalize(_KIND, None, [3, 5]),
     ],
 )
 def test_validation_raises_input_error(make):

@@ -643,7 +643,7 @@ def reference_search(cfg):
 def block_edges(kind, bound, budget):
     """Interior block edges of a serial search, split into those on a class
     boundary and those inside a class."""
-    runs = _build_class_runs(build_sieve(bound), bound, kind.equal)
+    runs = _build_class_runs(bound, kind.equal)
     edges = _cut(runs.tuple_start, 0, runs.ns.size, budget)[1:-1]
     starts = set(np.flatnonzero(np.diff(runs.psis, prepend=-1)).tolist())
     return [x for x in edges if x in starts], [x for x in edges if x not in starts]
@@ -680,10 +680,29 @@ def test_class_runs_equal_reference(monkeypatch, equal, bound):
     reference = list(reference_class_runs(bound, equal))
     for block in (search_module._KERNEL_BLOCK, 7):
         monkeypatch.setattr(search_module, "_KERNEL_BLOCK", block)
-        runs = _build_class_runs(build_sieve(bound), bound, equal)
+        runs = _build_class_runs(bound, equal)
         arrays = (runs.ns, runs.psis, runs.run_end, runs.tuple_start)
         assert [a.dtype for a in arrays] == [np.uint32, np.int64, np.uint32, np.int64]
         assert [a.tolist() for a in arrays] == reference, block
+
+
+def test_class_runs_order_wide_psi_like_a_stable_argsort(monkeypatch):
+    # psi values across the whole 33-bit field of a key, bits 31 and 32 and
+    # 2**33 - 1 included, drawn from a few hundred so that most classes hold
+    # many entries, which must keep ascending n
+    rng = np.random.default_rng(2025)
+    bound = 20000
+    values = np.concatenate((rng.integers(1, 2**33, 300, dtype=np.uint64),
+                             np.array([2**31 - 1, 2**31, 2**32, 2**33 - 1], dtype=np.uint64)))
+    psi = np.zeros(bound + 1, dtype=np.uint64)
+    psi[1:] = rng.choice(values, bound)
+    order = np.argsort(psi[1:], kind="stable")
+    monkeypatch.setattr(search_module, "build_sieve", lambda limit: PsiSieve(limit, psi))
+    runs = _build_class_runs(bound, 2)
+    assert runs.ns.tolist() == (order + 1).tolist()
+    assert runs.psis.tolist() == psi[1:][order].tolist()
+    assert runs.run_end.tolist() == np.searchsorted(runs.psis, runs.psis, "right").tolist()
+    assert int(runs.psis[-1]) == 2**33 - 1
 
 
 @pytest.mark.parametrize(

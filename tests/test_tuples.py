@@ -89,15 +89,27 @@ def test_verify_arity_and_positivity_errors():
         verify_solution(kind, [4], [0, 5])
 
 
+class _Indexed:
+    """Iterable only through __getitem__, the old sequence protocol."""
+
+    def __init__(self, items):
+        self.items = items
+
+    def __getitem__(self, i):
+        return self.items[i]
+
+
 def test_entries_may_be_any_iterable():
     kind = kind_by_name("cubic-triple")
     expected = verify_solution(kind, [4], [3, 5])
     assert verify_solution(kind, iter([4]), iter([3, 5])) == expected
     assert verify_solution(kind, (a for a in [4]), (b for b in (5, 3))) == expected
     assert verify_solution(kind, range(4, 5), {3: "x", 5: "y"}) == expected
+    assert verify_solution(kind, _Indexed([4]), _Indexed([3, 5])) == expected
     solution = canonicalize(kind, [4], [3, 5])
     assert canonicalize(kind, iter([4]), iter([5, 3])) == solution
     assert canonicalize(kind, (a for a in [4]), (b for b in (5, 3))) == solution
+    assert canonicalize(kind, _Indexed([4]), _Indexed([5, 3])) == solution
     # an iterator is counted once it is bound, and read only once
     with pytest.raises(InputError, match="expected 2 free entries, got 1"):
         verify_solution(kind, iter([4]), iter([3]))
@@ -105,6 +117,12 @@ def test_entries_may_be_any_iterable():
         canonicalize(kind, (a for a in (4, 4)), iter([3, 5]))
     with pytest.raises(InputError, match="free entry must be >= 1, got 0"):
         canonicalize(kind, iter([4]), (b for b in (0, 5)))
+    # what is not iterable at all is refused by the argument's name
+    for check in (verify_solution, canonicalize):
+        with pytest.raises(InputError, match="^equal_entries must be iterable, got 4$"):
+            check(kind, 4, [3, 5])
+        with pytest.raises(InputError, match="^free_entries must be iterable, got None$"):
+            check(kind, [4], None)
 
 
 def test_a_kind_or_config_of_another_type_names_the_argument():
