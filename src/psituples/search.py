@@ -298,6 +298,8 @@ def decompose_sum_of_powers(
     """
     residual, count = _integer(residual, "residual", 0), _integer(count, "count", 1)
     power, cap = _integer(power, "power", 2, 5), _integer(cap, "cap")
+    if pair_table is not None:
+        _instance(pair_table, _PairSumTable, "pair_table")
     if count == 4 and power == 4:
         reduced, scale = _quartic_descent(residual)
         if reduced != residual:
@@ -525,41 +527,36 @@ def _check_plan_memory(bound: int) -> None:
                          f"over the memory budget of {budget} bytes")
 
 
-def _search_chunk(kind: TupleKind, chunk: tuple[int, int], state: tuple) -> list[Solution]:
-    return _search_runs(kind, *state, *chunk)  # state is (runs, table)
-
-
 def search(
     config: SearchConfig, *, progress: Callable[[int, int, list[Solution]], None] | None = None
 ) -> list[Solution]:
     """All canonical solutions of config.kind with equal-class max <= bound.
 
     Deterministic for any jobs value: the outer space is split into fixed
-    contiguous chunks, each chunk runs the same code in this process or in
-    a forked child, and the merged list is sorted canonically.  This
+    contiguous chunks, and the merged list is sorted canonically.  This
     process builds its own sieve, then the class runs and the pair-sum
-    table once, and is one of the jobs processes: jobs is clamped to the
-    usable CPUs and to _MAX_JOBS, and to 1 where os.fork is missing.  With
-    more than one chunk, this process forks min(jobs, chunks) - 1
-    children, which inherit the runs and the table (_pool_parts).
-    progress (if given) is called with (chunk_index, chunk_count,
-    chunk_solutions) in chunk order, once a chunk and all before it are
-    done.  A dead child raises SearchWorkerError; an
+    table once, and runs every chunk through one claim loop (_pool_parts)
+    as one of the jobs processes: jobs is clamped to the usable CPUs and
+    to _MAX_JOBS, and to 1 where os.fork is missing.  It forks
+    min(jobs, chunks) - 1 children, none with jobs 1, which inherit the
+    runs and the table.  progress (if given) is called with (chunk_index,
+    chunk_count, chunk_solutions) in chunk order, once a chunk and all
+    before it are done.  A dead child raises SearchWorkerError; an
     exception that a chunk raises in a child is raised here, as it would
-    be with jobs 1.
+    be in this process.
     """
     kind, bound = _instance(config, SearchConfig, "config").kind, config.bound
     _check_plan_memory(bound)
     runs = _build_class_runs(bound, kind.equal)
-    state = (runs, _needs_pair_table(kind, runs))
+    table = _needs_pair_table(kind, runs)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(config.jobs, cpus or 1, _MAX_JOBS) if hasattr(os, "fork") else 1
     chunks = _plan_chunks(runs, jobs)
-    workers = min(jobs, len(chunks)) - 1
-    if workers > 0:
-        parts = _pool_parts(kind, chunks, state, workers)
-    else:
-        parts = (_search_chunk(kind, c, state) for c in chunks)
+
+    def run(i: int) -> list[Solution]:
+        return _search_runs(kind, runs, table, *chunks[i])
+
+    parts = _pool_parts(run, len(chunks), min(jobs, len(chunks)) - 1)
     results: list[Solution] = []
     try:
         for i, part in enumerate(parts):
@@ -579,24 +576,24 @@ _CHUNKS_PER_JOB = 16
 _MAX_JOBS = (64 << 10) // (4 * _CHUNKS_PER_JOB)
 
 
-def _pool_parts(kind: TupleKind, chunks: list, state: tuple, workers: int) -> Iterator[list]:
-    """Every chunk's solutions in chunk order, from this process and
-    `workers` forked children.
+def _pool_parts(run: Callable[[int], list], count: int, workers: int) -> Iterator[list]:
+    """run(i) for every chunk i in range(count), in chunk order, from this
+    process and `workers` forked children (none when workers < 1).
 
-    The children inherit the state, pair table included, as it is.  Every
-    process claims chunks in chunk order from one queue (_claim_queue);
-    this process makes each child's first claim as it forks it, so every
-    child runs a chunk however late it starts.  A child sends each chunk's
+    The children inherit run, and all it holds, as it is.  Every process
+    claims chunks in chunk order from one queue (_claim_queue); this
+    process makes each child's first claim as it forks it, so every child
+    runs a chunk however late it starts.  A child sends each chunk's
     solutions up its own pipe once the chunk is done (_run_chunk).  After
     each of its own chunks this process takes in what has arrived, without
     waiting, and yields the finished prefix; then it waits for the rest
     and for every child to exit.  A child that exits non-zero or leaves a
     claimed chunk unreturned raises SearchWorkerError.  However this
     generator ends, it kills and reaps the children still running.  A
-    child is a fork of this thread alone, so chunks must not need another
+    child is a fork of this thread alone, so run must not need another
     thread (such as numpy's BLAS threads; no chunk calls BLAS).
     """
-    queue = _claim_queue(len(chunks))
+    queue = _claim_queue(count)
     pids: dict[int, int] = {}  # the read end of a child's result pipe -> its pid
     try:
         for _ in range(workers):
@@ -604,16 +601,16 @@ def _pool_parts(kind: TupleKind, chunks: list, state: tuple, workers: int) -> It
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _child(kind, chunks, state, claim, queue, w, list(pids))
+                _child(run, claim, queue, w, list(pids))
             pids[r] = pid
             os.close(w)
         parts: dict[int, list[Solution]] = {}
         done = 0
-        while done < len(chunks) or pids:
+        while done < count or pids:
             claim = os.read(queue, 4)
             if claim:
                 i = int.from_bytes(claim, "little")
-                parts[i] = _search_chunk(kind, chunks[i], state)
+                parts[i] = run(i)
             elif not pids:
                 raise SearchWorkerError(f"a search worker process died: chunk {done} is missing")
             _receive(pids, parts, 0 if claim else None)
@@ -654,7 +651,7 @@ def _claim_queue(count: int) -> int:
 
 
 def _child(
-    kind: TupleKind, chunks: list, state: tuple, claim: bytes, queue: int, out: int, inherited: list
+    run: Callable[[int], list], claim: bytes, queue: int, out: int, inherited: list
 ) -> NoReturn:
     """A forked child's life: run the chunk claimed for it and then every
     chunk it claims from the queue, each through _run_chunk; exit 0, or
@@ -664,7 +661,7 @@ def _child(
         _init_worker(inherited)
         while claim:
             i = int.from_bytes(claim, "little")
-            _run_chunk(kind, i, chunks[i], state, out)
+            _run_chunk(run, i, out)
             claim = os.read(queue, 4)
         status = 0
     finally:
@@ -678,11 +675,11 @@ def _init_worker(inherited: list[int]) -> None:
         os.close(fd)
 
 
-def _run_chunk(kind: TupleKind, i: int, chunk: tuple, state: tuple, out: int) -> None:
-    """Search chunk i and send (i, solutions), or (i, exception) if the
-    search raised one, up the pipe out: a pickle after its 8-byte length."""
+def _run_chunk(run: Callable[[int], list], i: int, out: int) -> None:
+    """Run chunk i and send (i, solutions), or (i, exception) if run
+    raised one, up the pipe out: a pickle after its 8-byte length."""
     try:
-        part = _search_chunk(kind, chunk, state)
+        part = run(i)
     except Exception as exc:  # raised again in the parent
         part = exc
     data = pickle.dumps((i, part), pickle.HIGHEST_PROTOCOL)
@@ -697,7 +694,9 @@ def _receive(pids: dict[int, int], parts: dict, timeout: float | None) -> None:
     an exception raises it.  A child whose pipe ends has exited: it is
     reaped and dropped from pids, and raises SearchWorkerError if its exit
     status is not 0."""
-    import select  # only a pool search loads it
+    if not pids:
+        return  # no children: a serial search loads nothing more
+    import select
 
     while pids:
         ready, _, _ = select.select(list(pids), [], [], timeout)

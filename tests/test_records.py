@@ -202,68 +202,87 @@ def test_fixed_reprs():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: TupleKind(1, 1, 1),
-        lambda: TupleKind(6, 1, 1),
-        lambda: TupleKind(2, 0, 1),
-        lambda: TupleKind(2, 1, 0),
-        lambda: SearchConfig(_KIND, 0),
-        lambda: SearchConfig(_KIND, 10, 0),
-        lambda: search(SearchConfig(_KIND, 10**40)),  # refused before any allocation
-        lambda: reproduce_table(8),
-        lambda: solution_from_json('{"kind": {}}'),
-        lambda: solution_from_json("[]"),
-        lambda: psi(2.5),
-        lambda: factorize(2.0),
-        lambda: verify_solution(kind_by_name("quadratic-pair"), [2.5], [1]),
-        lambda: verify_solution(kind_by_name("quadratic-pair"), [2], [1.0]),
+        # Every row carries its own id, so that a row inserted anywhere renames
+        # no other case.  The first 58 keep the names that pytest gave them by
+        # position before the ids were written out; later rows say what they test.
+        pytest.param(lambda: TupleKind(1, 1, 1), id="<lambda>0"),
+        pytest.param(lambda: TupleKind(6, 1, 1), id="<lambda>1"),
+        pytest.param(lambda: TupleKind(2, 0, 1), id="<lambda>2"),
+        pytest.param(lambda: TupleKind(2, 1, 0), id="<lambda>3"),
+        pytest.param(lambda: SearchConfig(_KIND, 0), id="<lambda>4"),
+        pytest.param(lambda: SearchConfig(_KIND, 10, 0), id="<lambda>5"),
+        # refused before any allocation
+        pytest.param(lambda: search(SearchConfig(_KIND, 10**40)), id="<lambda>6"),
+        pytest.param(lambda: reproduce_table(8), id="<lambda>7"),
+        pytest.param(lambda: solution_from_json('{"kind": {}}'), id="<lambda>8"),
+        pytest.param(lambda: solution_from_json("[]"), id="<lambda>9"),
+        pytest.param(lambda: psi(2.5), id="<lambda>10"),
+        pytest.param(lambda: factorize(2.0), id="<lambda>11"),
+        pytest.param(
+            lambda: verify_solution(kind_by_name("quadratic-pair"), [2.5], [1]),
+            id="<lambda>12",
+        ),
+        pytest.param(
+            lambda: verify_solution(kind_by_name("quadratic-pair"), [2], [1.0]),
+            id="<lambda>13",
+        ),
         # a float, 2.0 included, is refused wherever an integer is bound
-        lambda: build_sieve(10.0),
-        lambda: psi_segment(0.0, 10, [2, 3]),
-        lambda: psi_segment(0, 10.0, [2, 3]),
-        lambda: psi_segment(0, 10, [2.0, 3]),
-        lambda: _SIEVE.psi_at(2.0),
-        lambda: int_kth_root(8.0, 3),
-        lambda: int_kth_root(8, 3.0),
-        lambda: is_perfect_kth_power(8, 3.0),
-        lambda: TupleKind(2.0, 1, 1),
-        lambda: TupleKind(2, 1.0, 1),
-        lambda: TupleKind(2, 1, 1.0),
-        lambda: canonicalize(_KIND, [4.0], [3, 5]),
-        lambda: SearchConfig(_KIND, 10.5),
-        lambda: SearchConfig(_KIND, 10, 2.0),
-        lambda: build_class_index(_SIEVE, 5.0),
-        lambda: decompose_sum_of_powers(2.0, 2, 2, 1),
-        lambda: decompose_sum_of_powers(2, 2.0, 2, 1),
-        lambda: decompose_sum_of_powers(2, 2, 2.0, 1),
-        lambda: decompose_sum_of_powers(2, 2, 2, 1.0),
-        lambda: reproduce_table(6.0),
-        lambda: reproduce_table(6, bound=10.5),
-        lambda: reproduce_table(6, bound=10, jobs=1.0),
-        lambda: pair_obstruction(8.0),
-        lambda: congruence_witness(8.0),
-        lambda: verify_theorem1(100.0),
-        lambda: triple_family(5.0),
-        lambda: classify_equal_pair(10.0),
-        lambda: solution_from_json(_SOLUTION_LINE.replace('"equal_entries":[4]',
-                                                          '"equal_entries":[2.5]')),
-        lambda: solution_from_json(_SOLUTION_LINE.replace('"psi":6', '"psi":6.0')),
+        pytest.param(lambda: build_sieve(10.0), id="<lambda>14"),
+        pytest.param(lambda: psi_segment(0.0, 10, [2, 3]), id="<lambda>15"),
+        pytest.param(lambda: psi_segment(0, 10.0, [2, 3]), id="<lambda>16"),
+        pytest.param(lambda: psi_segment(0, 10, [2.0, 3]), id="<lambda>17"),
+        pytest.param(lambda: _SIEVE.psi_at(2.0), id="<lambda>18"),
+        pytest.param(lambda: int_kth_root(8.0, 3), id="<lambda>19"),
+        pytest.param(lambda: int_kth_root(8, 3.0), id="<lambda>20"),
+        pytest.param(lambda: is_perfect_kth_power(8, 3.0), id="<lambda>21"),
+        pytest.param(lambda: TupleKind(2.0, 1, 1), id="<lambda>22"),
+        pytest.param(lambda: TupleKind(2, 1.0, 1), id="<lambda>23"),
+        pytest.param(lambda: TupleKind(2, 1, 1.0), id="<lambda>24"),
+        pytest.param(lambda: canonicalize(_KIND, [4.0], [3, 5]), id="<lambda>25"),
+        pytest.param(lambda: SearchConfig(_KIND, 10.5), id="<lambda>26"),
+        pytest.param(lambda: SearchConfig(_KIND, 10, 2.0), id="<lambda>27"),
+        pytest.param(lambda: build_class_index(_SIEVE, 5.0), id="<lambda>28"),
+        pytest.param(lambda: decompose_sum_of_powers(2.0, 2, 2, 1), id="<lambda>29"),
+        pytest.param(lambda: decompose_sum_of_powers(2, 2.0, 2, 1), id="<lambda>30"),
+        pytest.param(lambda: decompose_sum_of_powers(2, 2, 2.0, 1), id="<lambda>31"),
+        pytest.param(lambda: decompose_sum_of_powers(2, 2, 2, 1.0), id="<lambda>32"),
+        pytest.param(
+            lambda: decompose_sum_of_powers(100, 4, 2, 10, "x"), id="decompose-pair_table-str"
+        ),
+        pytest.param(lambda: reproduce_table(6.0), id="<lambda>33"),
+        pytest.param(lambda: reproduce_table(6, bound=10.5), id="<lambda>34"),
+        pytest.param(lambda: reproduce_table(6, bound=10, jobs=1.0), id="<lambda>35"),
+        pytest.param(lambda: pair_obstruction(8.0), id="<lambda>36"),
+        pytest.param(lambda: congruence_witness(8.0), id="<lambda>37"),
+        pytest.param(lambda: verify_theorem1(100.0), id="<lambda>38"),
+        pytest.param(lambda: triple_family(5.0), id="<lambda>39"),
+        pytest.param(lambda: classify_equal_pair(10.0), id="<lambda>40"),
+        pytest.param(
+            lambda: solution_from_json(_SOLUTION_LINE.replace('"equal_entries":[4]',
+                                                              '"equal_entries":[2.5]')),
+            id="<lambda>41",
+        ),
+        pytest.param(
+            lambda: solution_from_json(_SOLUTION_LINE.replace('"psi":6', '"psi":6.0')),
+            id="<lambda>42",
+        ),
         # a kind that is not a TupleKind, a config that is not a SearchConfig
-        lambda: SearchConfig("cubic-triple", 10),
-        lambda: SearchConfig((3, 1, 2), 10),
-        lambda: search((_KIND, 10, 1)),
-        lambda: search("cubic-triple"),
-        lambda: brute_force_oracle((_KIND, 10, 1)),
-        lambda: verify_solution("cubic-triple", [4], [3, 5]),
-        lambda: verify_solution((3, 1, 2), [4], [3, 5]),
-        lambda: canonicalize("cubic-triple", [4], [3, 5]),
-        lambda: canonicalize(None, [4], [3, 5]),
+        pytest.param(lambda: SearchConfig("cubic-triple", 10), id="<lambda>43"),
+        pytest.param(lambda: SearchConfig((3, 1, 2), 10), id="<lambda>44"),
+        pytest.param(lambda: search((_KIND, 10, 1)), id="<lambda>45"),
+        pytest.param(lambda: search("cubic-triple"), id="<lambda>46"),
+        pytest.param(lambda: brute_force_oracle((_KIND, 10, 1)), id="<lambda>47"),
+        pytest.param(lambda: verify_solution("cubic-triple", [4], [3, 5]), id="<lambda>48"),
+        pytest.param(lambda: verify_solution((3, 1, 2), [4], [3, 5]), id="<lambda>49"),
+        pytest.param(lambda: canonicalize("cubic-triple", [4], [3, 5]), id="<lambda>50"),
+        pytest.param(lambda: canonicalize(None, [4], [3, 5]), id="<lambda>51"),
         # entries that are not iterable
-        lambda: verify_solution(_KIND, 4, [3, 5]),
-        lambda: verify_solution(_KIND, [4], 5),
-        lambda: verify_solution(_KIND, None, [3, 5]),
-        lambda: canonicalize(_KIND, 4, [3, 5]),
-        lambda: canonicalize(_KIND, [4], 5),
-        lambda: canonicalize(_KIND, None, [3, 5]),
+        pytest.param(lambda: verify_solution(_KIND, 4, [3, 5]), id="<lambda>52"),
+        pytest.param(lambda: verify_solution(_KIND, [4], 5), id="<lambda>53"),
+        pytest.param(lambda: verify_solution(_KIND, None, [3, 5]), id="<lambda>54"),
+        pytest.param(lambda: canonicalize(_KIND, 4, [3, 5]), id="<lambda>55"),
+        pytest.param(lambda: canonicalize(_KIND, [4], 5), id="<lambda>56"),
+        pytest.param(lambda: canonicalize(_KIND, None, [3, 5]), id="<lambda>57"),
     ],
 )
 def test_validation_raises_input_error(make):

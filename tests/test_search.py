@@ -394,24 +394,21 @@ def test_pool_processes_claim_in_chunk_order_and_stream_progress(monkeypatch, fo
     # chunks in order, and no chunk may run twice
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     log, parent, events = tmp_path / "child.log", os.getpid(), []
-    run_chunk, search_chunk = search_module._run_chunk, search_module._search_chunk
+    search_runs = search_module._search_runs
 
-    def child_run(kind, i, chunk, state, out):
-        with open(log, "a") as f:
-            f.write(f"{chunk[0]}\n")
-        run_chunk(kind, i, chunk, state, out)
-
-    def logged(kind, chunk, state):
-        if os.getpid() == parent:
-            events.append(("run", chunk[0]))
+    def logged(kind, runs, table, lo, hi):
+        if os.getpid() != parent:
+            with open(log, "a") as f:
+                f.write(f"{lo}\n")
+        else:
+            events.append(("run", lo))
             deadline = time.monotonic() + 60
             while len(events) == 1 and len(_lines(log)) < 4:
                 assert time.monotonic() < deadline, "the child ran fewer than four chunks"
                 time.sleep(0.002)
-        return search_chunk(kind, chunk, state)
+        return search_runs(kind, runs, table, lo, hi)
 
-    monkeypatch.setattr(search_module, "_run_chunk", child_run)
-    monkeypatch.setattr(search_module, "_search_chunk", logged)
+    monkeypatch.setattr(search_module, "_search_runs", logged)
     config = SearchConfig(kind_by_name("quartic-quintuple"), 300, jobs=2)
     faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)  # no hang
     try:
@@ -499,7 +496,7 @@ def test_pool_leaves_no_child_unreaped():
         "m = importlib.import_module('psituples.search')\n"
         "config = SearchConfig(kind_by_name('quartic-quintuple'), 300, jobs=2)\n"
         "expected = search(SearchConfig(config.kind, 300))\n"
-        "parent, search_chunk, run_chunk = os.getpid(), m._search_chunk, m._run_chunk\n"
+        "parent, search_runs, run_chunk = os.getpid(), m._search_runs, m._run_chunk\n"
         "def die(*args):\n"
         "    os._exit(1)\n"
         "def send_and_die(*args):\n"
@@ -508,10 +505,10 @@ def test_pool_leaves_no_child_unreaped():
         "def asleep(*args):\n"
         "    time.sleep(600)\n"
         "def own_raises(exc):\n"
-        "    def chunk(kind, c, state):\n"
+        "    def chunk(*args):\n"
         "        if os.getpid() == parent:\n"
         "            raise exc\n"
-        "        return search_chunk(kind, c, state)\n"
+        "        return search_runs(*args)\n"
         "    return chunk\n"
         "def progress(i, n, part):\n"
         "    raise LookupError('progress')\n"
@@ -520,9 +517,9 @@ def test_pool_leaves_no_child_unreaped():
         "         ({'_run_chunk': die}, None, m.SearchWorkerError),\n"
         "         ({'_run_chunk': send_and_die}, None, m.SearchWorkerError),\n"
         "         ({'_run_chunk': lambda *args: None}, None, m.SearchWorkerError),\n"
-        "         ({'_run_chunk': asleep, '_search_chunk': own_raises(RuntimeError('own'))},\n"
+        "         ({'_run_chunk': asleep, '_search_runs': own_raises(RuntimeError('own'))},\n"
         "          None, RuntimeError),\n"
-        "         ({'_run_chunk': asleep, '_search_chunk': own_raises(KeyboardInterrupt())},\n"
+        "         ({'_run_chunk': asleep, '_search_runs': own_raises(KeyboardInterrupt())},\n"
         "          None, KeyboardInterrupt),\n"
         "         ({}, progress, LookupError)]\n"
         "reaped = []\n"
@@ -555,9 +552,9 @@ def test_pool_claim_queue_fits_its_pipe_at_the_jobs_cap(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5000)))
     seen = []
 
-    def no_pool(kind, chunks, state, workers):
-        seen.append((len(chunks), workers))
-        return ([] for _ in chunks)
+    def no_pool(run, count, workers):
+        seen.append((count, workers))
+        return ([] for _ in range(count))
 
     monkeypatch.setattr(search_module, "_pool_parts", no_pool)
     search(SearchConfig(TupleKind(3, 1, 3), 1 << 14, jobs=5000))  # one chunk per a
@@ -578,6 +575,32 @@ def test_no_pool_without_fork(monkeypatch):
     config = SearchConfig(kind_by_name("cubic-quintuple"), 300, jobs=4)
     assert _chunk_count(config) == 1
     assert search(config) == search(SearchConfig(config.kind, 300))
+
+
+@pytest.mark.parametrize("jobs, cpus, fork", [
+    (1, 4, True),  # one job asked for
+    (4, 1, True),  # one usable CPU
+    (4, 4, False),  # no os.fork
+])
+def test_serial_search_is_the_pool_with_no_children(monkeypatch, forks, jobs, cpus, fork):
+    # one execution path: a serial search runs its chunks through the same
+    # claim loop as a pool search, with zero children
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    pool_parts, workers = search_module._pool_parts, []
+
+    def spy(run, count, n):
+        workers.append(n)
+        return pool_parts(run, count, n)
+
+    monkeypatch.setattr(search_module, "_pool_parts", spy)
+    for kind, bound in ((kind_by_name("cubic-quadruple"), 80), (TupleKind(3, 1, 4), 60)):
+        config = SearchConfig(kind, bound, jobs=jobs)
+        del workers[:]
+        got = search(config)
+        assert got and got == brute_force_oracle(config), kind
+        assert workers == [0] and forks == []
 
 
 # --- vectorized k-th root ----------------------------------------------------
