@@ -323,26 +323,13 @@ _INT64_ROOT_MAX = {p: int_kth_root(_INT64_MAX, p) for p in (2, 3, 4, 5)}
 
 
 def _floor_root_vec(vals: np.ndarray, power: int) -> np.ndarray:
-    """Vectorized floor(v ** (1/power)) for int64 v, exact on its whole domain.
-
-    Domain: 0 <= v <= 2**63 - 1 for every power in 2..5 (negative v give
-    0).  Roots are clamped to R_p = floor((2**63 - 1) ** (1/p)), which is
-    3037000499, 2097151, 55108 and 6208 for p = 2..5, so r**p never
-    overflows, and (r+1)**p is only formed for r < R_p.  The float seed
-    is a few units off at most; the correction loop repeats until
-    r**p <= v < (r+1)**p holds for every element, so the result does not
-    rest on the seed's accuracy.
-    """
-    top = _INT64_ROOT_MAX[power]
-    r = np.power(np.maximum(vals, 0).astype(np.float64), 1.0 / power).astype(np.int64)
-    np.clip(r, 0, top, out=r)
-    while True:
-        up = (r < top) & (np.minimum(r + 1, top) ** power <= vals)
-        down = (r > 0) & (r**power > vals)
-        if not (up.any() or down.any()):
-            return r
-        r += up
-        r -= down
+    """Vectorized floor(v ** (1/power)) for int64 v, exact on 0 <= v <=
+    2**63 - 1 for every power in 2..5 (negative v give 0): the rounded
+    root of _exact_root_vec, which is the floor or one above it, less one
+    where its power-th power exceeds v and it is above 0."""
+    r = _exact_root_vec(vals, power)[0]
+    r -= (r > 0) & (r**power > vals)
+    return r
 
 
 def _exact_root_vec(vals: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarray]:
@@ -350,12 +337,16 @@ def _exact_root_vec(vals: np.ndarray, power: int) -> tuple[np.ndarray, np.ndarra
     power-th power, and then roots[i] is its root.
 
     Exact on 0 <= v <= 2**63 - 1 for every power in 2..5 (negative v never
-    hit).  A true power r**p has r <= R_p < 2**32 (see _floor_root_vec),
-    and its float root is within a few units in the last place of r,
-    below 2e-6, so rint returns r.  Clipped to 0..R_p, no candidate's p-th
-    power overflows, and a v that is not a p-th power never equals it.
-    Where there is no hit, roots[i] is only the rounded candidate.  The
-    float work is done in place in one buffer.
+    hit).  The float root of v (sqrt, cbrt or pow) is within a few units
+    in the last place of the true root x < 2**32, below 2e-6, so rint
+    returns an integer within 1/2 + 2e-6 of x: floor(x) or floor(x) + 1,
+    and x itself when x is an integer.  It is clipped to 0..R_p =
+    floor((2**63 - 1) ** (1/p)), which is 3037000499, 2097151, 55108 and
+    6208 for p = 2..5; as floor(x) <= R_p, the clip keeps it floor(x) or
+    one above, and its p-th power never overflows.  So a v that is not a
+    p-th power never equals that power, and where there is no hit,
+    roots[i] is the floor or one above it.  One float pass, done in place
+    in one buffer, and one integer power per value.
     """
     f = vals.astype(np.float64)
     np.maximum(f, 0, out=f)

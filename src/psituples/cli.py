@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 from typing import Sequence
 
@@ -96,8 +95,7 @@ def _cmd_psi(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 def _cmd_search(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     kind = _resolve_kind(parser, args)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    config = SearchConfig(kind=kind, bound=args.bound, jobs=jobs)
+    config = SearchConfig(kind=kind, bound=args.bound, jobs=args.jobs)
 
     progress = None
     if args.emit_partial:
@@ -228,8 +226,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_search)
     p.add_argument("--bound", type=_positive_int, required=True,
                    help="equal-class entries range over 1..bound")
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="parallel workers (default: available CPUs)")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="parallel workers (default: 1)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--emit-partial", action="store_true",
                    help="stream per-chunk progress to stderr")

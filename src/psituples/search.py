@@ -164,29 +164,29 @@ def _two_pointer(residual: int, power: int, lo: int, cap: int) -> list[tuple[int
     return out
 
 
-def _descend(
-    residual: int,
-    slots_left: int,
-    power: int,
-    lo: int,
-    cap: int,
-    prefix: tuple[int, ...],
-    out: list[tuple[int, ...]],
-) -> None:
-    """Recursive descent with monotone residual pruning; pairs via two-pointer."""
-    if slots_left == 2:
-        for x, y in _two_pointer(residual, power, lo, cap):
-            out.append(prefix + (x, y))
-        return
-    if slots_left == 1:
-        r = is_perfect_kth_power(residual, power)
-        if r is not None and lo <= r <= cap:
-            out.append(prefix + (r,))
-        return
-    # smallest remaining entry b satisfies slots_left * b**p <= residual
-    hi = min(cap, int_kth_root(residual // slots_left, power))
-    for b in range(lo, hi + 1):
-        _descend(residual - b**power, slots_left - 1, power, b, cap, prefix + (b,), out)
+def _descend(residual: int, count: int, power: int, cap: int) -> list[tuple[int, ...]]:
+    """Every non-decreasing count-tuple of entries 1..cap whose power-th
+    powers sum to residual, in lexicographic order: depth first with
+    monotone residual pruning, the last two entries by two-pointer.  It
+    runs on an explicit stack, as a recursion would need one frame per
+    entry, and pushes each entry's candidates largest first."""
+    out: list[tuple[int, ...]] = []
+    stack = [(residual, count, 1, ())]
+    while stack:
+        residual, slots, lo, prefix = stack.pop()
+        if slots == 2:
+            out.extend(prefix + pair for pair in _two_pointer(residual, power, lo, cap))
+        elif slots == 1:
+            r = is_perfect_kth_power(residual, power)
+            if r is not None and lo <= r <= cap:
+                out.append(prefix + (r,))
+        else:
+            # smallest remaining entry b satisfies slots * b**p <= residual
+            hi = min(cap, int_kth_root(residual // slots, power))
+            stack.extend(
+                (residual - b**power, slots - 1, b, prefix + (b,)) for b in range(hi, lo - 1, -1)
+            )
+    return out
 
 
 def _mitm4(
@@ -291,7 +291,7 @@ def decompose_sum_of_powers(
     the caller's pair_table when it covers residual and min(cap, root of
     residual), otherwise one built here, which raises InputError past
     int64 or past the memory budget (_PairSumTable).  Every other count
-    recurses with monotone residual pruning (_descend).  Four fourth
+    descends with monotone residual pruning (_descend).  Four fourth
     powers first pass _quartic_descent: a residual it rules out returns no
     tuples, and otherwise the reduced residual is decomposed with entries
     <= cap // scale and the tuples are scaled back.
@@ -309,9 +309,7 @@ def decompose_sum_of_powers(
     if not count <= residual <= count * max(cap, 0) ** power:
         return []
     if count != 4:
-        out: list[tuple[int, ...]] = []
-        _descend(residual, count, power, 1, cap, (), out)
-        return out
+        return _descend(residual, count, power, cap)
     cap = min(cap, int_kth_root(residual, power))
     t = pair_table
     if t is None or t.power != power or t.cap < cap or t.top < residual:
@@ -812,11 +810,19 @@ def _oracle_free_part(
                 b2 += 1
             b1 += 1
         return out
-    # general fallback: peel the smallest entry and recurse
-    b = 1
-    while f * pw[b] <= residual:
-        for rest in _oracle_free_part(residual - pw[b], f - 1, pw, root_of):
-            if rest[0] >= b:
-                out.append((b,) + rest)
-        b += 1
+    # general fallback: peel the smallest entry, depth first on an explicit
+    # stack (a recursion would need one frame per entry), pushing the
+    # candidates largest first so that the tuples come out in order
+    stack = [((), residual, f)]
+    while stack:
+        prefix, residual, f = stack.pop()
+        lo = prefix[-1] if prefix else 1
+        if f in (1, 2, 4):
+            rests = _oracle_free_part(residual, f, pw, root_of)
+            out.extend(prefix + rest for rest in rests if rest[0] >= lo)
+            continue
+        b = lo
+        while f * pw[b] <= residual:
+            b += 1
+        stack.extend((prefix + (c,), residual - pw[c], f - 1) for c in range(b - 1, lo - 1, -1))
     return out

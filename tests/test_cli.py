@@ -122,6 +122,16 @@ def test_search_csv_and_json_agree(capsys):
     assert from_json == from_csv
 
 
+def test_search_without_jobs_forks_no_child(capsys, monkeypatch, forks):
+    # four usable CPUs and a search of several chunks: only --jobs forks
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    argv = ("search", "--kind", "quadratic-triple", "--bound", "4096")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out and forks == []
+    assert run(capsys, *argv, "--jobs", "2") == (0, out, "") and len(forks) == 1
+
+
 def test_search_emit_partial_streams_progress(capsys):
     code, out, err = run(capsys, "search", "--kind", "cubic-triple",
                          "--bound", "64", "--jobs", "1", "--emit-partial")
@@ -328,6 +338,12 @@ def test_table_three_bounded(capsys):
 def test_table_jobs_help(capsys):
     with pytest.raises(SystemExit):
         main(["table", "--help"])
+    assert "parallel workers (default: 1)" in " ".join(capsys.readouterr().out.split())
+
+
+def test_search_jobs_help(capsys):
+    with pytest.raises(SystemExit):
+        main(["search", "--help"])
     assert "parallel workers (default: 1)" in " ".join(capsys.readouterr().out.split())
 
 

@@ -28,9 +28,7 @@ TAXICAB = 59**4 + 158**4  # == 133**4 + 134**4
 
 
 def descend4(residual, power, cap):
-    out: list = []
-    _descend(residual, 4, power, 1, cap, (), out)
-    return out
+    return _descend(residual, 4, power, cap)
 
 
 # --- the table ------------------------------------------------------------------

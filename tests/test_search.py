@@ -97,6 +97,26 @@ def test_decompose_huge_residual_small_cap():
     assert decompose_sum_of_powers(2**100, 4, 2, 10) == []
 
 
+def test_descents_take_a_free_count_deeper_than_the_recursion_limit():
+    # both descents keep one stack entry per free entry, not one frame
+    one = [(1,) * 1199 + (2,)]
+    assert decompose_sum_of_powers(1203, 1200, 2, 2) == one
+    pw = [b**2 for b in range(4)]
+    root_of = {v: b for b, v in enumerate(pw)}
+    assert search_module._oracle_free_part(1203, 1200, pw, root_of) == one
+
+
+@pytest.mark.parametrize("count", [3, 5, 6, 7])
+@pytest.mark.parametrize("power", [2, 3])
+def test_descent_equals_the_oracle_free_part(count, power):
+    pw = [b**power for b in range(40)]
+    root_of = {v: b for b, v in enumerate(pw)}
+    for residual in range(count, count * 4**power + 1):
+        assert decompose_sum_of_powers(residual, count, power, 39) == (
+            search_module._oracle_free_part(residual, count, pw, root_of)
+        ), residual
+
+
 def test_decompose_rejects_bad_args():
     with pytest.raises(ValueError):
         decompose_sum_of_powers(10, 2, 6, 10)
@@ -142,15 +162,11 @@ def test_mitm_agrees_with_recursive_descent():
                 continue
             table = _PairSumTable(power, cap)
             via_table = sorted(_mitm4(residual, power, cap, table))
-            via_descent: list = []
-            _descend(residual, 4, power, 1, cap, (), via_descent)
-            assert via_table == via_descent, (power, residual)
+            assert via_table == _descend(residual, 4, power, cap), (power, residual)
 
 
 def descend4(residual, power, cap):
-    out: list = []
-    _descend(residual, 4, power, 1, cap, (), out)
-    return out
+    return _descend(residual, 4, power, cap)
 
 
 def test_mitm_head_sum_equal_to_tail_sum():
@@ -643,6 +659,9 @@ def test_floor_root_vec_top_of_domain():
         values = [0, 1, 2, top**power - 1, top**power, _INT64_MAX - 1, _INT64_MAX]
         assert_floor_roots(values, power)
         assert _floor_root_vec(np.array([_INT64_MAX]), power).tolist() == [top]
+        # _mitm4's b1_lo bound passes negative values: they give 0
+        negatives = np.array([-1, -(2**40), -_INT64_MAX], dtype=np.int64)
+        assert _floor_root_vec(negatives, power).tolist() == [0, 0, 0]
 
 
 # --- batched equal-class kernel ---------------------------------------------
