@@ -179,33 +179,30 @@ def build_sieve(limit: int) -> PsiSieve:
     """Build the psi table for 1..limit in O(N log log N): psi_segment over
     0..limit, with psi[0] = 0.
 
-    The primes up to sqrt(limit) that psi_segment needs are the n with
-    psi(n) = n + 1 in build_sieve(isqrt(limit)), a table of about
-    sqrt(limit) entries.  The build peaks at 13 bytes per entry and keeps
-    8; a build whose peak would exceed _memory_budget raises InputError
-    before the table is allocated.
+    The build peaks at 13 bytes per entry and keeps 8; a build whose peak
+    would exceed _memory_budget raises InputError before the table is
+    allocated.
     """
     limit = _integer(limit, "limit", 1)
     if limit >= 2**32:
         raise InputError(
             f"sieve limit {limit} must be below 2**32: the cofactors and the index are uint32"
         )
-    root = math.isqrt(limit)
-    primes = build_sieve(root).primes() if root > 1 else ()
-    psi_vals = psi_segment(0, limit + 1, primes)
+    psi_vals = psi_segment(0, limit + 1)
     psi_vals.flags.writeable = False
     return PsiSieve(limit=limit, psi=psi_vals)
 
 
-def psi_segment(lo: int, hi: int, primes) -> np.ndarray:
-    """psi(n) for lo <= n < hi as a uint64 array, given every prime up to
-    sqrt(hi - 1) (Python ints or an integer array; more primes do no harm).
+def psi_segment(lo: int, hi: int) -> np.ndarray:
+    """psi(n) for lo <= n < hi as a uint64 array.
 
     psi is computed multiplicatively: every n starts at n, and each prime p
-    rescales its multiples in the segment, from the first one >= lo, by
-    (p+1)/p.  The division is exact at every step because each multiple of
-    p still carries the factor p when its turn comes.  A uint32 cofactor
-    array tracks what is left of n once every power of the primes so far is
+    up to sqrt(hi - 1) rescales its multiples in the segment, from the
+    first one >= lo, by (p+1)/p.  Those primes are the n with psi(n) = n + 1
+    in build_sieve(isqrt(hi - 1)), a table of about sqrt(hi) entries.  The
+    division is exact at every step because each multiple of p still
+    carries the factor p when its turn comes.  A uint32 cofactor array
+    tracks what is left of n once every power of the primes so far is
     divided out.  At the end the cofactor is 1 or the single prime factor
     of n above sqrt(hi - 1); one vectorized step applies that last factor.
     n = 0, allowed as lo, gets 0.  The segment peaks at 13 bytes per entry
@@ -221,9 +218,11 @@ def psi_segment(lo: int, hi: int, primes) -> np.ndarray:
             f"the psi segment [{lo}, {hi}) needs {need} bytes, "
             f"over the memory budget of {budget} bytes"
         )
+    root = math.isqrt(hi - 1)
+    primes = build_sieve(root).primes().tolist() if root > 1 else []
     psi_vals = np.arange(lo, hi, dtype=np.uint64)
     cofactor = np.arange(lo, hi, dtype=np.uint32)
-    for p in (_integer(q, "prime", 2) for q in primes):
+    for p in primes:
         view = psi_vals[-lo % p :: p]
         np.floor_divide(view, p, out=view)
         view *= p + 1
@@ -284,30 +283,22 @@ def psi(n: int) -> int:
 def int_kth_root(x: int, k: int) -> int:
     """floor(x ** (1/k)) exactly, for k in 2..5 and x >= 0.
 
-    Float seed plus integer Newton correction; the final compare loops
-    guarantee result**k <= x < (result+1)**k regardless of seed error.
+    math.isqrt for k = 2.  For k = 3..5, integer Newton from
+    2**ceil(bits(x) / k), which is above the root: from above, each step
+    falls and stays at or above the floor (AM-GM), so the first step that
+    no longer falls stops at the floor.  No float is involved.
     """
     x, k = _integer(x, "x", 0), _integer(k, "k", 2, 5)
     if k == 2:
         return math.isqrt(x)
-    if x == 0:
-        return 0
-    try:
-        r = int(float(x) ** (1.0 / k))
-    except OverflowError:
-        r = 1 << -(-x.bit_length() // k)
-    if r == 0:
-        r = 1
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // k)
     while True:
         nxt = ((k - 1) * r + x // r ** (k - 1)) // k
         if nxt >= r:
-            break
+            return r
         r = nxt
-    while r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
 
 
 def is_perfect_kth_power(x: int, k: int) -> int | None:

@@ -44,13 +44,6 @@ gc.freeze()
 __all__ = ["main", "entrypoint"]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip() != "")
@@ -62,17 +55,10 @@ def _resolve_kind(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     if args.kind is not None:
         if args.power is not None or args.equal is not None or args.free is not None:
             parser.error("give either --kind or --power/--equal/--free, not both")
-        try:
-            return kind_by_name(args.kind)
-        except ValueError as exc:
-            parser.error(str(exc))
+        return kind_by_name(args.kind)
     if args.power is None or args.equal is None or args.free is None:
         parser.error("need --kind NAME or all of --power/--equal/--free")
-    try:
-        return TupleKind(args.power, args.equal, args.free)
-    except ValueError as exc:
-        parser.error(str(exc))
-    raise AssertionError  # parser.error never returns
+    return TupleKind(args.power, args.equal, args.free)
 
 
 def _emit_solutions(solutions: Sequence[Solution], kind: TupleKind, fmt: str) -> None:
@@ -114,10 +100,7 @@ def _cmd_search(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     kind = _resolve_kind(parser, args)
-    try:
-        report = verify_solution(kind, args.equal_entries, args.free_entries)
-    except ValueError as exc:
-        parser.error(str(exc))
+    report = verify_solution(kind, args.equal_entries, args.free_entries)
     name = kind.name or f"({kind.power},{kind.equal},{kind.free})"
     print(f"kind:        {name}")
     print(f"equal:       {list(args.equal_entries)}")
@@ -213,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", help="print psi(n)")
     p.set_defaults(run=_cmd_psi)
-    p.add_argument("n", type=_positive_int)
+    p.add_argument("n", type=int)
 
     names = ", ".join(k.name for k in named_kinds())
     kind_options = argparse.ArgumentParser(add_help=False)
@@ -224,9 +207,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exhaustive search for a tuple kind", parents=[kind_options])
     p.set_defaults(run=_cmd_search)
-    p.add_argument("--bound", type=_positive_int, required=True,
+    p.add_argument("--bound", type=int, required=True,
                    help="equal-class entries range over 1..bound")
-    p.add_argument("--jobs", type=_positive_int, default=1,
+    p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers (default: 1)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--emit-partial", action="store_true",
@@ -242,9 +225,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="reproduce a published table and diff")
     p.set_defaults(run=_cmd_table)
     p.add_argument("--id", type=int, required=True, choices=sorted(TABLES))
-    p.add_argument("--bound", type=_positive_int, default=None,
+    p.add_argument("--bound", type=int, default=None,
                    help="override the table's default bound")
-    p.add_argument("--jobs", type=_positive_int, default=1,
+    p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers (default: 1)")
 
     p = sub.add_parser("obstruct", help="case and witness for a pair candidate")

@@ -335,15 +335,14 @@ def _segment_length(nprimes: int) -> int:
 def _pair_windows(limit: int) -> Iterator[_PairWindow]:
     """The kernel over 2..limit, one window of _SCAN_WINDOW x at a time.
 
-    psi comes one segment at a time from psi_segment, with the primes of
-    build_sieve(isqrt(limit)), so the scan holds one segment and one
-    window's temporaries, whatever the limit.
+    psi comes one segment at a time from psi_segment, so the scan holds
+    one segment and one window's temporaries, whatever the limit.  The
+    primes up to isqrt(limit) are counted once, to size the segments.
     """
-    primes = build_sieve(math.isqrt(limit)).primes()
-    step = _segment_length(len(primes))
+    step = _segment_length(len(build_sieve(math.isqrt(limit)).primes()))
     for lo in range(2, limit + 1, step):
         hi = min(lo + step, limit + 1)
-        psi_lo = psi_segment(lo, hi, primes)
+        psi_lo = psi_segment(lo, hi)
         for start in range(0, hi - lo, _SCAN_WINDOW):
             yield _pair_window(lo + start, psi_lo[start : start + _SCAN_WINDOW])
         del psi_lo  # freed before the next segment is built

@@ -220,28 +220,30 @@ def segment_edges(top: int) -> list[tuple[int, int]]:
 
 
 def test_psi_segment_equals_build_sieve_and_trial_division(sieve_100k):
-    # each segment gets exactly the primes up to sqrt(hi - 1)
     table = sieve_100k.psi.tolist()
     for lo, hi in segment_edges(100_000):
-        got = psi_segment(lo, hi, primes_to(math.isqrt(hi - 1)))
+        got = psi_segment(lo, hi)
         assert got.dtype == np.uint64 and got.size == hi - lo
         assert got.tolist() == table[lo:hi], (lo, hi)
         if hi - lo <= 37:
             assert got.tolist() == [psi(n) for n in range(lo, hi)], (lo, hi)
 
 
-def test_psi_segment_takes_surplus_primes_and_an_array(sieve_100k):
-    primes = build_sieve(math.isqrt(100_000)).primes()
-    assert psi_segment(50_000, 70_001, primes).tolist() == sieve_100k.psi[50_000:70_001].tolist()
-    assert psi_segment(10, 20, primes).tolist() == [psi(n) for n in range(10, 20)]
-    assert psi_segment(0, 5, [2]).tolist() == [0, 1, 3, 4, 6]  # psi(0) is 0
+def test_psi_segment_sieves_its_own_primes(sieve_100k):
+    # a caller's prime list could stop short of sqrt(hi - 1) (the primes to
+    # 1000 at 1009**2 and at 10**7) or hold a composite (4 at 96..100)
+    assert psi_segment(1009**2, 1009**2 + 1).tolist() == [1019090] == [psi(1009**2)]
+    lo = 10**7
+    assert psi_segment(lo, lo + 1000).tolist() == [psi(n) for n in range(lo, lo + 1000)]
+    assert psi_segment(96, 101).tolist() == [psi(n) for n in range(96, 101)]
+    assert psi_segment(50_000, 70_001).tolist() == sieve_100k.psi[50_000:70_001].tolist()
+    assert psi_segment(0, 5).tolist() == [0, 1, 3, 4, 6]  # psi(0) is 0
 
 
 def test_psi_segment_at_the_uint32_top():
     # 2**32 - 1 = 3 * 5 * 17 * 257 * 65537; the cofactors are uint32
-    primes = primes_to(65_535)
     top = 2**32
-    got = psi_segment(top - 200, top, primes).tolist()
+    got = psi_segment(top - 200, top).tolist()
     assert got == [psi(n) for n in range(top - 200, top)]
     assert got[-1] == 4 * 6 * 18 * 258 * 65538
 
@@ -249,7 +251,7 @@ def test_psi_segment_at_the_uint32_top():
 def test_psi_segment_refuses_bad_ranges():
     for lo, hi in ((5, 5), (6, 5), (-1, 3), (2**32 - 1, 2**32 + 1)):
         with pytest.raises(ValueError, match="psi segment"):
-            psi_segment(lo, hi, [2, 3])
+            psi_segment(lo, hi)
 
 
 def test_psi_segment_over_the_budget_allocates_nothing(monkeypatch):
@@ -260,10 +262,10 @@ def test_psi_segment_over_the_budget_allocates_nothing(monkeypatch):
     monkeypatch.setattr(np, "arange", lambda *a, **k: calls.append(a) or arange(*a, **k))
     monkeypatch.setattr(arith, "_memory_budget", lambda: 13 * 1000 - 1)
     with pytest.raises(ValueError, match="needs 13000 bytes, over the memory budget of 12999"):
-        psi_segment(1000, 2000, primes_to(44))
+        psi_segment(1000, 2000)
     assert calls == []
     monkeypatch.setattr(arith, "_memory_budget", lambda: 13 * 1000)
-    assert psi_segment(1000, 2000, primes_to(44)).tolist() == [psi(n) for n in range(1000, 2000)]
+    assert psi_segment(1000, 2000).tolist() == [psi(n) for n in range(1000, 2000)]
 
 
 # --- integer roots ----------------------------------------------------------
@@ -273,6 +275,14 @@ def test_root_examples():
     assert int_kth_root(0, 2) == 0
     assert int_kth_root(13824, 3) == 24
     assert int_kth_root(13823, 3) == 23
+    # past 2**53 a float seed can land far below the root
+    assert int_kth_root(3**150 - 1, 3) == 3**50 - 1
+    assert int_kth_root((10**40 + 1) ** 3 - 1, 3) == 10**40
+    for r in (2**200 - 1, 2**200 + 1):
+        for k in (3, 4, 5):
+            assert int_kth_root(r**k - 1, k) == r - 1
+            assert int_kth_root(r**k, k) == r
+            assert int_kth_root(r**k + 1, k) == r
 
 
 def test_perfect_power_examples():

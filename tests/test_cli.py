@@ -29,6 +29,15 @@ def run_expecting_usage_error(capsys, *argv):
     return exc.value.code
 
 
+def run_expecting_input_error(capsys, *argv):
+    """main returns 2 with nothing on stdout and one `error: ` line on
+    stderr: the InputError of the function that refused the value."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return code
+
+
 # --- psi ---------------------------------------------------------------------
 
 
@@ -38,7 +47,7 @@ def test_psi_command(capsys):
 
 
 def test_psi_rejects_zero(capsys):
-    assert run_expecting_usage_error(capsys, "psi", "0") == 2
+    assert run_expecting_input_error(capsys, "psi", "0") == 2
 
 
 # --- search -------------------------------------------------------------------
@@ -82,9 +91,20 @@ def test_search_rejects_unsafe_bound(capsys, monkeypatch):
 
 
 def test_search_rejects_unknown_kind(capsys):
-    assert run_expecting_usage_error(
+    assert run_expecting_input_error(
         capsys, "search", "--kind", "sextic", "--bound", "10"
     ) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--kind", "cubic-triple", "--bound", "0"),
+    ("search", "--kind", "cubic-triple", "--bound", "10", "--jobs", "0"),
+    ("table", "--id", "6", "--bound", "0"),
+    ("search", "--power", "6", "--equal", "1", "--free", "2", "--bound", "10"),
+    ("verify", "--kind", "cubic-triple", "--equal-entries", "0,1", "--free-entries", "2,3"),
+], ids=["bound-0", "jobs-0", "table-bound-0", "power-6", "verify-entry-0"])
+def test_invalid_values_are_input_errors(capsys, argv):
+    assert run_expecting_input_error(capsys, *argv) == 2
 
 
 def test_search_kind_and_signature_conflict(capsys):
@@ -303,7 +323,7 @@ def test_verify_failure_exit_one(capsys):
 
 
 def test_verify_wrong_arity(capsys):
-    assert run_expecting_usage_error(
+    assert run_expecting_input_error(
         capsys, "verify", "--kind", "quadratic-pair",
         "--equal-entries", "3,4", "--free-entries", "2",
     ) == 2

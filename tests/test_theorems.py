@@ -270,8 +270,8 @@ def test_scan_reports_planted_failures(monkeypatch):
     # so it still finds each planted x's true witness.
     real = theorems.psi_segment
 
-    def planted(lo, hi, primes):
-        values = real(lo, hi, primes)
+    def planted(lo, hi):
+        values = real(lo, hi)
         for x, fake in ((4, 5), (7, 6)):
             if lo <= x < hi:
                 values[x - lo] = fake
