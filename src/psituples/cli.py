@@ -194,8 +194,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("psi", help="print psi(n)")
-    p.set_defaults(run=_cmd_psi)
+    def command(name: str, run, **kwargs) -> argparse.ArgumentParser:
+        # a command is handed its own parser, so that its usage errors name it
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run, parser=p)
+        return p
+
+    p = command("psi", _cmd_psi, help="print psi(n)")
     p.add_argument("n", type=int)
 
     names = ", ".join(k.name for k in named_kinds())
@@ -205,8 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
     kind_options.add_argument("--equal", type=int, help="equal-class size")
     kind_options.add_argument("--free", type=int, help="free-class size")
 
-    p = sub.add_parser("search", help="exhaustive search for a tuple kind", parents=[kind_options])
-    p.set_defaults(run=_cmd_search)
+    p = command("search", _cmd_search, help="exhaustive search for a tuple kind",
+                parents=[kind_options])
     p.add_argument("--bound", type=int, required=True,
                    help="equal-class entries range over 1..bound")
     p.add_argument("--jobs", type=int, default=1,
@@ -215,35 +220,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-partial", action="store_true",
                    help="stream per-chunk progress to stderr")
 
-    p = sub.add_parser("verify", help="check one candidate tuple exactly", parents=[kind_options])
-    p.set_defaults(run=_cmd_verify)
+    p = command("verify", _cmd_verify, help="check one candidate tuple exactly",
+                parents=[kind_options])
     p.add_argument("--equal-entries", dest="equal_entries", type=_int_list, required=True,
                    metavar='"a,b,..."')
     p.add_argument("--free-entries", dest="free_entries", type=_int_list, required=True,
                    metavar='"c,d,..."')
 
-    p = sub.add_parser("table", help="reproduce a published table and diff")
-    p.set_defaults(run=_cmd_table)
+    p = command("table", _cmd_table, help="reproduce a published table and diff")
     p.add_argument("--id", type=int, required=True, choices=sorted(TABLES))
     p.add_argument("--bound", type=int, default=None,
                    help="override the table's default bound")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers (default: 1)")
 
-    p = sub.add_parser("obstruct", help="case and witness for a pair candidate")
-    p.set_defaults(run=_cmd_obstruct)
+    p = command("obstruct", _cmd_obstruct, help="case and witness for a pair candidate")
     p.add_argument("x", type=int)
 
-    p = sub.add_parser("theorem1", help="scan 2..LIMIT for a quadratic pair")
-    p.set_defaults(run=_cmd_theorem1)
+    p = command("theorem1", _cmd_theorem1, help="scan 2..LIMIT for a quadratic pair")
     p.add_argument("limit", type=int, metavar="LIMIT")
 
-    p = sub.add_parser("classify", help="equal-pair branch report for a")
-    p.set_defaults(run=_cmd_classify)
+    p = command("classify", _cmd_classify, help="equal-pair branch report for a")
     p.add_argument("a", type=int)
 
-    p = sub.add_parser("family", help="k-th power-of-two triple")
-    p.set_defaults(run=_cmd_family)
+    p = command("family", _cmd_family, help="k-th power-of-two triple")
     p.add_argument("--k", type=int, required=True)
 
     return parser
@@ -253,7 +253,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(parser, args)
+        return args.run(args.parser, args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

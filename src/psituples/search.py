@@ -23,6 +23,7 @@ sorted list, independent of the parallelism degree.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 from bisect import bisect_right
@@ -367,8 +368,10 @@ def _build_class_runs(bound: int, equal: int) -> _ClassRuns:
     ns = (keys & ((1 << 31) - 1)).astype(np.uint32)
     psis = np.right_shift(keys, 31, out=keys).view(np.int64)
     ends = np.append(np.flatnonzero(psis[1:] != psis[:-1]) + 1, bound)
-    run_end = np.repeat(ends.astype(np.uint32), np.diff(ends, prepend=0))
-    del ends
+    sizes = np.diff(ends, prepend=0)
+    _check_class_multisets(bound, equal, int(sizes.max()))
+    run_end = np.repeat(ends.astype(np.uint32), sizes)
+    del ends, sizes
     # With m positions left in the run, C(m + equal - 2, equal - 1) tuples
     # start at a position; the product below steps through C(m - 1 + j, j).
     # _KERNEL_BLOCK positions at a time, so that the temporaries stay small.
@@ -509,6 +512,27 @@ def _plan_chunks(runs: _ClassRuns, jobs: int) -> list[tuple[int, int]]:
 
 
 _RUNS_BYTES = 24  # per entry of 1..bound: what _ClassRuns keeps and its build peaks at
+
+
+def _check_class_multisets(bound: int, equal: int, largest: int) -> None:
+    """Refuse a search whose multiset counts could leave int64, or whose one
+    block would exceed _memory_budget, from the size of its largest class.
+
+    No position starts more multisets than the first of the largest class,
+    c = C(largest + equal - 2, equal - 1), so bound * c bounds every count;
+    and _cut never splits a position, so those c share one kernel block.  A
+    block peaks at about equal + 4 int64 values per multiset, its position
+    columns and the temporaries beside them (tracemalloc: 55 B at three
+    equal entries, 91 B at eight; Python-int residuals take about twice)."""
+    c = math.comb(largest + equal - 2, equal - 1)
+    if bound * c >= 1 << 63:
+        raise InputError(f"a search to bound {bound} with {equal} equal entries could count "
+                         f"up to {bound * c} multisets, past int64")
+    need, budget = 8 * (equal + 4) * c, _memory_budget()
+    if need > budget:
+        raise InputError(f"a search to bound {bound} puts the {c} multisets of one entry of "
+                         f"its largest psi class ({largest} entries) in one block, which "
+                         f"needs {need} bytes, over the memory budget of {budget} bytes")
 
 
 def _check_plan_memory(bound: int) -> None:

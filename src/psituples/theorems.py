@@ -29,6 +29,7 @@ from .arith import (
     build_sieve,
     factorize,
     is_perfect_kth_power,
+    psi,
     psi_segment,
 )
 from .tuples import Solution, kind_by_name
@@ -79,8 +80,6 @@ class Witness(_Record):
       odd-square-gap  u1, v1 odd with v1 - u1 not 0 mod 8, so they cannot
                       both be odd squares
       mod5            v1 = 5l + 2 is 2 mod 5, never a square residue
-      gcd-drop        gcd(l+1, 5l+2) = 3 forces 3 | p, impossible for the
-                      odd prime p != 3 in this shape class
     """
 
     __slots__ = ("kind", "description", "values")
@@ -157,19 +156,13 @@ def _congruence_witness(case: PairCase, odd: tuple[int, ...], u1: int, v1: int) 
     if case is PairCase.TWO_TIMES_PRIME_POWER:
         p = odd[0]
         if p % 4 == 1:
+            # v1 = 5l + 2 needs gcd(l + 1, 5l + 2) = 1: that gcd divides 3,
+            # and 3 | l + 1 would make p = 4l + 1 a multiple of 3
             l = (p - 1) // 4
-            g = math.gcd(l + 1, 5 * l + 2)
-            if g == 1:
-                return Witness(
-                    "mod5",
-                    f"v1 = 5l + 2 = {v1} is 2 mod 5; squares are 0, 1, 4 mod 5",
-                    (("l", l), ("v1", v1)),
-                )
-            # g == 3 forces 3 | p = 4l + 1, impossible for a prime p != 3
             return Witness(
-                "gcd-drop",
-                f"gcd(l+1, 5l+2) = 3 with l = {l} would force 3 | {p}",
-                (("l", l), ("p", p), ("g", g)),
+                "mod5",
+                f"v1 = 5l + 2 = {v1} is 2 mod 5; squares are 0, 1, 4 mod 5",
+                (("l", l), ("v1", v1)),
             )
         # p = 4l + 3: u1, v1 both odd; their gap is 2x/d, not 0 mod 8
     # ODD_ONLY, GENERAL and the 4l+3 subcase share the parity certificate.
@@ -191,13 +184,14 @@ def _non_square(symbol: str, value: int) -> Witness:
 
 
 def witness_holds(report: PairObstructionReport) -> bool:
-    """Re-check a report: the identities plus the witness itself."""
+    """Re-check a report against its x: the identities, with u + x equal to
+    psi(x), plus the witness itself."""
     x, u, v, d = report.x, report.u, report.v, report.d
     u1, v1 = report.u1, report.v1
-    px = u + x  # = psi(x)
     identities = (
-        v - u == 2 * x
-        and u + v == 2 * px
+        x >= 2
+        and u + x == psi(x)
+        and v - u == 2 * x
         and d == math.gcd(u, v)
         and d * u1 == u
         and d * v1 == v
@@ -220,15 +214,6 @@ def witness_holds(report: PairObstructionReport) -> bool:
         )
     if w.kind == "mod5":
         return w.get("v1") == v1 and v1 == 5 * w.get("l") + 2 and v1 % 5 == 2
-    if w.kind == "gcd-drop":
-        l, p, g = w.get("l"), w.get("p"), w.get("g")
-        return (
-            g == math.gcd(l + 1, 5 * l + 2)
-            and g == 3
-            and p == 4 * l + 1
-            and p % 3 == 0
-            and p != 3
-        )
     return False
 
 

@@ -11,6 +11,7 @@ from psituples import (
     SearchConfig,
     brute_force_oracle,
     classify_equal_pair,
+    congruence_witness,
     double_solution,
     kind_by_name,
     named_kinds,
@@ -23,7 +24,7 @@ from psituples import (
     verify_theorem1,
     witness_holds,
 )
-from psituples.theorems import EqualPairBranch
+from psituples.theorems import EqualPairBranch, PairObstructionReport
 
 BOUNDED_TABLE_RUNS = [(2, 1296), (3, 432), (4, 504), (5, 96), (6, 1000), (7, 94)]
 
@@ -151,11 +152,20 @@ def test_criterion_6_congruence_sweeps():
         if rep.branch is EqualPairBranch.MIXED_BRANCH and rep.H % 16 not in (8, 12):
             bad_h.append(a)
     assert bad_h == []
-    bad_w = [
-        x for x in range(2, 100_001) if not witness_holds(pair_obstruction(x))
-    ]
-    assert bad_w == []
-    report(6, True, "F = 2 mod 4, H in {8,12} mod 16, all witnesses re-check to 1e5")
+    bad_w, bad_case, kinds = [], [], set()
+    for x in range(2, 100_001):
+        r = pair_obstruction(x)
+        if not witness_holds(r):
+            bad_w.append(x)
+        # the paper's case argument, independent of the square tests
+        w = congruence_witness(x)
+        kinds.add(w.kind)
+        if not witness_holds(PairObstructionReport(r.x, r.u, r.v, r.d, r.u1, r.v1, r.case_id, w)):
+            bad_case.append(x)
+    assert bad_w == [] and bad_case == []
+    assert kinds == {"non-square", "odd-square-gap", "mod5"}
+    report(6, True, "F = 2 mod 4, H in {8,12} mod 16, all witnesses and every "
+                    "case argument re-check to 1e5")
 
 
 def test_criterion_7_family_and_doubling(triple_search_full, bounded_table_diffs):

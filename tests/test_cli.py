@@ -2,6 +2,7 @@
 
 import csv
 import faulthandler
+import hashlib
 import importlib
 import io
 import json
@@ -112,6 +113,31 @@ def test_search_kind_and_signature_conflict(capsys):
         capsys, "search", "--kind", "cubic-triple", "--power", "3",
         "--equal", "1", "--free", "2", "--bound", "10",
     ) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("search", "--bound", "5"), "need --kind NAME or all of --power/--equal/--free"),
+    (("verify", "--kind", "cubic-triple", "--power", "3", "--equal-entries", "4",
+      "--free-entries", "3,5"), "give either --kind or --power/--equal/--free, not both"),
+], ids=["search-no-kind", "verify-kind-and-power"])
+def test_kind_usage_errors_name_the_subcommand(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith(f"usage: psituples {argv[0]} ")
+    assert err.endswith(f"psituples {argv[0]}: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--power", "2", "--equal", "12", "--free", "1", "--bound", "100000"),
+    ("--power", "2", "--equal", "20", "--free", "1", "--bound", "100000"),
+    ("--power", "5", "--equal", "20", "--free", "1", "--bound", "3000"),
+], ids=["square-12-equal", "square-20-equal", "quintic-20-equal"])
+def test_search_too_many_multisets_is_refused(capsys, argv):
+    # their counts would wrap int64, or one entry's multisets fill one block
+    # past the memory budget: refused at plan time, not searched to nothing
+    assert run_expecting_input_error(capsys, "search", *argv) == 2
 
 
 def test_search_json_round_trips_through_verify(capsys):
@@ -440,6 +466,21 @@ def test_family_command(capsys):
 def test_family_rejects_out_of_range(capsys):
     assert run(capsys, "family", "--k", "0")[0] == 2
     assert run(capsys, "family", "--k", "63")[0] == 2
+
+
+# --- recorded stdout ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("theorem1", "200000"), "e67c5a93d928"),
+    (("table", "--id", "6"), "419daf1b4d36"),
+    (("obstruct", "26"), "acd4b5f5f845"),
+], ids=["theorem1-200000", "table-6", "obstruct-26"])
+def test_stdout_matches_its_recorded_digest(capsys, argv, digest):
+    # the first 12 hex digits of the SHA-256 of stdout, as recorded
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == digest
 
 
 # --- the frozen import-time heap -----------------------------------------------

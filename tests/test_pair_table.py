@@ -327,6 +327,48 @@ def test_plan_at_the_budget_runs(monkeypatch):
         search(cfg)
 
 
+@pytest.mark.parametrize("equal, bound", [(4, 5000), (6, 1000)])
+def test_one_entry_block_peaks_within_the_plan(equal, bound):
+    # the block of the largest class's first entry, which _cut never splits,
+    # peaks within the 8 * (equal + 4) bytes per multiset that the plan counts
+    kind = TupleKind(2, equal, 1)
+    runs = search_module._build_class_runs(bound, equal)
+    first = int(np.argmax(runs.run_end.astype(np.int64) - np.arange(bound)))
+    multisets = int(runs.tuple_start[first + 1] - runs.tuple_start[first])
+    assert multisets > search_module._KERNEL_BLOCK  # more than a nominal block
+    _, peak = _traced_peak(lambda: search_module._search_runs(kind, runs, None, first, first + 1))
+    assert peak <= 8 * (equal + 4) * multisets, peak / multisets
+
+
+def test_one_entry_of_multisets_over_the_budget_is_refused(monkeypatch):
+    # the largest class of 1..2000 has 37 entries, so its first entry starts
+    # C(39, 3) = 9139 multisets of four equal entries, all in one block
+    cfg = SearchConfig(TupleKind(3, 4, 1), 2000)
+    assert search(cfg) == []
+    monkeypatch.setattr(search_module, "_memory_budget", lambda: 256 * 1024)
+    with pytest.raises(InputError, match=(
+        r"^a search to bound 2000 puts the 9139 multisets of one entry of its largest psi "
+        r"class \(37 entries\) in one block, which needs 584896 bytes, over the memory "
+        r"budget of 262144 bytes$"
+    )):
+        search(cfg)
+
+
+def test_class_multiset_rules_at_their_edges(monkeypatch):
+    # two equal entries and a largest class of two: c = 2 multisets at its
+    # first entry, so bound * c reaches 2**63 at bound 2**62, and the block
+    # needs 8 * (2 + 4) * 2 = 96 bytes
+    check = search_module._check_class_multisets
+    monkeypatch.setattr(search_module, "_memory_budget", lambda: 96)
+    check(2**62 - 1, 2, 2)
+    with pytest.raises(InputError, match=r"could count up to 9223372036854775808 multisets, "
+                                         r"past int64$"):
+        check(2**62, 2, 2)
+    monkeypatch.setattr(search_module, "_memory_budget", lambda: 95)
+    with pytest.raises(InputError, match=r"needs 96 bytes, over the memory budget of 95 bytes$"):
+        check(2**62 - 1, 2, 2)
+
+
 def test_bound_past_the_key_field_allocates_nothing(monkeypatch, capsys):
     # n fills the low 31 bits of a class-run key: 2**31 is refused whatever
     # the budget, before a sieve is built

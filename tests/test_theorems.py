@@ -77,6 +77,30 @@ def test_congruence_witnesses_hold_per_case():
         assert witness_holds(alt), x
 
 
+@pytest.mark.parametrize("x", [9, 30, 1000003, 2**20])
+def test_forged_gcd_drop_witness_is_rejected(x):
+    # no prime p = 4l + 1 has gcd(l + 1, 5l + 2) = 3, so no report carries
+    # this kind; one built by hand refutes nothing about x
+    r = pair_obstruction(x)
+    forged = theorems.Witness("gcd-drop", "", (("l", 2), ("p", 9), ("g", 3)))
+    assert witness_holds(r)
+    assert not witness_holds(
+        PairObstructionReport(r.x, r.u, r.v, r.d, r.u1, r.v1, r.case_id, forged)
+    )
+
+
+@pytest.mark.parametrize("px", [10, 6])
+def test_report_on_a_wrong_psi_is_rejected(px):
+    # psi(7) = 8; with 10 every identity but u + x = psi(x) holds and u1 = 3
+    # is no square, and with 6, u1 = -1 is negative
+    x = 7
+    u, v = px - x, px + x
+    d = math.gcd(u, v)
+    witness = theorems._non_square("u1", u // d)
+    report = PairObstructionReport(x, u, v, d, u // d, v // d, PairCase.ODD_ONLY, witness)
+    assert witness_holds(report) is False
+
+
 def test_mod5_witness_for_4l_plus_1():
     # x = 2 * 13: p = 13 = 4*3 + 1, u1 = l + 1 = 4 is square, v1 = 5l + 2 = 17
     r = pair_obstruction(26)
