@@ -175,6 +175,17 @@ def _memory_budget() -> int:
     return os.sysconf(pages) * os.sysconf("SC_PAGE_SIZE") // 2
 
 
+def _check_memory(need: int, what: str, detail: str = "") -> None:
+    """Refuse what would take more than _memory_budget: raise InputError
+    "<what> needs <need> bytes<detail>, over the memory budget of ...".
+    The one budget check, which every builder calls before it allocates."""
+    budget = _memory_budget()
+    if need > budget:
+        raise InputError(
+            f"{what} needs {need} bytes{detail}, over the memory budget of {budget} bytes"
+        )
+
+
 def build_sieve(limit: int) -> PsiSieve:
     """Build the psi table for 1..limit in O(N log log N): psi_segment over
     0..limit, with psi[0] = 0.
@@ -212,12 +223,7 @@ def psi_segment(lo: int, hi: int) -> np.ndarray:
     lo, hi = _integer(lo, "lo"), _integer(hi, "hi")
     if not 0 <= lo < hi <= 2**32:
         raise InputError(f"psi segment [{lo}, {hi}) must satisfy 0 <= lo < hi <= 2**32")
-    need, budget = 13 * (hi - lo), _memory_budget()
-    if need > budget:
-        raise InputError(
-            f"the psi segment [{lo}, {hi}) needs {need} bytes, "
-            f"over the memory budget of {budget} bytes"
-        )
+    _check_memory(13 * (hi - lo), f"the psi segment [{lo}, {hi})")
     root = math.isqrt(hi - 1)
     primes = build_sieve(root).primes().tolist() if root > 1 else []
     psi_vals = np.arange(lo, hi, dtype=np.uint64)

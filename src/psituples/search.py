@@ -6,11 +6,12 @@ arrays, block by block, and forms their residuals psi**p - sum(a**p): in
 int64 in each block where that is exact, as Python ints in the others.
 One free entry is one perfect-power test of the int64 residuals, two are
 split off them by _split_pairs; every other residual is decomposed on
-its own into f k-th powers.  Four free entries join one pair-sum table, sized once per search
-for the largest residual, and _split_pairs recovers the pairs of the sums
-the join matched.  A table past int64 or the memory budget is refused up
-front with InputError, as is a search whose sieve and class runs alone
-would exceed the budget.  Sums of four fourth powers first pass a
+its own into f k-th powers.  Four free entries join one pair-sum table,
+sized once per search for the largest residual, and _split_pairs recovers
+the pairs of the sums the join matched.  Each builder refuses up front,
+with InputError, what it cannot hold: class runs or one entry's block of
+multisets past the memory budget, a table past int64 or the budget (one
+check, arith._check_memory).  Sums of four fourth powers first pass a
 congruence descent mod 16 and mod 625, which rules out most residuals
 and shrinks the rest before they meet the table.  The brute-force oracle
 at the bottom re-derives the same sets with plain nested loops and no
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import sys
 from bisect import bisect_right
 from itertools import combinations_with_replacement
 from typing import Callable, Iterator, NoReturn
@@ -36,11 +38,10 @@ from .arith import (
     _INT64_MAX,
     _INT64_ROOT_MAX,
     InputError,
-    PsiSieve,
+    _check_memory,
     _exact_root_vec,
     _floor_root_vec,
     _integer,
-    _memory_budget,
     _Record,
     build_sieve,
     int_kth_root,
@@ -86,15 +87,15 @@ class PsiClassIndex(_Record):
     __slots__ = ("bound", "classes")
 
 
-def build_class_index(sieve: PsiSieve, bound: int | None = None) -> PsiClassIndex:
-    """Index 1..bound by psi value; bound defaults to the sieve limit.
+def build_class_index(bound: int) -> PsiClassIndex:
+    """Index 1..bound by psi value, from the sieve of 1..bound built here.
 
     A library and reference helper: search sorts 1..N into class runs
     instead (_build_class_runs).
     """
-    bound = sieve.limit if bound is None else _integer(bound, "bound", 1, sieve.limit)
+    bound = _integer(bound, "bound", 1)
     classes: dict[int, list[int]] = {}
-    for n, v in enumerate(sieve.psi[1 : bound + 1].tolist(), start=1):
+    for n, v in enumerate(build_sieve(bound).psi[1:].tolist(), start=1):
         classes.setdefault(v, []).append(n)
     return PsiClassIndex(bound=bound, classes=classes)
 
@@ -108,12 +109,13 @@ class _PairSumTable:
 
     Only the sums are kept, one int64 array of 8 B per pair: row x, which
     ends at y = min(cap, floor((top - x**p) ** (1/p))), is filled one x at
-    a time, and the array is sorted in place, so the build peaks at 8 B
-    per pair too.  _mitm4 recovers the pairs of the few sums it matches.
-    This is the one place that decides whether a table can be built:
-    before allocating it raises InputError when top would leave int64 (a
-    join of a residual <= top forms nothing larger, so it stays exact) or
-    when the table would exceed _memory_budget.
+    a time, and the array is sorted in place and then made read-only, so
+    the build peaks at 8 B per pair too.  _mitm4 recovers the pairs of the
+    few sums it matches.  This is the one place that decides whether a
+    table can be built: before allocating it raises InputError when top
+    would leave int64 (a join of a residual <= top forms nothing larger,
+    so it stays exact) or when the table would exceed the memory budget
+    (_check_memory).
     """
 
     __slots__ = ("power", "cap", "top", "sums")
@@ -125,16 +127,13 @@ class _PairSumTable:
         rows = min(cap, int_kth_root(top // 2, power))  # the x with 2 * x**p <= top
         # the triangle y <= rows, all sums <= top, is a lower bound: a table far
         # over the budget is refused on it before its row ends are formed
-        pairs, budget = rows * (rows + 1) // 2, _memory_budget()
-        if 8 * pairs <= budget:
-            ends = top - np.arange(1, rows + 1, dtype=np.int64) ** power
-            ends = np.minimum(_floor_root_vec(ends, power), cap)
-            pairs = int(ends.sum()) - pairs + rows
-        if 8 * pairs > budget:
-            raise InputError(
-                f"the pair-sum table of cap {cap} needs {8 * pairs} bytes ({pairs} pairs), "
-                f"over the memory budget of {budget} bytes"
-            )
+        pairs = rows * (rows + 1) // 2
+        what = f"the pair-sum table of cap {cap}"
+        _check_memory(8 * pairs, what, f" ({pairs} pairs)")
+        ends = top - np.arange(1, rows + 1, dtype=np.int64) ** power
+        ends = np.minimum(_floor_root_vec(ends, power), cap)
+        pairs = int(ends.sum()) - pairs + rows
+        _check_memory(8 * pairs, what, f" ({pairs} pairs)")
         self.power, self.cap, self.top = power, cap, top
         pw = np.arange(ends[0] + 1 if rows else 1, dtype=np.int64) ** power
         self.sums = np.empty(pairs, dtype=np.int64)
@@ -143,6 +142,7 @@ class _PairSumTable:
             start, end = end, end + y_end + 1 - x
             np.add(pw[x], pw[x : y_end + 1], out=self.sums[start:end])
         self.sums.sort()
+        self.sums.flags.writeable = False
 
 
 def _two_pointer(residual: int, power: int, lo: int, cap: int) -> list[tuple[int, int]]:
@@ -359,9 +359,20 @@ class _ClassRuns(_Record):
     __slots__ = ("ns", "psis", "run_end", "tuple_start")
 
 
-def _build_class_runs(bound: int, equal: int) -> _ClassRuns:
+_RUNS_BYTES = 24  # per entry of 1..bound: what _ClassRuns keeps and its build peaks at
+
+
+def _build_class_runs(bound: int, kind: TupleKind) -> _ClassRuns:
     """The class runs of 1..bound, ordered by the keys psi(n) << 31 | n; the
-    sieve built here dies once they exist, so the build peaks at _RUNS_BYTES."""
+    sieve built here dies once they exist, so the build peaks at _RUNS_BYTES.
+    Refused before anything is allocated: a bound past the keys' 31-bit
+    entry field (psi(n) < 3.75 * n < 2**33 fills the other 33 bits), and
+    runs past the memory budget; once the classes are known, multisets
+    they cannot count or hold (_check_class_multisets)."""
+    if bound >= 1 << 31:
+        raise InputError(f"a search bound must be below 2**31, the 31-bit entry field "
+                         f"of the class-run keys, got {bound}")
+    _check_memory(_RUNS_BYTES * bound, f"a search to bound {bound}", " for the class runs")
     keys = build_sieve(bound).psi[1 : bound + 1] << 31
     keys |= np.arange(1, bound + 1, dtype=np.uint64)
     keys.sort()
@@ -369,7 +380,8 @@ def _build_class_runs(bound: int, equal: int) -> _ClassRuns:
     psis = np.right_shift(keys, 31, out=keys).view(np.int64)
     ends = np.append(np.flatnonzero(psis[1:] != psis[:-1]) + 1, bound)
     sizes = np.diff(ends, prepend=0)
-    _check_class_multisets(bound, equal, int(sizes.max()))
+    end = int(ends[sizes.argmax()])  # the end of the (first) largest class
+    _check_class_multisets(bound, kind, int(psis[end - 1]), ns[end - int(sizes.max()) : end])
     run_end = np.repeat(ends.astype(np.uint32), sizes)
     del ends, sizes
     # With m positions left in the run, C(m + equal - 2, equal - 1) tuples
@@ -382,11 +394,80 @@ def _build_class_runs(bound: int, equal: int) -> _ClassRuns:
         hi = min(lo + _KERNEL_BLOCK, bound)
         left = run_end[lo:hi] - np.arange(lo, hi)
         c = np.ones(hi - lo, dtype=np.int64)
-        for j in range(1, equal):
+        for j in range(1, kind.equal):
             c = c * (left - 1 + j) // j
         counts[lo:hi] = c
     np.cumsum(counts, out=counts)
     return _ClassRuns(ns, psis, run_end, tuple_start)
+
+
+def _check_class_multisets(bound: int, kind: TupleKind, psi: int, entries: np.ndarray) -> None:
+    """Refuse a search whose multiset counts could leave int64, or whose one
+    block would exceed the memory budget, from its largest psi class: its
+    psi and its entries n, ascending.
+
+    No position starts more multisets than the first of that class,
+    c = C(m + equal - 2, equal - 1) for its m entries, so bound * c bounds
+    every count; and _cut never splits a position, so those c share one
+    kernel block, which takes at most _block_bytes(kind, psi, entries).
+    Only that block is bounded: with two free entries, an entry of a class
+    of larger psi starts fewer multisets but may split more of them."""
+    c = math.comb(entries.size + kind.equal - 2, kind.equal - 1)
+    if bound * c >= 1 << 63:
+        raise InputError(f"a search to bound {bound} with {kind.equal} equal entries could "
+                         f"count up to {bound * c} multisets, past int64")
+    _check_memory(_block_bytes(kind, psi, entries),
+                  f"a search to bound {bound} puts the {c} multisets of one entry of its "
+                  f"largest psi class ({entries.size} entries) in one block, which")
+
+
+def _fits_int64(kind: TupleKind, psi: int) -> bool:
+    """Whether a kernel block whose largest psi is psi forms its residuals in
+    int64: e * psi**p <= 2**63 - 1, as each entry a has a <= psi(a) <= psi,
+    so that every partial residual fits too."""
+    return kind.equal * psi**kind.power <= _INT64_MAX
+
+
+_BLOCK_FIXED = 4 << 10  # what a kernel block takes however few its multisets
+
+
+def _block_bytes(kind: TupleKind, psi: int, entries: np.ndarray) -> int:
+    """A bound on what the kernel block of the multisets whose first entry
+    is entries[0] peaks at (_search_runs, by tracemalloc), entries being
+    the n of one psi class, ascending, beside the solutions it finds and
+    the one residual it decomposes at a time (decompose_sum_of_powers: the
+    stack of _descend, or _mitm4's temporaries and the pair-sum table,
+    which is checked on its own).
+
+    Each multiset holds e int64 position columns.  In int64 (_fits_int64),
+    one free entry adds 48 B per multiset: the residuals, the live
+    positions, their residuals and the root arrays.  Two free entries add
+    56 B of residuals and of _split_pairs' per-sum arrays instead, 64 B per
+    edge of its pieces, one per _KERNEL_BLOCK splits, and one piece at
+    52 B per split (49 measured at most), of fewer than _KERNEL_BLOCK
+    splits plus those of one sum.  A sum r splits floor((r / 2) ** (1/p))
+    times, and the multisets whose largest entry is x have
+    r <= psi**p - (e - 1) * entries[0]**p - x**p, which bounds the block's
+    splits.  Every other block reads its residuals as Python ints (f >= 3
+    lists them, and past int64 they form in object arrays): two ints the
+    size of psi**p and 64 B per multiset beside the columns.  Measured
+    peaks, in B per multiset against this bound: (3, 3, 1) at 60000 64.9
+    of 72; (3, 4, 2) at 2000 183.8 of 197; (5, 3, 1) at 20000 129.8 of 160;
+    (2, 3, 3) at 40000 121.0 of 152.
+    """
+    p, e, f = kind.power, kind.equal, kind.free
+    multisets = math.comb(entries.size + e - 2, e - 1)
+    if f > 2 or not _fits_int64(kind, psi):
+        return _BLOCK_FIXED + multisets * (8 * e + 2 * sys.getsizeof(psi**p) + 64)
+    if f == 1:
+        return _BLOCK_FIXED + multisets * 8 * (e + 6)
+    x = entries.astype(np.int64) ** p
+    splits = _floor_root_vec(np.maximum(psi**p - (e - 1) * x[0] - x, 0) // 2, p)
+    # C(k + e - 1, e - 1) of the multisets have their largest entry at most the k-th
+    at_most = [math.comb(k + e - 1, e - 1) for k in range(x.size)]
+    total = sum(map(int.__mul__, np.diff(at_most, prepend=0).tolist(), splits.tolist()))
+    return (_BLOCK_FIXED + multisets * 8 * (e + 7) + 64 * (total // _KERNEL_BLOCK + 1)
+            + 52 * min(total, _KERNEL_BLOCK + int(splits[0])))
 
 
 def _cut(start: np.ndarray, lo: int, hi: int, budget: int) -> list[int]:
@@ -441,9 +522,8 @@ def _search_runs(
     arrays, one equal entry at a time: every position is repeated once per
     later position of its run, and an offset counts through them.  The
     residuals psi**p - sum(a**p) are formed in int64 where the block's
-    largest psi v, that of its last position, has e * v**p <= 2**63 - 1
-    (each entry a has a <= psi(a) <= v, so every partial residual fits),
-    and as Python ints in object arrays otherwise.  With one free entry,
+    largest psi, that of its last position, allows it (_fits_int64), and
+    as Python ints in object arrays otherwise.  With one free entry,
     the positive int64 residuals take one perfect-power test; with two,
     _split_pairs splits them.  Every other residual of at least `free`
     goes to decompose_sum_of_powers, with the shared pair-sum table.
@@ -464,7 +544,7 @@ def _search_runs(
             cols = [c[owner] for c in cols]
             cols.append(nxt)
             del last, counts, owner, shift  # not held while the residuals form
-        fits = e * int(runs.psis[b_hi - 1]) ** p <= _INT64_MAX
+        fits = _fits_int64(kind, int(runs.psis[b_hi - 1]))
         residual = runs.psis[cols[0]]
         if not fits:
             residual = residual.astype(object)
@@ -511,44 +591,6 @@ def _plan_chunks(runs: _ClassRuns, jobs: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-_RUNS_BYTES = 24  # per entry of 1..bound: what _ClassRuns keeps and its build peaks at
-
-
-def _check_class_multisets(bound: int, equal: int, largest: int) -> None:
-    """Refuse a search whose multiset counts could leave int64, or whose one
-    block would exceed _memory_budget, from the size of its largest class.
-
-    No position starts more multisets than the first of the largest class,
-    c = C(largest + equal - 2, equal - 1), so bound * c bounds every count;
-    and _cut never splits a position, so those c share one kernel block.  A
-    block peaks at about equal + 4 int64 values per multiset, its position
-    columns and the temporaries beside them (tracemalloc: 55 B at three
-    equal entries, 91 B at eight; Python-int residuals take about twice)."""
-    c = math.comb(largest + equal - 2, equal - 1)
-    if bound * c >= 1 << 63:
-        raise InputError(f"a search to bound {bound} with {equal} equal entries could count "
-                         f"up to {bound * c} multisets, past int64")
-    need, budget = 8 * (equal + 4) * c, _memory_budget()
-    if need > budget:
-        raise InputError(f"a search to bound {bound} puts the {c} multisets of one entry of "
-                         f"its largest psi class ({largest} entries) in one block, which "
-                         f"needs {need} bytes, over the memory budget of {budget} bytes")
-
-
-def _check_plan_memory(bound: int) -> None:
-    """Refuse, before anything is allocated, a bound of 2**31 or more, past
-    the 31-bit entry field of the class-run keys (psi(n) < 3.75 * n < 2**33
-    fills the other 33 bits), or one whose class runs would exceed
-    _memory_budget.  The pair-sum table is checked by _PairSumTable."""
-    if bound >= 1 << 31:
-        raise InputError(f"a search bound must be below 2**31, the 31-bit entry field "
-                         f"of the class-run keys, got {bound}")
-    need, budget = _RUNS_BYTES * bound, _memory_budget()
-    if need > budget:
-        raise InputError(f"a search to bound {bound} needs {need} bytes for the class runs, "
-                         f"over the memory budget of {budget} bytes")
-
-
 def search(
     config: SearchConfig, *, progress: Callable[[int, int, list[Solution]], None] | None = None
 ) -> list[Solution]:
@@ -568,8 +610,7 @@ def search(
     be in this process.
     """
     kind, bound = _instance(config, SearchConfig, "config").kind, config.bound
-    _check_plan_memory(bound)
-    runs = _build_class_runs(bound, kind.equal)
+    runs = _build_class_runs(bound, kind)
     table = _needs_pair_table(kind, runs)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     jobs = min(config.jobs, cpus or 1, _MAX_JOBS) if hasattr(os, "fork") else 1

@@ -83,7 +83,7 @@ def test_search_rejects_unsafe_bound(capsys, monkeypatch):
     # the plan-time memory check's InputError exits 2 like a usage error; the
     # budget is fixed at that of a machine with 4 GiB available, so that the
     # search is refused on any machine
-    monkeypatch.setattr(importlib.import_module("psituples.search"), "_memory_budget",
+    monkeypatch.setattr(importlib.import_module("psituples.arith"), "_memory_budget",
                         lambda: 2**31)
     code, out, err = run(capsys, "search", "--kind", "quintic-quintuple", "--bound", "99999999")
     assert code == 2 and out == ""
@@ -475,7 +475,8 @@ def test_family_rejects_out_of_range(capsys):
     (("theorem1", "200000"), "e67c5a93d928"),
     (("table", "--id", "6"), "419daf1b4d36"),
     (("obstruct", "26"), "acd4b5f5f845"),
-], ids=["theorem1-200000", "table-6", "obstruct-26"])
+    (("table", "--id", "7", "--bound", "1139", "--jobs", "2"), "4b85bda95d77"),
+], ids=["theorem1-200000", "table-6", "obstruct-26", "table-7-1139"])
 def test_stdout_matches_its_recorded_digest(capsys, argv, digest):
     # the first 12 hex digits of the SHA-256 of stdout, as recorded
     code, out, _ = run(capsys, *argv)

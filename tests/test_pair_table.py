@@ -22,6 +22,7 @@ from psituples.cli import main
 from psituples.search import _descend, _mitm4, _PairSumTable, decompose_sum_of_powers
 from psituples.tuples import TupleKind
 
+arith = importlib.import_module("psituples.arith")
 search_module = importlib.import_module("psituples.search")
 
 TAXICAB = 59**4 + 158**4  # == 133**4 + 134**4
@@ -53,6 +54,18 @@ def test_clipped_table_holds_the_sums_up_to_top(power):
             table = _PairSumTable(power, cap, top)
             assert table.top == top and table.sums.dtype == np.int64
             assert table.sums.tolist() == [s for s in every if s <= top], (power, cap, top)
+
+
+def test_table_is_read_only_once_sorted():
+    # a search shares one table with every chunk: a write would change the
+    # decompositions of every residual joined after it
+    table = _PairSumTable(4, 200)
+    assert len(decompose_sum_of_powers(TAXICAB + 2, 4, 4, 200, table)) == 3
+    with pytest.raises(ValueError, match="read-only"):
+        table.sums[:] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        table.sums.sort()
+    assert len(decompose_sum_of_powers(TAXICAB + 2, 4, 4, 200, table)) == 3
 
 
 def test_table_at_the_largest_quintic_cap():
@@ -167,7 +180,7 @@ def test_mitm_without_a_head_match_recovers_nothing(monkeypatch):
 def test_dense_hits_agree_with_oracle(kind, bound):
     # p <= 3 leaves most pair sums with several representations, so the
     # pair recovery after the join does the most work here
-    runs = search_module._build_class_runs(bound, kind.equal)
+    runs = search_module._build_class_runs(bound, kind)
     assert search_module._needs_pair_table(kind, runs) is not None
     cfg = SearchConfig(kind, bound)
     assert search(cfg) == brute_force_oracle(cfg)
@@ -242,7 +255,7 @@ def test_table_7_at_the_int64_crossing(monkeypatch, capsys):
                         lambda power, cap, top: tables.append((cap, top)))
     kind = kind_by_name("quintic-quintuple")
     for bound in (2309, 2310):
-        runs = search_module._build_class_runs(bound, kind.equal)
+        runs = search_module._build_class_runs(bound, kind)
         search_module._needs_pair_table(kind, runs)
     assert tables == [(5752, 5760**5 - 2100**5), (6906, 6912**5 - 2310**5)]
     assert tables[0][1] < 2**63 <= tables[1][1]
@@ -254,7 +267,7 @@ def test_table_7_at_the_int64_crossing(monkeypatch, capsys):
 def test_search_over_budget_is_an_error(monkeypatch, capsys):
     # above the plan estimate of the sieve and class runs (about 10 kB at
     # 300), below the pair-sum table
-    monkeypatch.setattr(search_module, "_memory_budget", lambda: 100000)
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 100000)
     cfg = SearchConfig(kind_by_name("quintic-quintuple"), 300)
     with pytest.raises(ValueError, match=r"needs \d+ bytes .* budget of 100000 bytes"):
         search(cfg)
@@ -266,16 +279,19 @@ def test_search_over_budget_is_an_error(monkeypatch, capsys):
 
 
 def test_budget_spares_what_needs_no_table(monkeypatch):
-    monkeypatch.setattr(search_module, "_memory_budget", lambda: 100000)
     # kinds without four free entries build no table and are not an error
+    # under a budget that holds their blocks: cubic-quintuple to 96 peaks at
+    # about 720 kB (tracemalloc), its one entry's block at 69 kB of a planned
+    # 95 kB, one piece of _split_pairs included
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 100000)
     for name, bound in (("cubic-quintuple", 96), ("quadratic-quadruple", 300)):
         kind = kind_by_name(name)
-        runs = search_module._build_class_runs(bound, kind.equal)
+        runs = search_module._build_class_runs(bound, kind)
         assert search_module._needs_pair_table(kind, runs) is None
         assert search(SearchConfig(kind, bound))
     # a four-entry decomposition always joins a table: one past the budget
     # is an error, not a fall back to descent
-    monkeypatch.setattr(search_module, "_memory_budget", lambda: 1000)
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 1000)
     residual = 3**5 + 17**5 + 40**5 + 90**5
     with pytest.raises(InputError, match="budget of 1000 bytes"):
         decompose_sum_of_powers(residual, 4, 5, int_kth_root(residual, 5))
@@ -299,7 +315,7 @@ def _no_sieve(limit):
 
 
 def test_plan_over_budget_allocates_nothing(monkeypatch, capsys):
-    monkeypatch.setattr(search_module, "_memory_budget", lambda: 10**6)
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 10**6)
     monkeypatch.setattr(search_module, "build_sieve", _no_sieve)
     cfg = SearchConfig(kind_by_name("quadratic-triple"), 100000)
     # one term: _RUNS_BYTES per entry of 1..N, since the sieve is freed
@@ -320,35 +336,48 @@ def test_plan_at_the_budget_runs(monkeypatch):
     bound = 500
     need = search_module._RUNS_BYTES * bound
     cfg = SearchConfig(kind_by_name("quadratic-triple"), bound)
-    monkeypatch.setattr(search_module, "_memory_budget", lambda: need)
+    monkeypatch.setattr(arith, "_memory_budget", lambda: need)
     assert search(cfg) == brute_force_oracle(cfg)
-    monkeypatch.setattr(search_module, "_memory_budget", lambda: need - 1)
+    monkeypatch.setattr(arith, "_memory_budget", lambda: need - 1)
     with pytest.raises(InputError, match=f"needs {need} bytes"):
         search(cfg)
 
 
-@pytest.mark.parametrize("equal, bound", [(4, 5000), (6, 1000)])
-def test_one_entry_block_peaks_within_the_plan(equal, bound):
+@pytest.mark.parametrize("kind, bound, fits", [
+    # int64, one free entry
+    (TupleKind(2, 4, 1), 5000, True), (TupleKind(2, 6, 1), 1000, True),
+    (TupleKind(3, 3, 1), 60000, True), (TupleKind(4, 3, 1), 20000, True),
+    # int64, two free entries: one piece of _split_pairs beside the block
+    (TupleKind(3, 4, 2), 2000, True), (TupleKind(2, 4, 2), 5000, True),
+    # Python ints: 3 * 17280**5 > 2**63, and three free entries list theirs
+    (TupleKind(5, 3, 1), 20000, False), (TupleKind(2, 3, 3), 40000, True),
+], ids=["4-5000", "6-1000", "3-3-1-60000", "4-3-1-20000", "3-4-2-2000", "2-4-2-5000",
+        "5-3-1-20000", "2-3-3-40000"])
+def test_one_entry_block_peaks_within_the_plan(monkeypatch, kind, bound, fits):
     # the block of the largest class's first entry, which _cut never splits,
-    # peaks within the 8 * (equal + 4) bytes per multiset that the plan counts
-    kind = TupleKind(2, equal, 1)
-    runs = search_module._build_class_runs(bound, equal)
+    # peaks within what the plan counts for it; the decomposition of each
+    # residual is left out of the plan, and out of the run
+    monkeypatch.setattr(search_module, "decompose_sum_of_powers", lambda *args: [])
+    runs = search_module._build_class_runs(bound, kind)
     first = int(np.argmax(runs.run_end.astype(np.int64) - np.arange(bound)))
     multisets = int(runs.tuple_start[first + 1] - runs.tuple_start[first])
-    assert multisets > search_module._KERNEL_BLOCK  # more than a nominal block
+    psi, entries = int(runs.psis[first]), runs.ns[first : runs.run_end[first]]
+    assert multisets > search_module._KERNEL_BLOCK // 2  # about a nominal block or more
+    assert search_module._fits_int64(kind, psi) == fits
     _, peak = _traced_peak(lambda: search_module._search_runs(kind, runs, None, first, first + 1))
-    assert peak <= 8 * (equal + 4) * multisets, peak / multisets
+    assert peak <= search_module._block_bytes(kind, psi, entries), peak / multisets
 
 
 def test_one_entry_of_multisets_over_the_budget_is_refused(monkeypatch):
     # the largest class of 1..2000 has 37 entries, so its first entry starts
-    # C(39, 3) = 9139 multisets of four equal entries, all in one block
+    # C(39, 3) = 9139 multisets of four equal entries, all in one int64 block
+    # of 4096 + 8 * (4 + 6) * 9139 bytes
     cfg = SearchConfig(TupleKind(3, 4, 1), 2000)
     assert search(cfg) == []
-    monkeypatch.setattr(search_module, "_memory_budget", lambda: 256 * 1024)
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 256 * 1024)
     with pytest.raises(InputError, match=(
         r"^a search to bound 2000 puts the 9139 multisets of one entry of its largest psi "
-        r"class \(37 entries\) in one block, which needs 584896 bytes, over the memory "
+        r"class \(37 entries\) in one block, which needs 735216 bytes, over the memory "
         r"budget of 262144 bytes$"
     )):
         search(cfg)
@@ -357,23 +386,25 @@ def test_one_entry_of_multisets_over_the_budget_is_refused(monkeypatch):
 def test_class_multiset_rules_at_their_edges(monkeypatch):
     # two equal entries and a largest class of two: c = 2 multisets at its
     # first entry, so bound * c reaches 2**63 at bound 2**62, and the block
-    # needs 8 * (2 + 4) * 2 = 96 bytes
-    check = search_module._check_class_multisets
-    monkeypatch.setattr(search_module, "_memory_budget", lambda: 96)
-    check(2**62 - 1, 2, 2)
+    # needs 4096 + 8 * (2 + 6) * 2 = 4224 bytes
+    check, kind = search_module._check_class_multisets, TupleKind(2, 2, 1)
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 4224)
+    entries = np.array([6, 11], dtype=np.uint32)  # psi(6) = psi(11) = 12
+    check(2**62 - 1, kind, 12, entries)
     with pytest.raises(InputError, match=r"could count up to 9223372036854775808 multisets, "
                                          r"past int64$"):
-        check(2**62, 2, 2)
-    monkeypatch.setattr(search_module, "_memory_budget", lambda: 95)
-    with pytest.raises(InputError, match=r"needs 96 bytes, over the memory budget of 95 bytes$"):
-        check(2**62 - 1, 2, 2)
+        check(2**62, kind, 12, entries)
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 4223)
+    with pytest.raises(InputError, match=r"needs 4224 bytes, over the memory budget of 4223 "
+                                         r"bytes$"):
+        check(2**62 - 1, kind, 12, entries)
 
 
 def test_bound_past_the_key_field_allocates_nothing(monkeypatch, capsys):
     # n fills the low 31 bits of a class-run key: 2**31 is refused whatever
     # the budget, before a sieve is built
     monkeypatch.setattr(search_module, "build_sieve", _no_sieve)
-    monkeypatch.setattr(search_module, "_memory_budget", lambda: 2**62)
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 2**62)
     with pytest.raises(InputError, match=(
         r"^a search bound must be below 2\*\*31, the 31-bit entry field of the class-run "
         r"keys, got 2147483648$"
@@ -387,7 +418,7 @@ def test_bound_past_the_key_field_allocates_nothing(monkeypatch, capsys):
     # sieve, and a smaller one refuses it for memory alone
     with pytest.raises(AssertionError, match=r"build_sieve\(2147483647\) called"):
         search(SearchConfig(kind_by_name("quadratic-triple"), 2**31 - 1))
-    monkeypatch.setattr(search_module, "_memory_budget", lambda: 10**6)
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 10**6)
     with pytest.raises(InputError, match="^a search to bound 2147483647 needs 51539607528 bytes"):
         search(SearchConfig(kind_by_name("quadratic-triple"), 2**31 - 1))
 
@@ -395,7 +426,7 @@ def test_bound_past_the_key_field_allocates_nothing(monkeypatch, capsys):
 def test_memory_budget_reads_meminfo_or_sysconf(monkeypatch, request):
     # the reading is cached per process: cleared first, and again at the end,
     # so that no other test sees the sysconf reading made under the patch
-    budget_of = search_module._memory_budget
+    budget_of = arith._memory_budget
     budget_of.cache_clear()
     request.addfinalizer(budget_of.cache_clear)
     budget = budget_of()
@@ -408,9 +439,7 @@ def test_memory_budget_reads_meminfo_or_sysconf(monkeypatch, request):
     def no_meminfo(*args, **kwargs):
         raise FileNotFoundError("/proc/meminfo")
 
-    # the budget lives in arith, which search imports it from
-    monkeypatch.setattr(importlib.import_module("psituples.arith"), "open", no_meminfo,
-                        raising=False)
+    monkeypatch.setattr(arith, "open", no_meminfo, raising=False)
     assert budget_of() == budget  # read once per process: the file is not opened again
     budget_of.cache_clear()
     assert budget_of() > 0
@@ -449,7 +478,8 @@ def test_class_runs_build_peaks_within_the_plan(equal):
     # the build makes its own sieve and frees it once the keys exist, so it
     # never holds the sieve beside the runs
     bound = 10**6
-    runs, peak = _traced_peak(lambda: search_module._build_class_runs(bound, equal))
+    kind = TupleKind(2, equal, 1)
+    runs, peak = _traced_peak(lambda: search_module._build_class_runs(bound, kind))
     kept = (runs.ns, runs.psis, runs.run_end, runs.tuple_start)
     assert sum(a.nbytes for a in kept) == 24 * bound + 8
     # beside the kept arrays, only a few int64 temporaries of one slice of
@@ -463,7 +493,7 @@ def test_class_runs_build_peaks_within_the_plan(equal):
 def test_kernel_block_peaks_at_fifty_six_bytes_per_multiset(name, bound):
     # one full block from the middle of the search, the runs built outside
     kind = kind_by_name(name)
-    runs = search_module._build_class_runs(bound, kind.equal)
+    runs = search_module._build_class_runs(bound, kind)
     edges = search_module._cut(runs.tuple_start, 0, bound, search_module._KERNEL_BLOCK)
     assert len(edges) > 4
     lo, hi = edges[len(edges) // 2], edges[len(edges) // 2 + 1]

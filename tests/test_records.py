@@ -240,7 +240,7 @@ def test_fixed_reprs():
         pytest.param(lambda: canonicalize(_KIND, [4.0], [3, 5]), id="<lambda>25"),
         pytest.param(lambda: SearchConfig(_KIND, 10.5), id="<lambda>26"),
         pytest.param(lambda: SearchConfig(_KIND, 10, 2.0), id="<lambda>27"),
-        pytest.param(lambda: build_class_index(_SIEVE, 5.0), id="<lambda>28"),
+        pytest.param(lambda: build_class_index(5.0), id="<lambda>28"),
         pytest.param(lambda: decompose_sum_of_powers(2.0, 2, 2, 1), id="<lambda>29"),
         pytest.param(lambda: decompose_sum_of_powers(2, 2.0, 2, 1), id="<lambda>30"),
         pytest.param(lambda: decompose_sum_of_powers(2, 2, 2.0, 1), id="<lambda>31"),

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from psituples import (
     ORACLE_MAX_BOUND,
+    InputError,
     PsiSieve,
     SearchConfig,
     brute_force_oracle,
@@ -57,16 +58,25 @@ CUBIC_TRIPLES_TO_200 = [
 
 
 def test_class_index_frozen_examples():
-    idx = build_class_index(build_sieve(25))
+    idx = build_class_index(25)
     assert idx.classes[36] == [18, 20, 22]  # contains the published pair {18, 22}
-    idx = build_class_index(build_sieve(16))
+    idx = build_class_index(16)
     assert idx.classes[24] == [12, 14, 15, 16]  # contains {14, 16}
-    idx = build_class_index(build_sieve(1))
+    idx = build_class_index(1)
     assert idx.classes == {1: [1]}
+    assert build_class_index(5).classes == {1: [1], 3: [2], 4: [3], 6: [4, 5]}
+
+
+def test_class_index_takes_no_sieve():
+    # it sieves 1..bound itself: a caller's table, right or wrong, is refused
+    wrong = PsiSieve(5, np.array([0, 1, 1, 1, 1, 1], dtype=np.uint64))
+    for sieve in (wrong, build_sieve(5)):
+        with pytest.raises(InputError, match="bound must be an integer"):
+            build_class_index(sieve)
 
 
 def test_class_index_partition(sieve_1k):
-    idx = build_class_index(sieve_1k)
+    idx = build_class_index(1000)
     seen = sorted(n for members in idx.classes.values() for n in members)
     assert seen == list(range(1, 1001))
     for v, members in idx.classes.items():
@@ -673,7 +683,7 @@ def reference_search(cfg):
     no blocks and no shared pair-sum table."""
     kind, p, f = cfg.kind, cfg.kind.power, cfg.kind.free
     out = []
-    for v, members in build_class_index(build_sieve(cfg.bound)).classes.items():
+    for v, members in build_class_index(cfg.bound).classes.items():
         for multiset in combinations_with_replacement(members, kind.equal):
             residual = v**p - sum(a**p for a in multiset)
             if residual >= f:
@@ -685,7 +695,7 @@ def reference_search(cfg):
 def block_edges(kind, bound, budget):
     """Interior block edges of a serial search, split into those on a class
     boundary and those inside a class."""
-    runs = _build_class_runs(bound, kind.equal)
+    runs = _build_class_runs(bound, kind)
     edges = _cut(runs.tuple_start, 0, runs.ns.size, budget)[1:-1]
     starts = set(np.flatnonzero(np.diff(runs.psis, prepend=-1)).tolist())
     return [x for x in edges if x in starts], [x for x in edges if x not in starts]
@@ -695,7 +705,7 @@ def reference_class_runs(bound, equal):
     """(ns, psis, run_end, tuple_start) as plain lists, from the dict class
     index: the classes by ascending psi, each class's members ascending,
     and the tuples that start at each position counted one by one."""
-    classes = build_class_index(build_sieve(bound)).classes
+    classes = build_class_index(bound).classes
     ns, psis, run_end, tuple_start = [], [], [], [0]
     for v in sorted(classes):
         members = classes[v]
@@ -722,7 +732,7 @@ def test_class_runs_equal_reference(monkeypatch, equal, bound):
     reference = list(reference_class_runs(bound, equal))
     for block in (search_module._KERNEL_BLOCK, 7):
         monkeypatch.setattr(search_module, "_KERNEL_BLOCK", block)
-        runs = _build_class_runs(bound, equal)
+        runs = _build_class_runs(bound, kind)
         arrays = (runs.ns, runs.psis, runs.run_end, runs.tuple_start)
         assert [a.dtype for a in arrays] == [np.uint32, np.int64, np.uint32, np.int64]
         assert [a.tolist() for a in arrays] == reference, block
@@ -740,7 +750,7 @@ def test_class_runs_order_wide_psi_like_a_stable_argsort(monkeypatch):
     psi[1:] = rng.choice(values, bound)
     order = np.argsort(psi[1:], kind="stable")
     monkeypatch.setattr(search_module, "build_sieve", lambda limit: PsiSieve(limit, psi))
-    runs = _build_class_runs(bound, 2)
+    runs = _build_class_runs(bound, TupleKind(2, 2, 1))
     assert runs.ns.tolist() == (order + 1).tolist()
     assert runs.psis.tolist() == psi[1:][order].tolist()
     assert runs.run_end.tolist() == np.searchsorted(runs.psis, runs.psis, "right").tolist()
