@@ -1,21 +1,24 @@
 """Exhaustive, deterministic search for tuple solutions up to a bound.
 
 Every kind runs one kernel.  It sorts 1..N by psi value, so that each psi
-class is one run, enumerates the equal-class multisets of every class as
-arrays, block by block, and forms their residuals psi**p - sum(a**p): in
-int64 in each block where that is exact, as Python ints in the others.
-One free entry is one perfect-power test of the int64 residuals, two are
-split off them by _split_pairs; every other residual is decomposed on
-its own into f k-th powers.  Four free entries join one pair-sum table,
-sized once per search for the largest residual, and _split_pairs recovers
-the pairs of the sums the join matched.  Each builder refuses up front,
-with InputError, what it cannot hold: class runs or one entry's block of
-multisets past the memory budget, a table past int64 or the budget (one
-check, arith._check_memory).  Sums of four fourth powers first pass a
-congruence descent mod 16 and mod 625, which rules out most residuals
-and shrinks the rest before they meet the table.  The brute-force oracle
-at the bottom re-derives the same sets with plain nested loops and no
-shared machinery; differential tests compare the two.
+class is one run, numbers the equal-class multisets of every class, and
+decodes them to arrays, a block of _KERNEL_BLOCK numbers at a time, to
+form their residuals psi**p - sum(a**p): in int64 in each block where
+that is exact, as Python ints in the others.  One free entry is one
+perfect-power test of the int64 residuals, two are split off them by
+_split_pairs, in pieces of _KERNEL_BLOCK numbered splits; every other
+residual is decomposed on its own into f k-th powers.  Four free entries
+join one pair-sum table, sized once per search for the largest residual,
+and _split_pairs recovers the pairs of the sums the join matched.  Chunks,
+blocks and pieces are all index ranges, so no piece of work grows with the
+classes.  Each builder refuses up front, with InputError, what it cannot
+hold: class runs past the memory budget, multiset counts past int64, a
+table past int64 or the budget (one check, arith._check_memory).  Sums of
+four fourth powers first pass a congruence descent mod 16 and mod 625,
+which rules out most residuals and shrinks the rest before they meet the
+table.  The brute-force oracle at the bottom re-derives the same sets
+with plain nested loops and no shared machinery; differential tests
+compare the two.
 
 Bound semantics: N limits equal-class entries only; free entries are
 bounded by the residual automatically.  Output is always the canonical
@@ -27,7 +30,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import sys
 from bisect import bisect_right
 from itertools import combinations_with_replacement
 from typing import Callable, Iterator, NoReturn
@@ -170,23 +172,29 @@ def _descend(residual: int, count: int, power: int, cap: int) -> list[tuple[int,
     powers sum to residual, in lexicographic order: depth first with
     monotone residual pruning, the last two entries by two-pointer.  It
     runs on an explicit stack, as a recursion would need one frame per
-    entry, and pushes each entry's candidates largest first."""
+    entry; each frame holds its entry's candidates as a range, from which
+    it takes the next b, so the stack holds count - 2 frames at most."""
+    if count == 1:
+        r = is_perfect_kth_power(residual, power)
+        return [(r,)] if r is not None and 1 <= r <= cap else []
+    if count == 2:
+        return _two_pointer(residual, power, 1, cap)
     out: list[tuple[int, ...]] = []
-    stack = [(residual, count, 1, ())]
+    # smallest remaining entry b satisfies slots * b**p <= residual
+    hi = min(cap, int_kth_root(residual // count, power))
+    stack = [(residual, count, (), iter(range(1, hi + 1)))]
     while stack:
-        residual, slots, lo, prefix = stack.pop()
+        residual, slots, prefix, candidates = stack[-1]
+        b = next(candidates, None)
+        if b is None:
+            stack.pop()
+            continue
+        rest, slots = residual - b**power, slots - 1
         if slots == 2:
-            out.extend(prefix + pair for pair in _two_pointer(residual, power, lo, cap))
-        elif slots == 1:
-            r = is_perfect_kth_power(residual, power)
-            if r is not None and lo <= r <= cap:
-                out.append(prefix + (r,))
+            out.extend(prefix + (b,) + pair for pair in _two_pointer(rest, power, b, cap))
         else:
-            # smallest remaining entry b satisfies slots * b**p <= residual
-            hi = min(cap, int_kth_root(residual // slots, power))
-            stack.extend(
-                (residual - b**power, slots - 1, b, prefix + (b,)) for b in range(hi, lo - 1, -1)
-            )
+            hi = min(cap, int_kth_root(rest // slots, power))
+            stack.append((rest, slots, prefix + (b,), iter(range(b, hi + 1))))
     return out
 
 
@@ -352,7 +360,8 @@ class _ClassRuns(_Record):
     run_end[i] (uint32) is one past the last position of the run holding
     position i.  tuple_start[i] (int64) counts the non-decreasing
     equal-tuples of positions inside one run whose first position is below
-    i; it has one more entry than ns, the total.  24 bytes per entry in
+    i, so the tuples of position i are numbered tuple_start[i] and on; it
+    has one more entry than ns, the total.  24 bytes per entry in
     all; a uint32 entry must be widened before it is raised to a power.
     """
 
@@ -368,7 +377,7 @@ def _build_class_runs(bound: int, kind: TupleKind) -> _ClassRuns:
     Refused before anything is allocated: a bound past the keys' 31-bit
     entry field (psi(n) < 3.75 * n < 2**33 fills the other 33 bits), and
     runs past the memory budget; once the classes are known, multisets
-    they cannot count or hold (_check_class_multisets)."""
+    they cannot count in int64 (_check_class_multisets)."""
     if bound >= 1 << 31:
         raise InputError(f"a search bound must be below 2**31, the 31-bit entry field "
                          f"of the class-run keys, got {bound}")
@@ -380,45 +389,40 @@ def _build_class_runs(bound: int, kind: TupleKind) -> _ClassRuns:
     psis = np.right_shift(keys, 31, out=keys).view(np.int64)
     ends = np.append(np.flatnonzero(psis[1:] != psis[:-1]) + 1, bound)
     sizes = np.diff(ends, prepend=0)
-    end = int(ends[sizes.argmax()])  # the end of the (first) largest class
-    _check_class_multisets(bound, kind, int(psis[end - 1]), ns[end - int(sizes.max()) : end])
+    _check_class_multisets(bound, kind, int(sizes.max()))
     run_end = np.repeat(ends.astype(np.uint32), sizes)
     del ends, sizes
-    # With m positions left in the run, C(m + equal - 2, equal - 1) tuples
-    # start at a position; the product below steps through C(m - 1 + j, j).
-    # _KERNEL_BLOCK positions at a time, so that the temporaries stay small.
+    # with m positions left in the run, C(m + equal - 2, equal - 1) tuples
+    # start at a position; _KERNEL_BLOCK positions at a time, so that the
+    # temporaries stay small
     tuple_start = np.empty(bound + 1, dtype=np.int64)
     tuple_start[0] = 0
     counts = tuple_start[1:]
     for lo in range(0, bound, _KERNEL_BLOCK):
         hi = min(lo + _KERNEL_BLOCK, bound)
-        left = run_end[lo:hi] - np.arange(lo, hi)
-        c = np.ones(hi - lo, dtype=np.int64)
-        for j in range(1, kind.equal):
-            c = c * (left - 1 + j) // j
-        counts[lo:hi] = c
+        counts[lo:hi] = _multisets(run_end[lo:hi] - np.arange(lo, hi), kind.equal - 1)
     np.cumsum(counts, out=counts)
     return _ClassRuns(ns, psis, run_end, tuple_start)
 
 
-def _check_class_multisets(bound: int, kind: TupleKind, psi: int, entries: np.ndarray) -> None:
-    """Refuse a search whose multiset counts could leave int64, or whose one
-    block would exceed the memory budget, from its largest psi class: its
-    psi and its entries n, ascending.
+def _multisets(left: np.ndarray, j: int) -> np.ndarray:
+    """C(left + j - 1, j), the non-decreasing j-tuples of left positions, in
+    int64: the product steps through C(left - 1 + i, i) for i = 1..j."""
+    c = np.ones(left.shape, dtype=np.int64)
+    for i in range(1, j + 1):
+        c = c * (left - 1 + i) // i
+    return c
 
-    No position starts more multisets than the first of that class,
-    c = C(m + equal - 2, equal - 1) for its m entries, so bound * c bounds
-    every count; and _cut never splits a position, so those c share one
-    kernel block, which takes at most _block_bytes(kind, psi, entries).
-    Only that block is bounded: with two free entries, an entry of a class
-    of larger psi starts fewer multisets but may split more of them."""
-    c = math.comb(entries.size + kind.equal - 2, kind.equal - 1)
+
+def _check_class_multisets(bound: int, kind: TupleKind, size: int) -> None:
+    """Refuse a search whose multiset counts could leave int64, from the
+    size of its largest psi class: no position starts more multisets than
+    the first of that class, c = C(size + equal - 2, equal - 1), so
+    bound * c bounds every count."""
+    c = math.comb(size + kind.equal - 2, kind.equal - 1)
     if bound * c >= 1 << 63:
         raise InputError(f"a search to bound {bound} with {kind.equal} equal entries could "
                          f"count up to {bound * c} multisets, past int64")
-    _check_memory(_block_bytes(kind, psi, entries),
-                  f"a search to bound {bound} puts the {c} multisets of one entry of its "
-                  f"largest psi class ({entries.size} entries) in one block, which")
 
 
 def _fits_int64(kind: TupleKind, psi: int) -> bool:
@@ -426,63 +430,6 @@ def _fits_int64(kind: TupleKind, psi: int) -> bool:
     int64: e * psi**p <= 2**63 - 1, as each entry a has a <= psi(a) <= psi,
     so that every partial residual fits too."""
     return kind.equal * psi**kind.power <= _INT64_MAX
-
-
-_BLOCK_FIXED = 4 << 10  # what a kernel block takes however few its multisets
-
-
-def _block_bytes(kind: TupleKind, psi: int, entries: np.ndarray) -> int:
-    """A bound on what the kernel block of the multisets whose first entry
-    is entries[0] peaks at (_search_runs, by tracemalloc), entries being
-    the n of one psi class, ascending, beside the solutions it finds and
-    the one residual it decomposes at a time (decompose_sum_of_powers: the
-    stack of _descend, or _mitm4's temporaries and the pair-sum table,
-    which is checked on its own).
-
-    Each multiset holds e int64 position columns.  In int64 (_fits_int64),
-    one free entry adds 48 B per multiset: the residuals, the live
-    positions, their residuals and the root arrays.  Two free entries add
-    56 B of residuals and of _split_pairs' per-sum arrays instead, 64 B per
-    edge of its pieces, one per _KERNEL_BLOCK splits, and one piece at
-    52 B per split (49 measured at most), of fewer than _KERNEL_BLOCK
-    splits plus those of one sum.  A sum r splits floor((r / 2) ** (1/p))
-    times, and the multisets whose largest entry is x have
-    r <= psi**p - (e - 1) * entries[0]**p - x**p, which bounds the block's
-    splits.  Every other block reads its residuals as Python ints (f >= 3
-    lists them, and past int64 they form in object arrays): two ints the
-    size of psi**p and 64 B per multiset beside the columns.  Measured
-    peaks, in B per multiset against this bound: (3, 3, 1) at 60000 64.9
-    of 72; (3, 4, 2) at 2000 183.8 of 197; (5, 3, 1) at 20000 129.8 of 160;
-    (2, 3, 3) at 40000 121.0 of 152.
-    """
-    p, e, f = kind.power, kind.equal, kind.free
-    multisets = math.comb(entries.size + e - 2, e - 1)
-    if f > 2 or not _fits_int64(kind, psi):
-        return _BLOCK_FIXED + multisets * (8 * e + 2 * sys.getsizeof(psi**p) + 64)
-    if f == 1:
-        return _BLOCK_FIXED + multisets * 8 * (e + 6)
-    x = entries.astype(np.int64) ** p
-    splits = _floor_root_vec(np.maximum(psi**p - (e - 1) * x[0] - x, 0) // 2, p)
-    # C(k + e - 1, e - 1) of the multisets have their largest entry at most the k-th
-    at_most = [math.comb(k + e - 1, e - 1) for k in range(x.size)]
-    total = sum(map(int.__mul__, np.diff(at_most, prepend=0).tolist(), splits.tolist()))
-    return (_BLOCK_FIXED + multisets * 8 * (e + 7) + 64 * (total // _KERNEL_BLOCK + 1)
-            + 52 * min(total, _KERNEL_BLOCK + int(splits[0])))
-
-
-def _cut(start: np.ndarray, lo: int, hi: int, budget: int) -> list[int]:
-    """Edges lo = e_0 < ... < e_k = hi cutting positions lo..hi-1.
-
-    start[i] counts the items (tuples, or residual splits) of the positions
-    below i.  A piece starts wherever that count crosses a multiple of
-    budget, so it holds fewer than budget items plus those of its last
-    position; a large class may span several pieces.  No pieces when
-    lo..hi-1 hold no items.
-    """
-    marks = np.arange(start[lo], start[hi], budget)
-    edges = np.searchsorted(start[lo:hi], marks)  # sorted, with repeats
-    edges = edges[np.diff(edges, prepend=-1) > 0] + lo
-    return edges.tolist() + [hi]
 
 
 def _split_pairs(
@@ -494,57 +441,91 @@ def _split_pairs(
     Each sum s splits into (s, u) for u = u_lo..floor((s // 2) ** (1/p)),
     since 2 * u**p <= s exactly when u <= v, and every s - u**p passes one
     exact perfect-power test (_exact_root_vec); a root above cap is
-    dropped.  The splits run in pieces of about _KERNEL_BLOCK plus those of
-    one sum (_cut never divides a sum's splits), so memory grows with the
-    largest root, not with the number of sums.  u_lo is one bound for all
-    sums or one per sum.  All values stay below s, so int64 is exact
-    wherever s is.
+    dropped.  The splits are numbered in order, and a piece is the index
+    range lo..hi-1 of _KERNEL_BLOCK of them, which may divide one sum's
+    splits, so memory does not grow with the sums or their roots.  u_lo is
+    one bound for all sums or one per sum.  All values stay below s, so
+    int64 is exact wherever s is.
     """
     counts = np.maximum(np.minimum(_floor_root_vec(sums // 2, power), cap) - u_lo + 1, 0)
     start = np.concatenate(([0], np.cumsum(counts)))
     first = start[:-1] - u_lo  # split j of row i has u = j - first[i]
-    edges = _cut(start, 0, sums.size, _KERNEL_BLOCK)
-    for lo, hi in zip(edges, edges[1:]):
-        rows = np.repeat(np.arange(lo, hi), counts[lo:hi])
-        u = np.arange(start[lo], start[hi]) - first[rows]
+    total = int(start[-1])
+    for lo in range(0, total, _KERNEL_BLOCK):
+        hi = min(lo + _KERNEL_BLOCK, total)
+        # the rows whose splits meet lo..hi-1: only the first and the last
+        # can reach past it, so only their counts are clipped
+        r_lo = int(np.searchsorted(start, lo, "right")) - 1
+        r_hi = int(np.searchsorted(start, hi, "left"))
+        clipped = counts[r_lo:r_hi].copy()
+        clipped[0] -= lo - start[r_lo]
+        clipped[-1] -= start[r_hi] - hi
+        rows = np.repeat(np.arange(r_lo, r_hi), clipped)
+        u = np.arange(lo, hi) - first[rows]
         v, hits = _exact_root_vec(sums[rows] - u**power, power)
         hits &= v <= cap
         yield rows[hits], u[hits], v[hits]
 
 
+def _block_columns(runs: _ClassRuns, e: int, lo: int, hi: int) -> list[np.ndarray]:
+    """The e int64 position columns of the multisets numbered lo..hi-1.
+
+    Multiset numbers run in order of first position (runs.tuple_start) and,
+    within one, lexicographically.  The columns are expanded one equal
+    entry at a time: every row is repeated once per later position of its
+    run, and an offset counts through the copies.  Only the first row can
+    start before lo, its first skip multisets, and only the last can end at
+    or after hi, past its first take; so only those two rows' copies are
+    trimmed, by the multisets under each copy, which sizes one class per
+    column.
+    """
+    first = int(np.searchsorted(runs.tuple_start, lo, "right")) - 1
+    last = int(np.searchsorted(runs.tuple_start, hi, "left")) - 1
+    skip, take = lo - int(runs.tuple_start[first]), hi - int(runs.tuple_start[last])
+    cols = [np.arange(first, last + 1, dtype=np.int64)]
+    for j in range(e - 2, -1, -1):  # j equal entries follow the next one
+        prev = cols[-1]
+        counts = runs.run_end[prev] - prev
+        # the multisets under each copy of the first and the last row
+        below = [np.cumsum(_multisets(counts[k] - np.arange(counts[k]), j)) for k in (0, -1)]
+        dropped = int(np.searchsorted(below[0], skip, "right"))
+        kept = int(np.searchsorted(below[1], take, "left")) + 1
+        counts[-1] = kept  # the last row's first copies, all it keeps
+        counts[0] -= dropped
+        shift = prev - (np.cumsum(counts) - counts)
+        shift[0] += dropped
+        skip -= int(below[0][dropped - 1]) if dropped else 0
+        take -= int(below[1][kept - 2]) if kept > 1 else 0
+        owner = np.repeat(np.arange(prev.size), counts)
+        # the next position is prev + its offset among the owner's copies
+        nxt = np.arange(owner.size, dtype=np.int64)
+        nxt += shift[owner]
+        cols = [c[owner] for c in cols]
+        cols.append(nxt)
+        del prev, counts, owner, shift  # not held while the residuals form
+    return cols
+
+
 def _search_runs(
     kind: TupleKind, runs: _ClassRuns, table: _PairSumTable | None, lo: int, hi: int
 ) -> list[Solution]:
-    """All solutions whose equal-class multiset has its first position in
-    lo..hi-1.
+    """All solutions whose equal-class multiset is numbered lo..hi-1
+    (runs.tuple_start).
 
-    Each block of about _KERNEL_BLOCK multisets is expanded to position
-    arrays, one equal entry at a time: every position is repeated once per
-    later position of its run, and an offset counts through them.  The
-    residuals psi**p - sum(a**p) are formed in int64 where the block's
-    largest psi, that of its last position, allows it (_fits_int64), and
-    as Python ints in object arrays otherwise.  With one free entry,
-    the positive int64 residuals take one perfect-power test; with two,
-    _split_pairs splits them.  Every other residual of at least `free`
-    goes to decompose_sum_of_powers, with the shared pair-sum table.
+    Each block of _KERNEL_BLOCK multisets is decoded to position arrays
+    (_block_columns).  The residuals psi**p - sum(a**p) are formed in
+    int64 where the block's largest psi, that of its last row, allows it
+    (_fits_int64), and as Python ints in object arrays otherwise.  With
+    one free entry, the positive int64 residuals take one perfect-power
+    test; with two, _split_pairs splits them.  Every other residual of at
+    least `free` goes to decompose_sum_of_powers, with the shared pair-sum
+    table.
     """
     p, e, f = kind.power, kind.equal, kind.free
     out: list[Solution] = []
-    edges = _cut(runs.tuple_start, lo, hi, _KERNEL_BLOCK)
-    for b_lo, b_hi in zip(edges, edges[1:]):
-        cols = [np.arange(b_lo, b_hi, dtype=np.int64)]
-        for _ in range(e - 1):  # the next position runs from the last one to its run's end
-            last = cols[-1]
-            counts = runs.run_end[last] - last
-            owner = np.repeat(np.arange(last.size), counts)
-            # the next position is last + its offset among the owner's copies
-            shift = last - (np.cumsum(counts) - counts)
-            nxt = np.arange(owner.size)
-            nxt += shift[owner]
-            cols = [c[owner] for c in cols]
-            cols.append(nxt)
-            del last, counts, owner, shift  # not held while the residuals form
-        fits = _fits_int64(kind, int(runs.psis[b_hi - 1]))
+    for b_lo in range(lo, hi, _KERNEL_BLOCK):
+        cols = _block_columns(runs, e, b_lo, min(b_lo + _KERNEL_BLOCK, hi))
+        fits = _fits_int64(kind, int(runs.psis[cols[0][-1]]))
         residual = runs.psis[cols[0]]
         if not fits:
             residual = residual.astype(object)
@@ -582,13 +563,12 @@ def _search_runs(
 
 
 def _plan_chunks(runs: _ClassRuns, jobs: int) -> list[tuple[int, int]]:
-    """Fixed contiguous chunks (lo, hi) of multiset positions; one when jobs is 1."""
+    """Fixed contiguous chunks (lo, hi) of multiset numbers; one when jobs is 1."""
     total = int(runs.tuple_start[-1])
     # many small chunks per process: per-entry cost grows steeply with psi,
     # so coarse contiguous chunks would leave the pool idle on the cheap ones
-    budget = total if jobs == 1 else -(-total // (jobs * _CHUNKS_PER_JOB))
-    edges = _cut(runs.tuple_start, 0, runs.ns.size, budget)
-    return list(zip(edges, edges[1:]))
+    step = total if jobs == 1 else -(-total // (jobs * _CHUNKS_PER_JOB))
+    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
 def search(

@@ -279,6 +279,27 @@ def test_search_one_two_three_processes_byte_identical(capsys, monkeypatch, fork
     assert len(outs) == 1 and outs.pop()
 
 
+def test_search_chunks_inside_one_entry_byte_identical(capsys, monkeypatch, forks):
+    # the largest entry of (2, 6, 1) to 1000 starts 169911 multisets, more
+    # than a chunk of --jobs 2 (3615746 multisets in 32 chunks), so a chunk
+    # edge falls inside that entry's multisets
+    search_module = importlib.import_module("psituples.search")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    kind = psituples.TupleKind(2, 6, 1)
+    runs = search_module._build_class_runs(1000, kind)
+    edges = {lo for lo, _ in search_module._plan_chunks(runs, 2)}
+    assert edges - set(runs.tuple_start.tolist())
+    argv = ("search", "--power", "2", "--equal", "6", "--free", "1", "--bound", "1000")
+    outs = set()
+    for jobs in (1, 2, 3):
+        del forks[:]
+        code, out, _ = run(capsys, *argv, "--jobs", str(jobs))
+        assert code == 0 and len(forks) == jobs - 1
+        outs.add(out)
+    assert len(outs) == 1
+    assert hashlib.sha256(outs.pop().encode()).hexdigest()[:12] == "69ad85961975"
+
+
 def test_search_internal_value_error_is_not_exit_two(monkeypatch):
     # only an InputError is the user's fault; an internal ValueError, here
     # from the batched kernel, propagates

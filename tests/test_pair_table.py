@@ -280,9 +280,9 @@ def test_search_over_budget_is_an_error(monkeypatch, capsys):
 
 def test_budget_spares_what_needs_no_table(monkeypatch):
     # kinds without four free entries build no table and are not an error
-    # under a budget that holds their blocks: cubic-quintuple to 96 peaks at
-    # about 720 kB (tracemalloc), its one entry's block at 69 kB of a planned
-    # 95 kB, one piece of _split_pairs included
+    # under a budget that holds their class runs: kernel blocks and the
+    # pieces of _split_pairs hold _KERNEL_BLOCK items, and the budget does
+    # not count them
     monkeypatch.setattr(arith, "_memory_budget", lambda: 100000)
     for name, bound in (("cubic-quintuple", 96), ("quadratic-quadruple", 300)):
         kind = kind_by_name(name)
@@ -343,6 +343,11 @@ def test_plan_at_the_budget_runs(monkeypatch):
         search(cfg)
 
 
+# Every kernel block, of _KERNEL_BLOCK multisets, peaks below this many bytes
+# per multiset (tracemalloc), whatever the size of the classes it cuts.
+_BLOCK_PEAK_PER_MULTISET = 160
+
+
 @pytest.mark.parametrize("kind, bound, fits", [
     # int64, one free entry
     (TupleKind(2, 4, 1), 5000, True), (TupleKind(2, 6, 1), 1000, True),
@@ -354,50 +359,41 @@ def test_plan_at_the_budget_runs(monkeypatch):
 ], ids=["4-5000", "6-1000", "3-3-1-60000", "4-3-1-20000", "3-4-2-2000", "2-4-2-5000",
         "5-3-1-20000", "2-3-3-40000"])
 def test_one_entry_block_peaks_within_the_plan(monkeypatch, kind, bound, fits):
-    # the block of the largest class's first entry, which _cut never splits,
-    # peaks within what the plan counts for it; the decomposition of each
-    # residual is left out of the plan, and out of the run
+    # the blocks of a serial search that cover the multisets of the largest
+    # class's first entry, up to 169911 of them at (2, 6, 1) to 1000, each
+    # peak below one bound per multiset of a block; the decomposition of
+    # each residual is left out, of the bound and of the run
     monkeypatch.setattr(search_module, "decompose_sum_of_powers", lambda *args: [])
+    block = search_module._KERNEL_BLOCK
     runs = search_module._build_class_runs(bound, kind)
     first = int(np.argmax(runs.run_end.astype(np.int64) - np.arange(bound)))
-    multisets = int(runs.tuple_start[first + 1] - runs.tuple_start[first])
-    psi, entries = int(runs.psis[first]), runs.ns[first : runs.run_end[first]]
-    assert multisets > search_module._KERNEL_BLOCK // 2  # about a nominal block or more
-    assert search_module._fits_int64(kind, psi) == fits
-    _, peak = _traced_peak(lambda: search_module._search_runs(kind, runs, None, first, first + 1))
-    assert peak <= search_module._block_bytes(kind, psi, entries), peak / multisets
+    lo, hi, total = (int(runs.tuple_start[i]) for i in (first, first + 1, -1))
+    assert hi - lo > block // 2  # about a block of multisets or more
+    assert search_module._fits_int64(kind, int(runs.psis[first])) == fits
+    for b_lo in range(lo - lo % block, hi, block):
+        b_hi = min(b_lo + block, total)
+        _, peak = _traced_peak(lambda: search_module._search_runs(kind, runs, None, b_lo, b_hi))
+        assert peak <= _BLOCK_PEAK_PER_MULTISET * block, (b_lo, peak / block)
 
 
-def test_one_entry_of_multisets_over_the_budget_is_refused(monkeypatch):
+def test_one_entry_of_multisets_over_the_budget_runs_in_blocks(monkeypatch):
     # the largest class of 1..2000 has 37 entries, so its first entry starts
-    # C(39, 3) = 9139 multisets of four equal entries, all in one int64 block
-    # of 4096 + 8 * (4 + 6) * 9139 bytes
+    # C(39, 3) = 9139 multisets of four equal entries, more than 256 kB would
+    # hold in one block; the budget holds the class runs, and counts no
+    # block, as a block holds _KERNEL_BLOCK multisets whatever the classes
     cfg = SearchConfig(TupleKind(3, 4, 1), 2000)
-    assert search(cfg) == []
     monkeypatch.setattr(arith, "_memory_budget", lambda: 256 * 1024)
-    with pytest.raises(InputError, match=(
-        r"^a search to bound 2000 puts the 9139 multisets of one entry of its largest psi "
-        r"class \(37 entries\) in one block, which needs 735216 bytes, over the memory "
-        r"budget of 262144 bytes$"
-    )):
-        search(cfg)
+    assert search(cfg) == []
 
 
-def test_class_multiset_rules_at_their_edges(monkeypatch):
+def test_class_multiset_rules_at_their_edges():
     # two equal entries and a largest class of two: c = 2 multisets at its
-    # first entry, so bound * c reaches 2**63 at bound 2**62, and the block
-    # needs 4096 + 8 * (2 + 6) * 2 = 4224 bytes
+    # first entry, so bound * c reaches 2**63 at bound 2**62
     check, kind = search_module._check_class_multisets, TupleKind(2, 2, 1)
-    monkeypatch.setattr(arith, "_memory_budget", lambda: 4224)
-    entries = np.array([6, 11], dtype=np.uint32)  # psi(6) = psi(11) = 12
-    check(2**62 - 1, kind, 12, entries)
+    check(2**62 - 1, kind, 2)
     with pytest.raises(InputError, match=r"could count up to 9223372036854775808 multisets, "
                                          r"past int64$"):
-        check(2**62, kind, 12, entries)
-    monkeypatch.setattr(arith, "_memory_budget", lambda: 4223)
-    with pytest.raises(InputError, match=r"needs 4224 bytes, over the memory budget of 4223 "
-                                         r"bytes$"):
-        check(2**62 - 1, kind, 12, entries)
+        check(2**62, kind, 2)
 
 
 def test_bound_past_the_key_field_allocates_nothing(monkeypatch, capsys):
@@ -493,14 +489,13 @@ def test_class_runs_build_peaks_within_the_plan(equal):
 def test_kernel_block_peaks_at_fifty_six_bytes_per_multiset(name, bound):
     # one full block from the middle of the search, the runs built outside
     kind = kind_by_name(name)
+    block = search_module._KERNEL_BLOCK
     runs = search_module._build_class_runs(bound, kind)
-    edges = search_module._cut(runs.tuple_start, 0, bound, search_module._KERNEL_BLOCK)
-    assert len(edges) > 4
-    lo, hi = edges[len(edges) // 2], edges[len(edges) // 2 + 1]
-    multisets = int(runs.tuple_start[hi] - runs.tuple_start[lo])
-    assert multisets > search_module._KERNEL_BLOCK // 2
-    _, peak = _traced_peak(lambda: search_module._search_runs(kind, runs, None, lo, hi))
-    assert peak <= 56 * multisets + 64 * 1024, peak / multisets
+    blocks = int(runs.tuple_start[-1]) // block
+    assert blocks > 4
+    lo = blocks // 2 * block
+    _, peak = _traced_peak(lambda: search_module._search_runs(kind, runs, None, lo, lo + block))
+    assert peak <= 56 * block + 64 * 1024, peak / block
 
 
 @pytest.mark.parametrize("block", [1 << 12, 1 << 14])

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -29,7 +30,6 @@ from psituples import (
 from psituples.arith import _INT64_MAX, _INT64_ROOT_MAX, _floor_root_vec, int_kth_root
 from psituples.search import (
     _build_class_runs,
-    _cut,
     _descend,
     _PairSumTable,
     _quartic_descent,
@@ -114,6 +114,22 @@ def test_descents_take_a_free_count_deeper_than_the_recursion_limit():
     pw = [b**2 for b in range(4)]
     root_of = {v: b for b, v in enumerate(pw)}
     assert search_module._oracle_free_part(1203, 1200, pw, root_of) == one
+
+
+def test_descent_stack_does_not_grow_with_the_cap():
+    # the stack holds one frame per entry, each taking its next candidate
+    # from a range, not one item per candidate.  cap**4 - 7 is 9 mod 16 for
+    # an even cap, so no three fourth powers make it, and every candidate
+    # of the first entry is tried
+    peaks = []
+    for cap in (300, 600):
+        tracemalloc.start()
+        try:
+            assert _descend(cap**4 - 7, 3, 4, cap - 1) == []
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4096, peaks
 
 
 @pytest.mark.parametrize("count", [3, 5, 6, 7])
@@ -693,11 +709,11 @@ def reference_search(cfg):
 
 
 def block_edges(kind, bound, budget):
-    """Interior block edges of a serial search, split into those on a class
-    boundary and those inside a class."""
+    """Interior block edges of a serial search, multiset numbers, split into
+    those at the first multiset of a class and those inside a class."""
     runs = _build_class_runs(bound, kind)
-    edges = _cut(runs.tuple_start, 0, runs.ns.size, budget)[1:-1]
-    starts = set(np.flatnonzero(np.diff(runs.psis, prepend=-1)).tolist())
+    edges = range(budget, int(runs.tuple_start[-1]), budget)
+    starts = set(runs.tuple_start[np.flatnonzero(np.diff(runs.psis, prepend=-1))].tolist())
     return [x for x in edges if x in starts], [x for x in edges if x not in starts]
 
 
@@ -790,18 +806,76 @@ def test_kernel_equals_scalar_path(name, bound, block_edge):
     assert search(cfg) == reference_search(cfg)
 
 
+def ordered_multisets(kind, bound):
+    """Every equal-class multiset of a search as a tuple of positions, in
+    the order of its number: by first position, then lexicographically."""
+    runs = _build_class_runs(bound, kind)
+    return [(p,) + rest for p in range(bound)
+            for rest in combinations_with_replacement(range(p, int(runs.run_end[p])),
+                                                      kind.equal - 1)]
+
+
 @pytest.mark.parametrize("budget", [1, 2, 5])
 def test_kernel_with_tiny_blocks(monkeypatch, budget):
-    for name, bound in [("quadratic-pair", 400), ("quadratic-triple", 600),
-                        ("quadratic-quadruple", 300)]:
-        kind = kind_by_name(name)
+    for kind, bound in [(kind_by_name("quadratic-pair"), 400),
+                        (kind_by_name("quadratic-triple"), 600),
+                        (kind_by_name("quadratic-quadruple"), 300),
+                        (TupleKind(2, 4, 1), 150), (TupleKind(2, 6, 1), 60)]:
         cfg = SearchConfig(kind, bound)
         reference = reference_search(cfg)
         on, inside = block_edges(kind, bound, budget)
         assert on and (inside or kind.equal == 1)  # classes span several blocks
+        if kind.equal > 3:
+            # some edge falls between two multisets of one entry that first
+            # differ in column d, for every column d after the first
+            multisets = ordered_multisets(kind, bound)
+            cut = {next(d for d in range(kind.equal) if a[d] != b[d])
+                   for a, b in zip(multisets[budget - 1 :: budget], multisets[budget::budget])}
+            assert cut == set(range(kind.equal)), cut
         with monkeypatch.context() as m:
             m.setattr(search_module, "_KERNEL_BLOCK", budget)
-            assert search(cfg) == reference, (name, budget)
+            assert search(cfg) == reference, (kind, budget)
+
+
+@pytest.mark.parametrize("equal, bound", [(1, 200), (2, 200), (3, 150), (4, 100), (6, 50)])
+def test_block_columns_decode_every_range(equal, bound):
+    # every block of every size up to 9 and a few larger, at every offset
+    # it takes in a serial search, decodes exactly its multisets
+    kind = TupleKind(2, equal, 1)
+    runs = _build_class_runs(bound, kind)
+    multisets = ordered_multisets(kind, bound)
+    assert len(multisets) == runs.tuple_start[-1]
+    for size in list(range(1, 10)) + [64, 1000]:
+        for lo in range(0, len(multisets), size):
+            hi = min(lo + size, len(multisets))
+            cols = search_module._block_columns(runs, equal, lo, hi)
+            assert all(c.dtype == np.int64 for c in cols)
+            assert list(zip(*(c.tolist() for c in cols))) == multisets[lo:hi], (size, lo)
+
+
+def test_blocks_and_split_pieces_hold_at_most_the_kernel_block(monkeypatch):
+    # with blocks of 7, every block decodes at most 7 multisets and every
+    # piece of _split_pairs tests at most 7 splits, though the largest
+    # entries start more multisets and the residuals split more often
+    block, columns, tested = 7, [], []
+    block_columns, exact_root_vec = search_module._block_columns, search_module._exact_root_vec
+    monkeypatch.setattr(search_module, "_KERNEL_BLOCK", block)
+    monkeypatch.setattr(search_module, "_block_columns",
+                        lambda *args: columns.append(block_columns(*args)) or columns[-1])
+    monkeypatch.setattr(search_module, "_exact_root_vec",
+                        lambda values, p: tested.append(values.size) or exact_root_vec(values, p))
+    for kind, bound in [(TupleKind(2, 6, 1), 40), (kind_by_name("cubic-quintuple"), 60),
+                        (kind_by_name("cubic-triple"), 150)]:
+        del columns[:], tested[:]
+        cfg = SearchConfig(kind, bound)
+        assert search(cfg) == reference_search(cfg), kind
+        assert max(c.size for cols in columns for c in cols) == block, kind
+        assert max(tested) <= block, kind
+    # one residual near 2**30 splits 23170 times, in pieces of 7
+    del tested[:]
+    pieces = list(_split_pairs(np.array([2**30 + 1], dtype=np.int64), 1, 2, 2**15))
+    assert (pieces[0][1][0], pieces[0][2][0]) == (1, 2**15)  # 2**30 + 1 == 1 + (2**15)**2
+    assert tested == [block] * 3310  # 23170 == 7 * 3310
 
 
 def test_kernel_generic_powers_and_fallback():
