@@ -190,15 +190,13 @@ def build_sieve(limit: int) -> PsiSieve:
     """Build the psi table for 1..limit in O(N log log N): psi_segment over
     0..limit, with psi[0] = 0.
 
-    The build peaks at 13 bytes per entry and keeps 8; a build whose peak
+    limit must be below 2**32, because the cofactors and the index are
+    uint32; psi_segment refuses a larger one before it allocates.  The
+    build peaks at 13 bytes per entry and keeps 8; a build whose peak
     would exceed _memory_budget raises InputError before the table is
     allocated.
     """
     limit = _integer(limit, "limit", 1)
-    if limit >= 2**32:
-        raise InputError(
-            f"sieve limit {limit} must be below 2**32: the cofactors and the index are uint32"
-        )
     psi_vals = psi_segment(0, limit + 1)
     psi_vals.flags.writeable = False
     return PsiSieve(limit=limit, psi=psi_vals)

@@ -52,7 +52,7 @@ __all__ = [
 _QUADRATIC_TRIPLE = kind_by_name("quadratic-triple")
 
 # x per window of the Theorem-1 scan kernel.  Forming a window peaks at
-# about 102 bytes per x (tracemalloc), so 4096 x keep one window near 0.4
+# about 101 bytes per x (tracemalloc), so 4096 x keep one window near 0.4
 # MB; windows of 8192 or 16384 x were no faster.
 _SCAN_WINDOW = 1 << 12
 # x per psi segment of the scan: the power of two at or above the larger
@@ -249,7 +249,7 @@ class _PairWindow(NamedTuple):
     case indexes the PairCase members in definition order.  witness is 0
     when u1 is not a square, 1 when u1 is but v1 is not (the non-square
     witness pair_obstruction picks), and -1 when both are squares.
-    suspect marks x where an identity fails or both parts are squares.
+    suspect marks x where u <= 0 or both parts are squares.
     """
 
     x: np.ndarray
@@ -269,9 +269,12 @@ def _pair_window(lo: int, psi_window: np.ndarray) -> _PairWindow:
     Needs nothing but psi of the window, so a segmented sieve can feed it.
     Below 2**32, x has at most nine distinct primes, so psi < 4x, u and v
     stay below 2**35 and int64 is exact; verify_theorem1 refuses larger
-    limits.  psi**2 - x**2 is never formed.  Because gcd(u1, v1) = 1 and
-    u > 0, psi**2 - x**2 = d**2 * u1 * v1 is a square exactly when u1 and
-    v1 both are, and each is tested by its rounded square root
+    limits.  psi**2 - x**2 is never formed.  Whatever psi is, u = psi - x
+    and v = psi + x, and d = gcd(u, v) is not 0 because v - u = 2x is
+    not, so d * u1 = u, d * v1 = v and gcd(u1, v1) = 1 hold by
+    construction; only u > 0 can fail, and where it does x is suspect.
+    Where u > 0, psi**2 - x**2 = d**2 * u1 * v1 is a square exactly when
+    u1 and v1 both are, and each is tested by its rounded square root
     (_exact_root_vec).
     """
     px = psi_window.astype(np.int64)
@@ -281,14 +284,6 @@ def _pair_window(lo: int, psi_window: np.ndarray) -> _PairWindow:
     d = np.gcd(u, v)
     u1 = u // d
     v1 = v // d
-    identities = (
-        (v - u == 2 * x)
-        & (u + v == 2 * px)
-        & (d * u1 == u)
-        & (d * v1 == v)
-        & (np.gcd(u1, v1) == 1)
-        & (u > 0)
-    )
     u1_square = _exact_root_vec(u1, 2)[1]
     v1_square = _exact_root_vec(v1, 2)[1]
     witness = np.where(~u1_square, 0, np.where(~v1_square, 1, -1)).astype(np.int8)
@@ -307,7 +302,7 @@ def _pair_window(lo: int, psi_window: np.ndarray) -> _PairWindow:
         [0, 1, 2, 3],
         default=4,
     ).astype(np.int8)
-    suspect = ~identities | (witness < 0)
+    suspect = (u <= 0) | (witness < 0)
     return _PairWindow(x, u, v, d, u1, v1, case, witness, suspect)
 
 
@@ -337,13 +332,13 @@ def verify_theorem1(limit: int) -> TheoremScan:
     """Confirm for every 2 <= x <= limit that psi(x)^2 - x^2 is not a
     positive perfect square.
 
-    A numpy kernel checks the pair_obstruction identities and the square
-    tests window by window, on psi from a segmented sieve (_pair_windows),
-    so that memory does not grow with the limit.  Any x the kernel cannot
-    clear, because an identity fails or u1 and v1 are both squares, is
-    listed in failures, and pair_obstruction, which factorizes x on its
-    own, is asked for its report: a failure that still gets a witness
-    there means the kernel and the scalar path disagree.
+    A numpy kernel runs the pair_obstruction square tests window by window,
+    on psi from a segmented sieve (_pair_windows), so that memory does not
+    grow with the limit.  Any x the kernel cannot clear, because u <= 0 or
+    u1 and v1 are both squares, is listed in failures, and
+    pair_obstruction, which factorizes x on its own, is asked for its
+    report: a failure that still gets a witness there means the kernel
+    and the scalar path disagree.
     """
     limit = _integer(limit, "limit", 2)
     if limit >= 2**32:
@@ -359,7 +354,7 @@ def verify_theorem1(limit: int) -> TheoremScan:
             failures.append(x)
             try:
                 kind = pair_obstruction(x).obstruction.kind
-            except (ValueError, ArithmeticError):
+            except ArithmeticError:
                 continue
             witnesses[kind] = witnesses.get(kind, 0) + 1
         del w  # freed before the next window is formed

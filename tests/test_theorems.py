@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psituples import (
     EqualPairBranch,
@@ -262,7 +264,7 @@ def test_segmented_scan_memory_does_not_grow_with_the_limit(monkeypatch):
 
 def test_pair_window_peaks_below_112_bytes_per_x(sieve_100k):
     # the 51 B per x of the _PairWindow fields plus the kernel's
-    # temporaries: 101.5 B per x with numpy 2.4
+    # temporaries: 100.5 B per x with numpy 2.4
     n = theorems._SCAN_WINDOW
     _pair_window(2, sieve_100k.psi[2 : 2 + n])
     tracemalloc.start()
@@ -289,14 +291,16 @@ def test_theorem1_histograms_to_one_million():
 
 def test_scan_reports_planted_failures(monkeypatch):
     # psi(4) = 5 would make 5^2 - 4^2 = 3^2 (u1 = 1, v1 = 9, both squares);
-    # psi(7) = 6 breaks the identity u > 0.  Both are planted in the psi
-    # segments the kernel reads; pair_obstruction factorizes x on its own,
-    # so it still finds each planted x's true witness.
+    # psi(12) = 20 would too, with d = 8 (u = 8, v = 32, u1 = 1, v1 = 4);
+    # psi(7) = 6 and psi(9) = 9 break u > 0 (u = -1 and u = 0).  All four
+    # are planted in the psi segments the kernel reads; pair_obstruction
+    # factorizes x on its own, so it still finds each planted x's true
+    # witness.
     real = theorems.psi_segment
 
     def planted(lo, hi):
         values = real(lo, hi)
-        for x, fake in ((4, 5), (7, 6)):
+        for x, fake in ((4, 5), (7, 6), (9, 9), (12, 20)):
             if lo <= x < hi:
                 values[x - lo] = fake
         return values
@@ -310,10 +314,37 @@ def test_scan_reports_planted_failures(monkeypatch):
     assert window.x[window.suspect].tolist() == [4]
     assert window.witness[window.x == 4].tolist() == [-1]
     scan = verify_theorem1(100)
-    assert scan.failures == (4, 7)
+    assert scan.failures == (4, 7, 9, 12)
     assert scan.checked == 99 and scan.witnesses == {"non-square": 99}
     assert sum(scan.cases.values()) == 99
     assert (pair_obstruction(4).v1, pair_obstruction(7).u) == (5, 1)  # the true psi
+
+
+def is_square(n):
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(2, 2**31),
+    st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=40),
+)
+def test_pair_window_flags_exactly_what_any_psi_breaks(lo, psis):
+    # psi need not be psi(x) here: the kernel's d, u1 and v1 are exact for
+    # any psi window, so gcd(u1, v1) = 1 and the other identities hold by
+    # construction, and it flags x exactly when u <= 0 or u1 and v1 are
+    # both squares, checked in Python ints
+    w = _pair_window(lo, np.array(psis, dtype=np.uint64))
+    assert w.x.tolist() == list(range(lo, lo + len(psis)))
+    columns = (w.x, w.u, w.v, w.d, w.u1, w.v1, w.witness, w.suspect)
+    for px, (x, u, v, d, u1, v1, witness, suspect) in zip(
+        psis, zip(*(a.tolist() for a in columns))
+    ):
+        assert (u, v, d) == (px - x, px + x, math.gcd(px - x, px + x))
+        assert (d * u1, d * v1, math.gcd(u1, v1)) == (u, v, 1)
+        squares = (is_square(u1), is_square(v1))
+        assert witness == (0 if not squares[0] else 1 if not squares[1] else -1)
+        assert suspect == (u <= 0 or all(squares))
 
 
 # --- power-of-two triple family ----------------------------------------------
