@@ -23,7 +23,6 @@ import numpy as np
 
 from .arith import (
     InputError,
-    _exact_root_vec,
     _integer,
     _Record,
     build_sieve,
@@ -52,14 +51,14 @@ __all__ = [
 _QUADRATIC_TRIPLE = kind_by_name("quadratic-triple")
 
 # x per window of the Theorem-1 scan kernel.  Forming a window peaks at
-# about 101 bytes per x (tracemalloc), so 4096 x keep one window near 0.4
+# about 82 bytes per x (tracemalloc), so 4096 x keep one window near 0.34
 # MB; windows of 8192 or 16384 x were no faster.
 _SCAN_WINDOW = 1 << 12
 # x per psi segment of the scan: the power of two at or above the larger
 # of _SEGMENT_MIN and _SEGMENT_PER_PRIME times the number of primes up to
-# sqrt(limit), so that psi_segment's per-prime slicing stays a few percent
-# of the kernel (32768 up to about 5.3e5, 131072 at 1e7, 2**20 at 1e9),
-# rounded up to a multiple of _SCAN_WINDOW.
+# sqrt(limit), rounded up to a multiple of _SCAN_WINDOW (32768 up to about
+# 5.3e5, 131072 at 1e7, 2**20 at 1e9), so that psi_segment's fixed cost of
+# about 4 us per prime comes to 10-16 ns per x, under a fifth of the scan.
 _SEGMENT_MIN = 1 << 15
 _SEGMENT_PER_PRIME = 256
 
@@ -246,47 +245,44 @@ class TheoremScan(_Record):
 class _PairWindow(NamedTuple):
     """Per-x arrays of the scan kernel for one window of consecutive x.
 
-    case indexes the PairCase members in definition order.  witness is 0
-    when u1 is not a square, 1 when u1 is but v1 is not (the non-square
-    witness pair_obstruction picks), and -1 when both are squares.
-    suspect marks x where u <= 0 or both parts are squares.
+    case indexes the PairCase members in definition order.  suspect marks
+    x where u <= 0 or psi**2 - x**2 = u * v is a square.
     """
 
     x: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    d: np.ndarray
-    u1: np.ndarray
-    v1: np.ndarray
     case: np.ndarray
-    witness: np.ndarray
     suspect: np.ndarray
 
 
 def _pair_window(lo: int, psi_window: np.ndarray) -> _PairWindow:
-    """The pair_obstruction data for x = lo, lo+1, ... given their psi values.
+    """The scan's square test and shape case for x = lo, lo+1, ... given
+    their psi values.
 
     Needs nothing but psi of the window, so a segmented sieve can feed it.
     Below 2**32, x has at most nine distinct primes, so psi < 4x, u and v
     stay below 2**35 and int64 is exact; verify_theorem1 refuses larger
-    limits.  psi**2 - x**2 is never formed.  Whatever psi is, u = psi - x
-    and v = psi + x, and d = gcd(u, v) is not 0 because v - u = 2x is
-    not, so d * u1 = u, d * v1 = v and gcd(u1, v1) = 1 hold by
-    construction; only u > 0 can fail, and where it does x is suspect.
-    Where u > 0, psi**2 - x**2 = d**2 * u1 * v1 is a square exactly when
-    u1 and v1 both are, and each is tested by its rounded square root
-    (_exact_root_vec).
+    limits.  x is suspect where u = psi - x <= 0, which only a wrong psi
+    gives, or where u * v = psi**2 - x**2 (v = psi + x) is a square.
+    pair_obstruction's split by d = gcd(u, v) finds the same x: u * v =
+    d**2 * u1 * v1 with u1, v1 coprime is a square exactly when u1 and v1
+    both are.
+
+    The square test is exact for 0 < u, v < 2**51: u and v are exact in
+    float64, and the float root of their product is within
+    1.5 * 2**-53 * sqrt(u * v) < 3/8 of the true root, so a square s**2
+    rounds to s; otherwise the rounded root r has 0 < |r**2 - u * v| <
+    2**53, so r**2 and u * v differ mod 2**64, as the wrapping uint64
+    products compare them.  The scan's true values lie below 2**35.  The
+    clamp at 0 keeps sqrt defined where a wrong psi makes u < 0.
     """
     px = psi_window.astype(np.int64)
     x = np.arange(lo, lo + px.size, dtype=np.int64)
     u = px - x
     v = px + x
-    d = np.gcd(u, v)
-    u1 = u // d
-    v1 = v // d
-    u1_square = _exact_root_vec(u1, 2)[1]
-    v1_square = _exact_root_vec(v1, 2)[1]
-    witness = np.where(~u1_square, 0, np.where(~v1_square, 1, -1)).astype(np.int8)
+    root = np.rint(np.sqrt(np.maximum(u.astype(np.float64) * v, 0))).astype(np.uint64)
+    square = root * root == u.view(np.uint64) * v.view(np.uint64)
 
     # x = 2^k * m with m odd; psi(x) = 3 * 2^(k-1) * psi(m) for k >= 1.  An
     # odd m > 1 is a prime power exactly when psi(m) - m divides m: p^r
@@ -302,8 +298,8 @@ def _pair_window(lo: int, psi_window: np.ndarray) -> _PairWindow:
         [0, 1, 2, 3],
         default=4,
     ).astype(np.int8)
-    suspect = (u <= 0) | (witness < 0)
-    return _PairWindow(x, u, v, d, u1, v1, case, witness, suspect)
+    suspect = (u <= 0) | square
+    return _PairWindow(x, u, v, case, suspect)
 
 
 def _segment_length(nprimes: int) -> int:
@@ -332,10 +328,10 @@ def verify_theorem1(limit: int) -> TheoremScan:
     """Confirm for every 2 <= x <= limit that psi(x)^2 - x^2 is not a
     positive perfect square.
 
-    A numpy kernel runs the pair_obstruction square tests window by window,
-    on psi from a segmented sieve (_pair_windows), so that memory does not
-    grow with the limit.  Any x the kernel cannot clear, because u <= 0 or
-    u1 and v1 are both squares, is listed in failures, and
+    A numpy kernel tests u * v = psi**2 - x**2 for a square window by
+    window, on psi from a segmented sieve (_pair_windows), so that memory
+    does not grow with the limit.  Any x the kernel cannot clear, because
+    u <= 0 or u * v is a square, is listed in failures, and
     pair_obstruction, which factorizes x on its own, is asked for its
     report: a failure that still gets a witness there means the kernel
     and the scalar path disagree.

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psituples import (
@@ -141,13 +141,13 @@ CASES = [c.value for c in PairCase]
 
 
 def scalar_rows(limit):
-    """(x, u, v, d, u1, v1, case, witness kind, witness on v1) per x, from
-    the scalar explainer."""
+    """(x, u, v, case) per x, from the scalar explainer, whose witness must
+    be the non-square one on every x the scan clears."""
     rows = []
     for x in range(2, limit + 1):
         r = pair_obstruction(x)
-        w = r.obstruction
-        rows.append((x, r.u, r.v, r.d, r.u1, r.v1, r.case_id.value, w.kind, w.get("symbol_is_v1")))
+        assert r.obstruction.kind == "non-square", x
+        rows.append((x, r.u, r.v, r.case_id.value))
     return rows
 
 
@@ -155,15 +155,13 @@ def window_rows(windows):
     rows = []
     for w in windows:
         assert not w.suspect.any()
-        for x, u, v, d, u1, v1, case, witness in zip(
-            *(a.tolist() for a in (w.x, w.u, w.v, w.d, w.u1, w.v1, w.case, w.witness))
-        ):
-            rows.append((x, u, v, d, u1, v1, CASES[case], "non-square", witness))
+        for x, u, v, case in zip(*(a.tolist() for a in (w.x, w.u, w.v, w.case))):
+            rows.append((x, u, v, CASES[case]))
     return rows
 
 
 def expected_scan(rows):
-    cases = Counter(row[6] for row in rows)
+    cases = Counter(row[3] for row in rows)
     return TheoremScan(
         checked=len(rows),
         failures=(),
@@ -249,12 +247,12 @@ def scan_peak(limit):
 def test_segmented_scan_memory_does_not_grow_with_the_limit(monkeypatch):
     # tracemalloc sees numpy's buffers.  The peak is the larger of a segment
     # being built (13 B per x) and a segment's psi (8 B per x) with one
-    # window's temporaries (test below): 0.68 MB at 2**18 and 0.94 MB at
+    # window's temporaries (test below): 0.61 MB at 2**18 and 0.90 MB at
     # 2**21 (numpy 2.4), where a whole sieve would take 3.4 and 27 MB.
     verify_theorem1(100)  # first-call allocations stay out of the peaks
     for limit in (2**18, 2**21):
         segment = theorems._segment_length(len(build_sieve(math.isqrt(limit)).primes()))
-        bound = max(13 * segment, 8 * segment + 112 * theorems._SCAN_WINDOW) + 2**16
+        bound = max(13 * segment, 8 * segment + 92 * theorems._SCAN_WINDOW) + 2**16
         assert scan_peak(limit) <= bound, limit
     # with the segment held at 32768 x the peak is the same at both limits
     monkeypatch.setattr(theorems, "_SEGMENT_PER_PRIME", 0)
@@ -262,9 +260,9 @@ def test_segmented_scan_memory_does_not_grow_with_the_limit(monkeypatch):
     assert abs(high - low) <= 2**13
 
 
-def test_pair_window_peaks_below_112_bytes_per_x(sieve_100k):
-    # the 51 B per x of the _PairWindow fields plus the kernel's
-    # temporaries: 100.5 B per x with numpy 2.4
+def test_pair_window_peaks_below_92_bytes_per_x(sieve_100k):
+    # the 26 B per x of the _PairWindow fields plus the kernel's
+    # temporaries: 82.3 B per x with numpy 2.4
     n = theorems._SCAN_WINDOW
     _pair_window(2, sieve_100k.psi[2 : 2 + n])
     tracemalloc.start()
@@ -273,7 +271,7 @@ def test_pair_window_peaks_below_112_bytes_per_x(sieve_100k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 112 * n
+    assert peak <= 92 * n
 
 
 def test_theorem1_histograms_to_one_million():
@@ -290,8 +288,8 @@ def test_theorem1_histograms_to_one_million():
 
 
 def test_scan_reports_planted_failures(monkeypatch):
-    # psi(4) = 5 would make 5^2 - 4^2 = 3^2 (u1 = 1, v1 = 9, both squares);
-    # psi(12) = 20 would too, with d = 8 (u = 8, v = 32, u1 = 1, v1 = 4);
+    # psi(4) = 5 would make 5^2 - 4^2 = u * v = 1 * 9 = 3^2; psi(12) = 20
+    # would too, with u * v = 8 * 32 = 16^2 (d = 8, u1 = 1, v1 = 4);
     # psi(7) = 6 and psi(9) = 9 break u > 0 (u = -1 and u = 0).  All four
     # are planted in the psi segments the kernel reads; pair_obstruction
     # factorizes x on its own, so it still finds each planted x's true
@@ -312,7 +310,6 @@ def test_scan_reports_planted_failures(monkeypatch):
     window = next(w for w in _pair_windows(100) if 4 in w.x.tolist())
     assert window.x.tolist() == [2, 3, 4, 5]
     assert window.x[window.suspect].tolist() == [4]
-    assert window.witness[window.x == 4].tolist() == [-1]
     scan = verify_theorem1(100)
     assert scan.failures == (4, 7, 9, 12)
     assert scan.checked == 99 and scan.witnesses == {"non-square": 99}
@@ -324,27 +321,51 @@ def is_square(n):
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-@settings(max_examples=300)
+@st.composite
+def planted_windows(draw):
+    """(lo, psi window) of three x around a planted square.  u = k * s**2
+    and v = k * t**2 with 1 <= s < t are of equal parity, so that x =
+    (v - u) / 2 and psi = (u + v) / 2 make u * v = (k*s*t)**2, and v is
+    below 2**40.  The window's other two x are near misses: x - 1 and
+    x + 1 with psi - 1 and psi + 1 (v - 2 and v + 2), or with psi itself.
+    About half are drawn with v >= 2**29 and t - s <= 4, so that u * v
+    passes 2**53 and x is small beside it: a near miss can then lie within
+    half a float64 spacing of a square, where a float comparison alone
+    takes it for one."""
+    big = draw(st.booleans())
+    bits = draw(st.integers(30, 39) if big else st.integers(3, 39))
+    t = draw(st.integers(2, math.isqrt(2 ** (bits - 1))))
+    k = draw(st.integers(-(-(2 ** (bits - 1)) // t**2), (2**bits - 1) // t**2))
+    s = draw(st.integers(max(1, t - 4), t - 1) if big else st.integers(1, t - 1))
+    if k * (t - s) % 2:  # t**2 - s**2 = (t - s) * (t + s) is odd
+        k *= 2
+    x, px = k * (t * t - s * s) // 2, k * (s * s + t * t) // 2
+    step = draw(st.sampled_from((0, 1)))
+    return x - 1, [px - step, px, px + step]
+
+
+@settings(max_examples=500)
 @given(
-    st.integers(2, 2**31),
-    st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=40),
+    st.tuples(st.integers(2, 2**31), st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=40))
+    | planted_windows()
 )
-def test_pair_window_flags_exactly_what_any_psi_breaks(lo, psis):
-    # psi need not be psi(x) here: the kernel's d, u1 and v1 are exact for
-    # any psi window, so gcd(u1, v1) = 1 and the other identities hold by
-    # construction, and it flags x exactly when u <= 0 or u1 and v1 are
-    # both squares, checked in Python ints
+# s = 2**19 - 2, t = 2**19: x - 1 with psi - 1 is a near miss past 2**53
+@example((2**20 - 3, [2**38 - 2**20 + 1, 2**38 - 2**20 + 2, 2**38 - 2**20 + 3]))
+def test_pair_window_flags_exactly_what_any_psi_breaks(window):
+    # psi need not be psi(x) here: u = psi - x and v = psi + x for any psi
+    # window, and the kernel flags x exactly when u <= 0 or u * v is a
+    # square, which for u > 0 is when the coprime parts u1 = u / d and
+    # v1 = v / d of pair_obstruction are both squares; checked in Python ints
+    lo, psis = window
     w = _pair_window(lo, np.array(psis, dtype=np.uint64))
     assert w.x.tolist() == list(range(lo, lo + len(psis)))
-    columns = (w.x, w.u, w.v, w.d, w.u1, w.v1, w.witness, w.suspect)
-    for px, (x, u, v, d, u1, v1, witness, suspect) in zip(
-        psis, zip(*(a.tolist() for a in columns))
+    for px, (x, u, v, suspect) in zip(
+        psis, zip(*(a.tolist() for a in (w.x, w.u, w.v, w.suspect)))
     ):
-        assert (u, v, d) == (px - x, px + x, math.gcd(px - x, px + x))
-        assert (d * u1, d * v1, math.gcd(u1, v1)) == (u, v, 1)
-        squares = (is_square(u1), is_square(v1))
-        assert witness == (0 if not squares[0] else 1 if not squares[1] else -1)
-        assert suspect == (u <= 0 or all(squares))
+        assert (u, v) == (px - x, px + x)
+        d = math.gcd(u, v)
+        both = is_square(u // d) and is_square(v // d)
+        assert suspect == (u <= 0 or both) == (u <= 0 or is_square(u * v))
 
 
 # --- power-of-two triple family ----------------------------------------------
