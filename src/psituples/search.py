@@ -80,7 +80,7 @@ class SearchConfig(_Record):
 
 class SearchWorkerError(RuntimeError):
     """A forked child of a search exited non-zero, or without sending back
-    a chunk it claimed."""
+    a chunk dealt to it."""
 
 
 class PsiClassIndex(_Record):
@@ -566,7 +566,8 @@ def _plan_chunks(runs: _ClassRuns, jobs: int) -> list[tuple[int, int]]:
     """Fixed contiguous chunks (lo, hi) of multiset numbers; one when jobs is 1."""
     total = int(runs.tuple_start[-1])
     # many small chunks per process: per-entry cost grows steeply with psi,
-    # so coarse contiguous chunks would leave the pool idle on the cheap ones
+    # and the chunks are dealt round-robin, so each process gets cheap and
+    # costly chunks alike
     step = total if jobs == 1 else -(-total // (jobs * _CHUNKS_PER_JOB))
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
@@ -579,11 +580,12 @@ def search(
     Deterministic for any jobs value: the outer space is split into fixed
     contiguous chunks, and the merged list is sorted canonically.  This
     process builds its own sieve, then the class runs and the pair-sum
-    table once, and runs every chunk through one claim loop (_pool_parts)
-    as one of the jobs processes: jobs is clamped to the usable CPUs and
-    to _MAX_JOBS, and to 1 where os.fork is missing.  It forks
+    table once, and runs every chunk through one pool (_pool_parts) as
+    one of the jobs processes: jobs is clamped to the usable CPUs and to
+    _MAX_JOBS, and to 1 where os.fork is missing.  It forks
     min(jobs, chunks) - 1 children, none with jobs 1, which inherit the
-    runs and the table.  progress (if given) is called with (chunk_index,
+    runs and the table; the chunks are dealt round-robin over the
+    processes.  progress (if given) is called with (chunk_index,
     chunk_count, chunk_solutions) in chunk order, once a chunk and all
     before it are done.  A dead child raises SearchWorkerError; an
     exception that a chunk raises in a child is raised here, as it would
@@ -611,57 +613,62 @@ def search(
     return sort_solutions(results)
 
 
-# --- the process pool: os.fork, one claim queue, one result pipe per child ---
+# --- the process pool: os.fork, chunks dealt round-robin, one pipe per child ---
 
-# Chunks per process of a pool search, and the most processes whose chunk
-# numbers, 4 B each, fit the 64 KiB of a default Linux pipe (_claim_queue).
+# Chunks per process of a pool search, and the most processes: this process
+# holds one result pipe per child, and must stay well inside the common
+# default limit of 1024 open descriptors.
 _CHUNKS_PER_JOB = 16
-_MAX_JOBS = (64 << 10) // (4 * _CHUNKS_PER_JOB)
+_MAX_JOBS = 512
 
 
 def _pool_parts(run: Callable[[int], list], count: int, workers: int) -> Iterator[list]:
     """run(i) for every chunk i in range(count), in chunk order, from this
     process and `workers` forked children (none when workers < 1).
 
-    The children inherit run, and all it holds, as it is.  Every process
-    claims chunks in chunk order from one queue (_claim_queue); this
-    process makes each child's first claim as it forks it, so every child
-    runs a chunk however late it starts.  A child sends each chunk's
-    solutions up its own pipe once the chunk is done (_run_chunk).  After
-    each of its own chunks this process takes in what has arrived, without
-    waiting, and yields the finished prefix; then it waits for the rest
-    and for every child to exit.  A child that exits non-zero or leaves a
-    claimed chunk unreturned raises SearchWorkerError.  However this
-    generator ends, it kills and reaps the children still running.  A
-    child is a fork of this thread alone, so run must not need another
-    thread (such as numpy's BLAS threads; no chunk calls BLAS).
+    The children inherit run, and all it holds, as it is.  The chunks are
+    dealt round-robin over the n = workers + 1 processes: process k runs
+    chunks k, k + n, k + 2n, ..., this process being number 0.  A child
+    sends each chunk's solutions up its own pipe once the chunk is done
+    (_run_chunk), in that order.  So this process yields chunk i from its
+    own run or from the next message of child i % n.  It runs each of its
+    chunks as soon as it has yielded the one before, so it waits on a
+    child's chunk only with its own next chunk done.  Once every chunk is
+    yielded, it reads each child's pipe to its end and reaps it.  A child
+    that exits non-zero, or whose pipe ends before a chunk or holds
+    another one, raises SearchWorkerError.  However this generator ends,
+    it kills and reaps the children still running.  A child is a fork of
+    this thread alone, so run must not need another thread (such as
+    numpy's BLAS threads; no chunk calls BLAS).
     """
-    queue = _claim_queue(count)
+    n = workers + 1
     pids: dict[int, int] = {}  # the read end of a child's result pipe -> its pid
     try:
-        for _ in range(workers):
-            claim = os.read(queue, 4)  # the child's first chunk
+        for k in range(1, n):
             r, w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _child(run, claim, queue, w, list(pids))
+                _child(run, range(k, count, n), w, list(pids))
             pids[r] = pid
             os.close(w)
-        parts: dict[int, list[Solution]] = {}
-        done = 0
-        while done < count or pids:
-            claim = os.read(queue, 4)
-            if claim:
-                i = int.from_bytes(claim, "little")
-                parts[i] = run(i)
-            elif not pids:
-                raise SearchWorkerError(f"a search worker process died: chunk {done} is missing")
-            _receive(pids, parts, 0 if claim else None)
-            while done in parts:
-                yield parts.pop(done)
-                done += 1
+        pipes = list(pids)  # child k's is pipes[k - 1]
+        mine = run(0) if count else []
+        for i in range(count):
+            if i % n:
+                yield _read_part(pipes[i % n - 1], i)
+            else:
+                yield mine
+                if i + n < count:  # before waiting on the children's chunks in between
+                    mine = run(i + n)
+        for r in pipes:
+            if _read_exact(r, 1):
+                raise SearchWorkerError("a search worker process sent more chunks than it was dealt")
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[r], 0)[1])
+            del pids[r]
+            os.close(r)
+            if status:
+                raise SearchWorkerError(f"a search worker process died with exit status {status}")
     finally:
-        os.close(queue)
         if pids:
             import signal  # only here, to stop what an error left running
 
@@ -671,41 +678,15 @@ def _pool_parts(run: Callable[[int], list], count: int, workers: int) -> Iterato
                 os.close(r)
 
 
-def _claim_queue(count: int) -> int:
-    """The read end of a pipe holding the chunk numbers 0..count-1, 4 B each.
-
-    A 4-byte read claims the next chunk, and b"" means none is left: the
-    write end is closed here.  The queue is written whole before any
-    process reads it, and at most _MAX_JOBS processes plan at most
-    _CHUNKS_PER_JOB chunks each, 64 KiB.  The write does not block: a pipe
-    too small for the queue raises BlockingIOError.
-    """
-    r, w = os.pipe()
-    os.set_blocking(w, False)
-    data = np.arange(count, dtype="<u4").tobytes()
-    try:
-        written = os.write(w, data)
-    finally:
-        os.close(w)
-    if written < len(data):
-        os.close(r)
-        raise BlockingIOError(f"the claim queue of {count} chunks does not fit a pipe")
-    return r
-
-
-def _child(
-    run: Callable[[int], list], claim: bytes, queue: int, out: int, inherited: list
-) -> NoReturn:
-    """A forked child's life: run the chunk claimed for it and then every
-    chunk it claims from the queue, each through _run_chunk; exit 0, or
-    non-zero on any failure, without unwinding into the parent's stack."""
+def _child(run: Callable[[int], list], chunks: range, out: int, inherited: list) -> NoReturn:
+    """A forked child's life: run the chunks dealt to it, in order, each
+    through _run_chunk; exit 0, or non-zero on any failure, without
+    unwinding into the parent's stack."""
     status = 1
     try:
         _init_worker(inherited)
-        while claim:
-            i = int.from_bytes(claim, "little")
+        for i in chunks:
             _run_chunk(run, i, out)
-            claim = os.read(queue, 4)
         status = 0
     finally:
         os._exit(status)
@@ -731,36 +712,21 @@ def _run_chunk(run: Callable[[int], list], i: int, out: int) -> None:
         view = view[os.write(out, view) :]
 
 
-def _receive(pids: dict[int, int], parts: dict, timeout: float | None) -> None:
-    """Put every message the children have sent into parts, waiting up to
-    timeout (None: without limit) for the first; a message that carries
-    an exception raises it.  A child whose pipe ends has exited: it is
-    reaped and dropped from pids, and raises SearchWorkerError if its exit
-    status is not 0."""
-    if not pids:
-        return  # no children: a serial search loads nothing more
-    import select
-
-    while pids:
-        ready, _, _ = select.select(list(pids), [], [], timeout)
-        if not ready:
-            return
-        for r in ready:
-            head = _read_exact(r, 8)
-            size = int.from_bytes(head, "little")
-            body = _read_exact(r, size)
-            if len(head) == 8 and len(body) == size:
-                i, part = pickle.loads(body)
-                if isinstance(part, Exception):
-                    raise part
-                parts[i] = part
-                continue
-            pid = pids.pop(r)
-            os.close(r)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if status:
-                raise SearchWorkerError(f"a search worker process died with exit status {status}")
-        timeout = 0
+def _read_part(fd: int, i: int) -> list:
+    """Chunk i's solutions, the next message on the result pipe fd; an
+    exception sent in their place is raised here.  A pipe that ends first,
+    or sends another chunk, raises SearchWorkerError."""
+    head = _read_exact(fd, 8)
+    size = int.from_bytes(head, "little")
+    body = _read_exact(fd, size)
+    if len(head) < 8 or len(body) < size:
+        raise SearchWorkerError(f"a search worker process died: chunk {i} is missing")
+    j, part = pickle.loads(body)
+    if j != i:
+        raise SearchWorkerError(f"a search worker process sent chunk {j} in place of chunk {i}")
+    if isinstance(part, Exception):
+        raise part
+    return part
 
 
 def _read_exact(fd: int, n: int) -> bytes:

@@ -5,7 +5,6 @@ import importlib
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 from itertools import combinations_with_replacement
 
@@ -428,12 +427,12 @@ def test_pool_size_without_sched_getaffinity(monkeypatch, forks):
     assert _chunk_count(config) == _chunk_count(SearchConfig(config.kind, 300, jobs=4)) > 4
 
 
-def test_pool_processes_claim_in_chunk_order_and_stream_progress(monkeypatch, forks, tmp_path):
-    # one child, which logs each chunk it runs to a file; this process's
-    # first chunk waits until the child has started its fourth, so that
-    # three child chunks have come back.  Progress for the finished prefix
-    # must follow that first chunk at once, each process must take its
-    # chunks in order, and no chunk may run twice
+def test_pool_deals_chunks_round_robin_and_streams_progress(monkeypatch, forks, tmp_path):
+    # one child, which logs each chunk it runs to a file: this process runs
+    # chunks 0, 2, 4, ... and the child 1, 3, 5, ..., each once; progress
+    # comes in chunk order, and this process runs each of its chunks right
+    # after the progress of its last one, so chunk 0's progress comes
+    # before it runs chunk 2, and chunk 1's after
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     log, parent, events = tmp_path / "child.log", os.getpid(), []
     search_runs = search_module._search_runs
@@ -444,10 +443,6 @@ def test_pool_processes_claim_in_chunk_order_and_stream_progress(monkeypatch, fo
                 f.write(f"{lo}\n")
         else:
             events.append(("run", lo))
-            deadline = time.monotonic() + 60
-            while len(events) == 1 and len(_lines(log)) < 4:
-                assert time.monotonic() < deadline, "the child ran fewer than four chunks"
-                time.sleep(0.002)
         return search_runs(kind, runs, table, lo, hi)
 
     monkeypatch.setattr(search_module, "_search_runs", logged)
@@ -459,14 +454,16 @@ def test_pool_processes_claim_in_chunk_order_and_stream_progress(monkeypatch, fo
         faulthandler.cancel_dump_traceback_later()
     own = [lo for what, lo in events if what == "run"]
     theirs = [int(lo) for lo in _lines(log)]
-    progress = [i for what, i in events if what == "progress"]
-    n = len(progress)
-    assert len(forks) == 1
-    assert progress == list(range(n)) and n > 4
-    assert len(set(own + theirs)) == len(own + theirs) == n
-    assert own == sorted(own) and theirs == sorted(theirs)
-    m = next((k for k, event in enumerate(events[1:]) if event[0] == "run"), len(events) - 1)
-    assert m >= 3 and events[1 : m + 1] == [("progress", i) for i in range(m)]
+    chunk = {lo: i for i, lo in enumerate(sorted(own + theirs))}
+    n = len(chunk)
+    assert len(forks) == 1 and n > 4
+    assert len(own + theirs) == n  # no chunk runs twice
+    assert [chunk[lo] for lo in own] == list(range(0, n, 2))
+    assert [chunk[lo] for lo in theirs] == list(range(1, n, 2))
+    expected = [("run", 0)]
+    for i in range(n):
+        expected += [("progress", i)] + [("run", i + 2)] * (i % 2 == 0 and i + 2 < n)
+    assert [(what, chunk[x] if what == "run" else x) for what, x in events] == expected
     assert got == search(SearchConfig(config.kind, 300))
 
 
@@ -475,8 +472,8 @@ def _lines(path):
 
 
 def test_pool_with_more_processes_than_cores():
-    # four processes of one search however few the cores: a chunk that a
-    # lost claim left to no process would fail the comparison
+    # four processes of one search however few the cores: a chunk that
+    # no process ran would fail the comparison
     code = (
         "import os\n"
         "os.sched_getaffinity = lambda pid: set(range(4))\n"
@@ -529,7 +526,7 @@ def test_pool_search_leaves_pool_machinery_unimported():
 
 def test_pool_leaves_no_child_unreaped():
     # a clean run; a child that dies, that exits non-zero after sending its
-    # chunk, or that exits 0 with a claimed chunk unreturned; this process failing in its own chunk while a child is
+    # chunk, or that exits 0 with a dealt chunk unreturned; this process failing in its own chunk while a child is
     # busy (asleep), or in a progress call: every child is reaped each time,
     # and none is waited out
     code = _POOL_SCRIPT_HEAD + (
@@ -588,9 +585,9 @@ def test_pool_leaves_no_child_unreaped():
     assert _run_script(code) == "8 [True, True, True, True, True, True, True, True]"
 
 
-def test_pool_claim_queue_fits_its_pipe_at_the_jobs_cap(monkeypatch):
-    # 5000 usable CPUs: jobs clamps to _MAX_JOBS, so the queue of at most
-    # 16 chunks per process fits one pipe; no process is started
+def test_pool_size_at_the_jobs_cap(monkeypatch):
+    # 5000 usable CPUs: jobs clamps to _MAX_JOBS, so this process holds at
+    # most 511 result pipes; no process is started
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5000)))
     seen = []
 
@@ -599,16 +596,10 @@ def test_pool_claim_queue_fits_its_pipe_at_the_jobs_cap(monkeypatch):
         return ([] for _ in range(count))
 
     monkeypatch.setattr(search_module, "_pool_parts", no_pool)
-    search(SearchConfig(TupleKind(3, 1, 3), 1 << 14, jobs=5000))  # one chunk per a
+    search(SearchConfig(TupleKind(3, 1, 3), 1 << 14, jobs=5000))  # one multiset per a
     (count, workers), = seen
-    assert workers == search_module._MAX_JOBS - 1 == 1023
-    assert count == 16 * 1024  # the most chunks a plan can have: 64 KiB of indices
-    queue = search_module._claim_queue(count)
-    try:
-        assert os.read(queue, 1 << 17) == np.arange(count, dtype="<u4").tobytes()
-        assert os.read(queue, 4) == b""
-    finally:
-        os.close(queue)
+    assert workers == search_module._MAX_JOBS - 1 == 511
+    assert count == 16 * 512  # the most chunks a plan can have
 
 
 def test_no_pool_without_fork(monkeypatch):
@@ -626,7 +617,7 @@ def test_no_pool_without_fork(monkeypatch):
 ])
 def test_serial_search_is_the_pool_with_no_children(monkeypatch, forks, jobs, cpus, fork):
     # one execution path: a serial search runs its chunks through the same
-    # claim loop as a pool search, with zero children
+    # pool as a pool search, with zero children
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     if not fork:
         monkeypatch.delattr(os, "fork")
