@@ -3,6 +3,7 @@
 import faulthandler
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -583,6 +584,55 @@ def test_pool_leaves_no_child_unreaped():
         "print(len(started), reaped)\n"
     )
     assert _run_script(code) == "8 [True, True, True, True, True, True, True, True]"
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("swapped", "sent chunk 3 in place of chunk 1"),
+    ("twice", "sent more chunks than it was dealt"),
+    ("exit_3", "died with exit status 3"),
+    ("half", "died: chunk 1 is missing"),
+])
+def test_pool_reports_each_fault_by_its_message(monkeypatch, forks, fault, message):
+    # one child, dealt chunks 1, 3, 5, ...: it sends chunk 3 first; sends
+    # its last chunk twice; sends all its chunks, then exits 3; or writes
+    # half of chunk 1's pickle, then exits 0.  Each fault raises
+    # SearchWorkerError with its own message, and the child is reaped
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    config = SearchConfig(kind_by_name("quartic-quintuple"), 300, jobs=2)
+    last = range(1, _chunk_count(config), 2)[-1]
+    run_chunk = search_module._run_chunk
+
+    def swapped(run, i, out):
+        run_chunk(run, i + 2, out)
+
+    def twice(run, i, out):
+        run_chunk(run, i, out)
+        if i == last:
+            run_chunk(run, i, out)
+
+    def exit_3(run, i, out):
+        run_chunk(run, i, out)
+        if i == last:
+            os._exit(3)
+
+    def half(run, i, out):
+        data = pickle.dumps((i, run(i)), pickle.HIGHEST_PROTOCOL)
+        os.write(out, data[: len(data) // 2])
+        os._exit(0)
+
+    faults = {"swapped": swapped, "twice": twice, "exit_3": exit_3, "half": half}
+    monkeypatch.setattr(search_module, "_run_chunk", faults[fault])
+    del forks[:]
+    faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)  # no hang
+    try:
+        with pytest.raises(search_module.SearchWorkerError) as caught:
+            search(config)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert str(caught.value) == f"a search worker process {message}"
+    (pid,) = forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
 
 
 def test_pool_size_at_the_jobs_cap(monkeypatch):
