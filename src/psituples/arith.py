@@ -205,18 +205,18 @@ def build_sieve(limit: int) -> PsiSieve:
 def psi_segment(lo: int, hi: int) -> np.ndarray:
     """psi(n) for lo <= n < hi as a uint64 array.
 
-    psi is computed multiplicatively: every n starts at n, and each prime p
-    up to sqrt(hi - 1) rescales its multiples in the segment, from the
-    first one >= lo, by (p+1)/p.  Those primes are the n with psi(n) = n + 1
-    in build_sieve(isqrt(hi - 1)), a table of about sqrt(hi) entries.  The
-    division is exact at every step because each multiple of p still
-    carries the factor p when its turn comes.  A uint32 cofactor array
-    tracks what is left of n once every power of the primes so far is
-    divided out.  At the end the cofactor is 1 or the single prime factor
-    of n above sqrt(hi - 1); one vectorized step applies that last factor.
-    n = 0, allowed as lo, gets 0.  The segment peaks at 13 bytes per entry
-    (psi, the cofactors and one mask) and returns 8; a segment whose peak
-    would exceed _memory_budget raises InputError before it allocates.
+    psi is multiplied together from its prime-power factors: every n starts
+    at 1, and each prime p up to sqrt(hi - 1) multiplies its multiples in
+    the segment, from the first one >= lo, by p + 1, and the multiples of
+    each higher power of p by one more p.  Those primes are the n with
+    psi(n) = n + 1 in build_sieve(isqrt(hi - 1)), a table of about sqrt(hi)
+    entries.  A uint32 cofactor array tracks what is left of n once every
+    power of the primes so far is divided out.  At the end it is 1, the one
+    prime factor c of n above sqrt(hi - 1), which contributes c + 1, or 0
+    for n = 0 (a multiple of every power), whose psi it makes 0.  The
+    segment peaks at 13 bytes per entry (psi, the cofactors and one mask)
+    and returns 8; a segment whose peak would exceed _memory_budget raises
+    InputError before it allocates.
     """
     lo, hi = _integer(lo, "lo"), _integer(hi, "hi")
     if not 0 <= lo < hi <= 2**32:
@@ -224,24 +224,19 @@ def psi_segment(lo: int, hi: int) -> np.ndarray:
     _check_memory(13 * (hi - lo), f"the psi segment [{lo}, {hi})")
     root = math.isqrt(hi - 1)
     primes = build_sieve(root).primes().tolist() if root > 1 else []
-    psi_vals = np.arange(lo, hi, dtype=np.uint64)
+    psi_vals = np.ones(hi - lo, dtype=np.uint64)
     cofactor = np.arange(lo, hi, dtype=np.uint32)
     for p in primes:
-        view = psi_vals[-lo % p :: p]
-        np.floor_divide(view, p, out=view)
-        view *= p + 1
-        q = p
+        q, factor = p, p + 1
         while q < hi:
+            psi_vals[-lo % q :: q] *= factor
             view = cofactor[-lo % q :: q]
             np.floor_divide(view, p, out=view)
-            q *= p
+            q, factor = q * p, p
     # n < hi has at most one prime factor above sqrt(hi - 1), to the first
-    # power, so the cofactor is 1 or that prime c, still a factor of psi_vals
-    skip = int(lo == 0)  # 0 is a multiple of every q: its cofactor is 0
-    c = cofactor[skip:]
-    np.floor_divide(psi_vals[skip:], c, out=psi_vals[skip:])
-    c += c > 1
-    psi_vals[skip:] *= c
+    # power, so the cofactor is 1 or that prime; n = 0 keeps 0
+    cofactor += cofactor > 1
+    psi_vals *= cofactor
     return psi_vals
 
 

@@ -51,7 +51,7 @@ __all__ = [
 _QUADRATIC_TRIPLE = kind_by_name("quadratic-triple")
 
 # x per window of the Theorem-1 scan kernel.  Forming a window peaks at
-# about 82 bytes per x (tracemalloc), so 4096 x keep one window near 0.34
+# about 74 bytes per x (tracemalloc), so 4096 x keep one window near 0.30
 # MB; windows of 8192 or 16384 x were no faster.
 _SCAN_WINDOW = 1 << 12
 # x per psi segment of the scan: the power of two at or above the larger
@@ -284,17 +284,18 @@ def _pair_window(lo: int, psi_window: np.ndarray) -> _PairWindow:
     root = np.rint(np.sqrt(np.maximum(u.astype(np.float64) * v, 0))).astype(np.uint64)
     square = root * root == u.view(np.uint64) * v.view(np.uint64)
 
-    # x = 2^k * m with m odd; psi(x) = 3 * 2^(k-1) * psi(m) for k >= 1.  An
-    # odd m > 1 is a prime power exactly when psi(m) - m divides m: p^r
-    # gives p^(r-1).  With two or more distinct primes psi(m) - m exceeds
-    # gcd(m, psi(m)), so it cannot divide m (it would divide psi(m) too,
-    # and hence that gcd).
+    # x = 2^k * m with m odd; psi(x) = 3 * 2^(k-1) * psi(m) for k >= 1, so
+    # g = 2 * psi(x) / 3 - x is 2^k * (psi(m) - m), which divides x exactly
+    # when psi(m) - m divides m.  An odd m > 1 is a prime power exactly when
+    # it does: p^r gives p^(r-1).  With two or more distinct primes,
+    # psi(m) - m exceeds gcd(m, psi(m)), so it cannot divide m (it would
+    # divide psi(m) too, and hence that gcd).  Odd x and x = 2^k, where g
+    # says nothing, are cased before prime_power is read.
     two_k = x & -x
-    m = x // two_k
-    gap = np.where(two_k > 1, 2 * px // (3 * two_k), px) - m
-    prime_power = (gap > 0) & (m % np.maximum(gap, 1) == 0)
+    g = 2 * px // 3 - x
+    prime_power = (g > 0) & (x % np.maximum(g, 1) == 0)
     case = np.select(
-        [m == 1, two_k == 1, prime_power & (m % 3 == 0), prime_power],
+        [x == two_k, two_k == 1, prime_power & (x % 3 == 0), prime_power],
         [0, 1, 2, 3],
         default=4,
     ).astype(np.int8)

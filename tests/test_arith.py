@@ -248,6 +248,14 @@ def test_psi_segment_at_the_uint32_top():
     assert got[-1] == 4 * 6 * 18 * 258 * 65538
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**32 - 64), st.integers(1, 64))
+def test_psi_segment_anywhere_below_2_to_32(lo, size):
+    # ranges past 10**5, where the primes up to sqrt(hi - 1) reach 65521
+    # and most n keep one large prime in their cofactor
+    assert psi_segment(lo, lo + size).tolist() == [psi(n) for n in range(lo, lo + size)]
+
+
 def test_psi_segment_refuses_bad_ranges():
     for lo, hi in ((5, 5), (6, 5), (-1, 3), (2**32 - 1, 2**32 + 1)):
         with pytest.raises(ValueError, match="psi segment"):
@@ -257,9 +265,10 @@ def test_psi_segment_refuses_bad_ranges():
 def test_psi_segment_over_the_budget_allocates_nothing(monkeypatch):
     # 13 B per entry at the peak: a budget one byte short refuses, exactly
     # enough runs
-    arange = np.arange
     calls = []
-    monkeypatch.setattr(np, "arange", lambda *a, **k: calls.append(a) or arange(*a, **k))
+    for name in ("arange", "ones", "empty"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, real=real, **k: calls.append(a) or real(*a, **k))
     monkeypatch.setattr(arith, "_memory_budget", lambda: 13 * 1000 - 1)
     with pytest.raises(ValueError, match="needs 13000 bytes, over the memory budget of 12999"):
         psi_segment(1000, 2000)

@@ -20,6 +20,7 @@ from psituples import (
     kind_by_name,
     pair_obstruction,
     psi,
+    psi_segment,
     search,
     triple_family,
     verify_solution,
@@ -140,11 +141,11 @@ def test_verify_theorem1_rejects_bad_limit():
 CASES = [c.value for c in PairCase]
 
 
-def scalar_rows(limit):
-    """(x, u, v, case) per x, from the scalar explainer, whose witness must
-    be the non-square one on every x the scan clears."""
+def scalar_rows(limit, lo=2):
+    """(x, u, v, case) per x in lo..limit, from the scalar explainer, whose
+    witness must be the non-square one on every x the scan clears."""
     rows = []
-    for x in range(2, limit + 1):
+    for x in range(lo, limit + 1):
         r = pair_obstruction(x)
         assert r.obstruction.kind == "non-square", x
         rows.append((x, r.u, r.v, r.case_id.value))
@@ -260,9 +261,22 @@ def test_segmented_scan_memory_does_not_grow_with_the_limit(monkeypatch):
     assert abs(high - low) <= 2**13
 
 
+def test_scan_kernel_case_equals_the_scalar_case_where_g_is_largest():
+    # g = 2 * psi(x) / 3 - x, whose divisibility into x decides the prime
+    # power cases, grows with x; one window of 1024 x at 10**9 (which is
+    # 2**9 * 5**9), one around 3 * 2**30 (TwoThree) and one just below 2**32
+    seen = set()
+    for lo in (10**9, 3 * 2**30 - 512, 2**32 - 1024):
+        w = _pair_window(lo, psi_segment(lo, lo + 1024))
+        rows = scalar_rows(lo + 1023, lo)
+        assert window_rows([w]) == rows, lo
+        seen.update(row[3] for row in rows)
+    assert seen == set(CASES) - {"PowerOfTwo"}
+
+
 def test_pair_window_peaks_below_92_bytes_per_x(sieve_100k):
     # the 26 B per x of the _PairWindow fields plus the kernel's
-    # temporaries: 82.3 B per x with numpy 2.4
+    # temporaries: 74.3 B per x with numpy 2.4
     n = theorems._SCAN_WINDOW
     _pair_window(2, sieve_100k.psi[2 : 2 + n])
     tracemalloc.start()
