@@ -204,12 +204,12 @@ def test_search_jobs_one_and_two_byte_identical(capsys, argv):
 
 
 def test_search_crashed_worker_exit_four(capsys, monkeypatch):
-    search_module = importlib.import_module("psituples.search")
+    pool_module = importlib.import_module("psituples.pool")
 
     def crash(*args):
         os._exit(1)
 
-    monkeypatch.setattr(search_module, "_init_worker", crash)
+    monkeypatch.setattr(pool_module, "_init_worker", crash)
     code, out, err = run(capsys, "search", "--kind", "quartic-quintuple",
                          "--bound", "100", "--jobs", "2")
     assert code == 4
@@ -224,8 +224,8 @@ def _die(*args):
 
 def test_search_crashed_mid_chunk_exit_four(capsys, monkeypatch):
     # the worker dies on its first chunk while this process runs its own
-    search_module = importlib.import_module("psituples.search")
-    monkeypatch.setattr(search_module, "_run_chunk", _die)
+    pool_module = importlib.import_module("psituples.pool")
+    monkeypatch.setattr(pool_module, "_run_chunk", _die)
     faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)  # no hang
     try:
         code, out, err = run(capsys, "search", "--kind", "quartic-quintuple",

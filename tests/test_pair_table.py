@@ -19,10 +19,11 @@ from psituples import (
 )
 from psituples.arith import int_kth_root
 from psituples.cli import main
-from psituples.search import _descend, _mitm4, _PairSumTable, decompose_sum_of_powers
+from psituples.decompose import _descend, _mitm4, _PairSumTable, decompose_sum_of_powers
 from psituples.tuples import TupleKind
 
 arith = importlib.import_module("psituples.arith")
+decompose_module = importlib.import_module("psituples.decompose")
 search_module = importlib.import_module("psituples.search")
 
 TAXICAB = 59**4 + 158**4  # == 133**4 + 134**4
@@ -88,7 +89,7 @@ def _refused(power, cap, top):
 def test_table_limits_monkeypatched_small(monkeypatch):
     # the one int64 rule: a table is refused exactly when its top is past
     # _INT64_MAX, and a four-entry decomposition past it with it
-    monkeypatch.setattr(search_module, "_INT64_MAX", 10**6)
+    monkeypatch.setattr(decompose_module, "_INT64_MAX", 10**6)
     table = _PairSumTable(4, 40, 10**6)
     assert int(table.sums[-1]) <= 10**6 and table.top == 10**6
     _refused(4, 40, 10**6 + 1)
@@ -102,11 +103,11 @@ def test_table_limits_monkeypatched_small(monkeypatch):
 def test_decompose_rebuilds_a_table_below_the_residual(monkeypatch):
     built = _counting_tables(monkeypatch)
     residual = 3**5 + 17**5 + 40**5 + 90**5
-    table = search_module._PairSumTable(5, 100, 10**6)
+    table = decompose_module._PairSumTable(5, 100, 10**6)
     assert decompose_sum_of_powers(residual, 4, 5, 100, table) == [(3, 17, 40, 90)]
     assert built == [(5, 100, 10**6), (5, 90, residual)]
     # a table that covers the residual and its root is used as it is
-    table = search_module._PairSumTable(5, 100, residual)
+    table = decompose_module._PairSumTable(5, 100, residual)
     assert decompose_sum_of_powers(residual, 4, 5, 100, table) == [(3, 17, 40, 90)]
     assert len(built) == 3
 
@@ -127,7 +128,7 @@ def _straddles(residual, power, table, block):
 def test_mitm_in_tiny_blocks_equals_descent(monkeypatch, block):
     import random
 
-    monkeypatch.setattr(search_module, "_KERNEL_BLOCK", block)
+    monkeypatch.setattr(decompose_module, "_KERNEL_BLOCK", block)
     rng = random.Random(909)
     cases = [(4, 2 * TAXICAB), (4, TAXICAB + 2 * 3**4)]
     for power, top in {2: 5_000, 3: 60_000, 4: 1_000_000, 5: 5_000_000}.items():
@@ -143,7 +144,7 @@ def test_mitm_in_tiny_blocks_equals_descent(monkeypatch, block):
 
 
 def test_mitm_with_a_smaller_cap_than_the_table(monkeypatch):
-    monkeypatch.setattr(search_module, "_KERNEL_BLOCK", 3)
+    monkeypatch.setattr(decompose_module, "_KERNEL_BLOCK", 3)
     table = _PairSumTable(4, 200)
     for residual in (2 * TAXICAB, TAXICAB + 2 * 3**4):
         for cap in (140, 158, 190):
@@ -156,7 +157,7 @@ def test_mitm_without_a_head_match_recovers_nothing(monkeypatch):
     def fail(*args):
         raise AssertionError("_split_pairs called without a matched head sum")
 
-    monkeypatch.setattr(search_module, "_split_pairs", fail)
+    monkeypatch.setattr(decompose_module, "_split_pairs", fail)
     rng = random.Random(1111)
     for power, top in ((4, 10**7), (5, 10**9)):
         cap = int_kth_root(top, power)
@@ -202,6 +203,7 @@ def _counting_tables(monkeypatch):
             super().__init__(power, cap, top)
 
     monkeypatch.setattr(search_module, "_PairSumTable", Counted)
+    monkeypatch.setattr(decompose_module, "_PairSumTable", Counted)
     return built
 
 
@@ -500,7 +502,7 @@ def test_kernel_block_peaks_at_fifty_six_bytes_per_multiset(name, bound):
 
 @pytest.mark.parametrize("block", [1 << 12, 1 << 14])
 def test_mitm_temporaries_scale_with_the_block(monkeypatch, block):
-    monkeypatch.setattr(search_module, "_KERNEL_BLOCK", block)
+    monkeypatch.setattr(decompose_module, "_KERNEL_BLOCK", block)
     residual = 7**5 + 100**5 + 300**5 + 719**5  # near 720**5, with one tuple
     cap = int_kth_root(residual, 5)
     for table in (_PairSumTable(5, 720), _PairSumTable(5, 1440)):

@@ -28,16 +28,13 @@ from psituples import (
     verify_solution,
 )
 from psituples.arith import _INT64_MAX, _INT64_ROOT_MAX, _floor_root_vec, int_kth_root
-from psituples.search import (
-    _build_class_runs,
-    _descend,
-    _PairSumTable,
-    _quartic_descent,
-    _split_pairs,
-)
+from psituples.decompose import _descend, _PairSumTable, _quartic_descent, _split_pairs
+from psituples.search import _build_class_runs
 from psituples.tuples import Solution, TupleKind, sort_solutions
 
 search_module = importlib.import_module("psituples.search")
+decompose_module = importlib.import_module("psituples.decompose")
+pool_module = importlib.import_module("psituples.pool")
 
 # Every cubic triple with a <= 200, frozen from a brute-force oracle run and
 # cross-checked against the fast path.  The published table lists 28 of
@@ -175,7 +172,7 @@ def test_mitm_agrees_with_recursive_descent():
     # small for low powers and large where descent stays cheap
     import random
 
-    from psituples.search import _mitm4
+    from psituples.decompose import _mitm4
 
     rng = random.Random(20_240_817)
     ranges = {2: 20_000, 3: 300_000, 4: 3_000_000, 5: 20_000_000}
@@ -199,7 +196,7 @@ def test_mitm_head_sum_equal_to_tail_sum():
     # residual = 2 * (x**p + y**p): the head prefix (sums <= residual // 2)
     # and the tail slice (sums >= residual - residual // 2) share the pair
     # sum residual / 2; x == y gives the one tuple split there, (x, x, x, x)
-    from psituples.search import _mitm4
+    from psituples.decompose import _mitm4
 
     for power, pairs in {2: [(1, 1), (3, 4), (5, 5), (7, 30)], 3: [(2, 2), (1, 12), (9, 10)],
                          4: [(6, 6), (2, 9)], 5: [(3, 3), (2, 5)]}.items():
@@ -215,7 +212,7 @@ def test_mitm_head_sum_equal_to_tail_sum():
 def test_mitm_several_representations():
     # 59**4 + 158**4 == 133**4 + 134**4, so each residual below splits in
     # several ways that share pair sums
-    from psituples.search import _mitm4
+    from psituples.decompose import _mitm4
 
     taxicab = 59**4 + 158**4
     assert taxicab == 133**4 + 134**4
@@ -328,7 +325,7 @@ def test_quartic_descent_brings_a_huge_residual_to_the_table(monkeypatch):
     assert residual >= 2**62 > 353**4
     assert _quartic_descent(residual) == (353**4, 160)
     probed = []
-    real_mitm4 = search_module._mitm4
+    real_mitm4 = decompose_module._mitm4
 
     def spy(res, power, cap, table):
         probed.append(res)
@@ -337,8 +334,8 @@ def test_quartic_descent_brings_a_huge_residual_to_the_table(monkeypatch):
     def no_descent(*args):
         raise AssertionError("recursive descent on a residual the table covers")
 
-    monkeypatch.setattr(search_module, "_mitm4", spy)
-    monkeypatch.setattr(search_module, "_descend", no_descent)
+    monkeypatch.setattr(decompose_module, "_mitm4", spy)
+    monkeypatch.setattr(decompose_module, "_descend", no_descent)
     got = decompose_sum_of_powers(residual, 4, 4, int_kth_root(residual, 4),
                                   _PairSumTable(4, 353))
     assert probed == [353**4]
@@ -349,7 +346,7 @@ def test_quartic_descent_brings_a_huge_residual_to_the_table(monkeypatch):
 def test_quartic_search_equals_unreduced_table_join():
     # every a <= 600 (538 among them), its residual joined unreduced with a
     # table sized by max psi, as the search did before the descent
-    from psituples.search import _mitm4
+    from psituples.decompose import _mitm4
 
     bound = 600
     sieve = build_sieve(bound)
@@ -534,9 +531,10 @@ def test_pool_leaves_no_child_unreaped():
         "import time\n"
         "from psituples import SearchConfig, kind_by_name, search\n"
         "m = importlib.import_module('psituples.search')\n"
+        "pool = importlib.import_module('psituples.pool')\n"
         "config = SearchConfig(kind_by_name('quartic-quintuple'), 300, jobs=2)\n"
         "expected = search(SearchConfig(config.kind, 300))\n"
-        "parent, search_runs, run_chunk = os.getpid(), m._search_runs, m._run_chunk\n"
+        "parent, search_runs, run_chunk = os.getpid(), m._search_runs, pool._run_chunk\n"
         "def die(*args):\n"
         "    os._exit(1)\n"
         "def send_and_die(*args):\n"
@@ -553,28 +551,28 @@ def test_pool_leaves_no_child_unreaped():
         "def progress(i, n, part):\n"
         "    raise LookupError('progress')\n"
         "cases = [({}, None, None),\n"
-        "         ({'_init_worker': die}, None, m.SearchWorkerError),\n"
-        "         ({'_run_chunk': die}, None, m.SearchWorkerError),\n"
-        "         ({'_run_chunk': send_and_die}, None, m.SearchWorkerError),\n"
-        "         ({'_run_chunk': lambda *args: None}, None, m.SearchWorkerError),\n"
-        "         ({'_run_chunk': asleep, '_search_runs': own_raises(RuntimeError('own'))},\n"
-        "          None, RuntimeError),\n"
-        "         ({'_run_chunk': asleep, '_search_runs': own_raises(KeyboardInterrupt())},\n"
-        "          None, KeyboardInterrupt),\n"
+        "         ({(pool, '_init_worker'): die}, None, m.SearchWorkerError),\n"
+        "         ({(pool, '_run_chunk'): die}, None, m.SearchWorkerError),\n"
+        "         ({(pool, '_run_chunk'): send_and_die}, None, m.SearchWorkerError),\n"
+        "         ({(pool, '_run_chunk'): lambda *args: None}, None, m.SearchWorkerError),\n"
+        "         ({(pool, '_run_chunk'): asleep,\n"
+        "           (m, '_search_runs'): own_raises(RuntimeError('own'))}, None, RuntimeError),\n"
+        "         ({(pool, '_run_chunk'): asleep,\n"
+        "           (m, '_search_runs'): own_raises(KeyboardInterrupt())}, None, KeyboardInterrupt),\n"
         "         ({}, progress, LookupError)]\n"
         "reaped = []\n"
         "for patches, report, error in cases:\n"
-        "    saved = {name: getattr(m, name) for name in patches}\n"
-        "    for name, patch in patches.items():\n"
-        "        setattr(m, name, patch)\n"
+        "    saved = {key: getattr(*key) for key in patches}\n"
+        "    for (module, name), patch in patches.items():\n"
+        "        setattr(module, name, patch)\n"
         "    caught = None  # keeps the traceback, and the frames in it, alive\n"
         "    try:\n"
         "        assert search(config, progress=report) == expected\n"
         "    except BaseException as exc:\n"
         "        caught = exc\n"
         "    assert isinstance(caught, error) if error else caught is None, repr(caught)\n"
-        "    for name, fn in saved.items():\n"
-        "        setattr(m, name, fn)\n"
+        "    for (module, name), fn in saved.items():\n"
+        "        setattr(module, name, fn)\n"
         "    try:\n"
         "        os.waitpid(-1, os.WNOHANG)\n"
         "    except ChildProcessError:\n"
@@ -600,7 +598,7 @@ def test_pool_reports_each_fault_by_its_message(monkeypatch, forks, fault, messa
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     config = SearchConfig(kind_by_name("quartic-quintuple"), 300, jobs=2)
     last = range(1, _chunk_count(config), 2)[-1]
-    run_chunk = search_module._run_chunk
+    run_chunk = pool_module._run_chunk
 
     def swapped(run, i, out):
         run_chunk(run, i + 2, out)
@@ -621,7 +619,7 @@ def test_pool_reports_each_fault_by_its_message(monkeypatch, forks, fault, messa
         os._exit(0)
 
     faults = {"swapped": swapped, "twice": twice, "exit_3": exit_3, "half": half}
-    monkeypatch.setattr(search_module, "_run_chunk", faults[fault])
+    monkeypatch.setattr(pool_module, "_run_chunk", faults[fault])
     del forks[:]
     faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)  # no hang
     try:
@@ -901,10 +899,12 @@ def test_blocks_and_split_pieces_hold_at_most_the_kernel_block(monkeypatch):
     block, columns, tested = 7, [], []
     block_columns, exact_root_vec = search_module._block_columns, search_module._exact_root_vec
     monkeypatch.setattr(search_module, "_KERNEL_BLOCK", block)
+    monkeypatch.setattr(decompose_module, "_KERNEL_BLOCK", block)
     monkeypatch.setattr(search_module, "_block_columns",
                         lambda *args: columns.append(block_columns(*args)) or columns[-1])
-    monkeypatch.setattr(search_module, "_exact_root_vec",
-                        lambda values, p: tested.append(values.size) or exact_root_vec(values, p))
+    for module in (search_module, decompose_module):
+        monkeypatch.setattr(module, "_exact_root_vec",
+                            lambda values, p: tested.append(values.size) or exact_root_vec(values, p))
     for kind, bound in [(TupleKind(2, 6, 1), 40), (kind_by_name("cubic-quintuple"), 60),
                         (kind_by_name("cubic-triple"), 150)]:
         del columns[:], tested[:]
@@ -946,6 +946,7 @@ def test_two_free_kernel_with_tiny_blocks(monkeypatch, budget):
         assert on and (inside or kind.equal == 1)
         with monkeypatch.context() as m:
             m.setattr(search_module, "_KERNEL_BLOCK", budget)
+            m.setattr(decompose_module, "_KERNEL_BLOCK", budget)
             assert search(cfg) == reference, (name, budget)
 
 
@@ -980,7 +981,7 @@ def test_split_pairs_equals_brute_force(monkeypatch, power, budget):
                 if u <= root_of.get(s - u**power, 0) <= cap]
 
     if budget is not None:
-        monkeypatch.setattr(search_module, "_KERNEL_BLOCK", budget)
+        monkeypatch.setattr(decompose_module, "_KERNEL_BLOCK", budget)
         splits = [min(int_kth_root(s // 2, power), cap) - lo + 1
                   for s, lo in zip(sums.tolist(), u_lo.tolist())]
         assert max(splits) > budget  # a budget multiple falls inside one sum's splits
@@ -1052,6 +1053,7 @@ def test_kernel_int64_per_block_straddle(monkeypatch, free):
     monkeypatch.setattr(search_module, "decompose_sum_of_powers",
                         lambda r, *args: decomposed.append(r) or real(r, *args))
     monkeypatch.setattr(search_module, "_KERNEL_BLOCK", 1)
+    monkeypatch.setattr(decompose_module, "_KERNEL_BLOCK", 1)
     cfg = SearchConfig(kind, bound)
     found = search(cfg)
     assert sorted(decomposed) == residuals[132]
