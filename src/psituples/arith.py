@@ -161,8 +161,8 @@ def _memory_budget() -> int:
 
     MemAvailable from /proc/meminfo where it exists, else the available
     (or, failing that, all) physical pages from sysconf.  Read once per
-    process: a pair-sum table built per call (decompose_sum_of_powers
-    without a table) would otherwise read /proc/meminfo every time.
+    process: a pair-sum table built per call (decompose_sum_of_powers in
+    decompose.py without a table) would otherwise read /proc/meminfo each time.
     """
     try:
         with open("/proc/meminfo") as f:

@@ -3,9 +3,9 @@ pipe per child.
 
 _pool_parts(run, count, workers) runs run(i) for every chunk i, in chunk
 order, from this process and `workers` forked children, and a serial
-search is the same pool with no children.  A child that dies or sends
-the wrong chunk raises SearchWorkerError.  This module imports no
-psituples module, so any chunk function can run through it.
+search is the same pool with no children.  A child that dies, or sends
+a chunk it was not dealt, raises SearchWorkerError here.  This module
+imports no psituples module, so any chunk function can run through it.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pickle
 from typing import BinaryIO, Callable, Iterator, NoReturn
 
 __all__ = ["SearchWorkerError"]
+
 
 class SearchWorkerError(RuntimeError):
     """A forked child of a search exited non-zero, or without sending back
