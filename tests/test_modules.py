@@ -67,7 +67,7 @@ def test_a_patched_kernel_block_reaches_every_reader(monkeypatch):
     assert len(assigners) == 1, assigners
     binders = []
     for name in trees:
-        module = importlib.import_module("psituples" if name == "__init__" else f"psituples.{name}")
+        module = importlib.import_module("psituples" + ("" if name == "__init__" else f".{name}"))
         if hasattr(module, "_KERNEL_BLOCK"):
             monkeypatch.setattr(module, "_KERNEL_BLOCK", 1)
             binders.append(name)
@@ -77,7 +77,8 @@ def test_a_patched_kernel_block_reaches_every_reader(monkeypatch):
     blocks = []
     block_columns = search_module._block_columns
     monkeypatch.setattr(search_module, "_block_columns",
-                        lambda runs, e, lo, hi: blocks.append((lo, hi)) or block_columns(runs, e, lo, hi))
+                        lambda runs, e, lo, hi: blocks.append((lo, hi))
+                        or block_columns(runs, e, lo, hi))
     kind = kind_by_name("quadratic-triple")
     runs = search_module._build_class_runs(200, kind)
     total = int(runs.tuple_start[-1])

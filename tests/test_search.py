@@ -556,9 +556,11 @@ def test_pool_leaves_no_child_unreaped():
         "         ({(pool, '_run_chunk'): send_and_die}, None, m.SearchWorkerError),\n"
         "         ({(pool, '_run_chunk'): lambda *args: None}, None, m.SearchWorkerError),\n"
         "         ({(pool, '_run_chunk'): asleep,\n"
-        "           (m, '_search_runs'): own_raises(RuntimeError('own'))}, None, RuntimeError),\n"
+        "           (m, '_search_runs'): own_raises(RuntimeError('own'))},\n"
+        "          None, RuntimeError),\n"
         "         ({(pool, '_run_chunk'): asleep,\n"
-        "           (m, '_search_runs'): own_raises(KeyboardInterrupt())}, None, KeyboardInterrupt),\n"
+        "           (m, '_search_runs'): own_raises(KeyboardInterrupt())},\n"
+        "          None, KeyboardInterrupt),\n"
         "         ({}, progress, LookupError)]\n"
         "reaped = []\n"
         "for patches, report, error in cases:\n"
@@ -902,9 +904,9 @@ def test_blocks_and_split_pieces_hold_at_most_the_kernel_block(monkeypatch):
     monkeypatch.setattr(decompose_module, "_KERNEL_BLOCK", block)
     monkeypatch.setattr(search_module, "_block_columns",
                         lambda *args: columns.append(block_columns(*args)) or columns[-1])
-    for module in (search_module, decompose_module):
-        monkeypatch.setattr(module, "_exact_root_vec",
-                            lambda values, p: tested.append(values.size) or exact_root_vec(values, p))
+    monkeypatch.setattr(search_module, "_exact_root_vec",
+                        lambda values, p: tested.append(values.size) or exact_root_vec(values, p))
+    monkeypatch.setattr(decompose_module, "_exact_root_vec", search_module._exact_root_vec)
     for kind, bound in [(TupleKind(2, 6, 1), 40), (kind_by_name("cubic-quintuple"), 60),
                         (kind_by_name("cubic-triple"), 150)]:
         del columns[:], tested[:]
