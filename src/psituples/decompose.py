@@ -107,7 +107,9 @@ def _descend(residual: int, count: int, power: int, cap: int) -> list[tuple[int,
     monotone residual pruning, the last two entries by two-pointer.  It
     runs on an explicit stack, as a recursion would need one frame per
     entry; each frame holds its entry's candidates as a range, from which
-    it takes the next b, so the stack holds count - 2 frames at most."""
+    it takes the next b, so the stack holds count - 2 frames at most.  The
+    tuples found, 40 + 8 * count bytes each, are held within the memory
+    budget (_check_memory): InputError once they would exceed it."""
     if count == 1:
         r = is_perfect_kth_power(residual, power)
         return [(r,)] if r is not None and 1 <= r <= cap else []
@@ -118,15 +120,17 @@ def _descend(residual: int, count: int, power: int, cap: int) -> list[tuple[int,
     hi = min(cap, int_kth_root(residual // count, power))
     stack = [(residual, count, (), iter(range(1, hi + 1)))]
     while stack:
-        residual, slots, prefix, candidates = stack[-1]
+        left, slots, prefix, candidates = stack[-1]
         b = next(candidates, None)
         if b is None:
             stack.pop()
             continue
-        rest, slots = residual - b**power, slots - 1
-        if slots == 2:
-            out.extend(prefix + (b,) + pair for pair in _two_pointer(rest, power, b, cap))
-        else:
+        rest, slots = left - b**power, slots - 1
+        if slots == 2 and (pairs := _two_pointer(rest, power, b, cap)):
+            out.extend(prefix + (b,) + pair for pair in pairs)
+            _check_memory((40 + 8 * count) * len(out), f"the {count}-entry decompositions of "
+                          f"{residual}", f" ({len(out)} found so far)")
+        elif slots > 2:
             hi = min(cap, int_kth_root(rest // slots, power))
             stack.append((rest, slots, prefix + (b,), iter(range(b, hi + 1))))
     return out

@@ -205,37 +205,32 @@ def _block_columns(runs: _ClassRuns, e: int, lo: int, hi: int) -> list[np.ndarra
 
     Multiset numbers run in order of first position (runs.tuple_start) and,
     within one, lexicographically.  The columns are expanded one equal
-    entry at a time: every row is repeated once per later position of its
-    run, and an offset counts through the copies.  Only the first row can
-    start before lo, its first skip multisets, and only the last can end at
-    or after hi, past its first take; so only those two rows' copies are
-    trimmed, by the multisets under each copy, which sizes one class per
-    column.
+    entry at a time, with one cut per level: every row is repeated once
+    per later position of its run, the children's multisets are numbered
+    on from start, the first multiset of the first row kept, and only the
+    children whose multisets meet lo..hi-1 are kept.  A child's multisets
+    are the rest of its run, so each level holds the block and at most two
+    runs beyond it.  At the last entry each child is one multiset.
     """
     first = int(np.searchsorted(runs.tuple_start, lo, "right")) - 1
-    last = int(np.searchsorted(runs.tuple_start, hi, "left")) - 1
-    skip, take = lo - int(runs.tuple_start[first]), hi - int(runs.tuple_start[last])
-    cols = [np.arange(first, last + 1, dtype=np.int64)]
+    start, stop = int(runs.tuple_start[first]), int(np.searchsorted(runs.tuple_start, hi))
+    cols = [np.arange(first, stop, dtype=np.int64)]
     for j in range(e - 2, -1, -1):  # j equal entries follow the next one
         prev = cols[-1]
         counts = runs.run_end[prev] - prev
-        # the multisets under each copy of the first and the last row
-        below = [np.cumsum(_multisets(counts[k] - np.arange(counts[k]), j)) for k in (0, -1)]
-        dropped = int(np.searchsorted(below[0], skip, "right"))
-        kept = int(np.searchsorted(below[1], take, "left")) + 1
-        counts[-1] = kept  # the last row's first copies, all it keeps
-        counts[0] -= dropped
-        shift = prev - (np.cumsum(counts) - counts)
-        shift[0] += dropped
-        skip -= int(below[0][dropped - 1]) if dropped else 0
-        take -= int(below[1][kept - 2]) if kept > 1 else 0
         owner = np.repeat(np.arange(prev.size), counts)
-        # the next position is prev + its offset among the owner's copies
+        # the child is prev + its offset among the owner's copies
         nxt = np.arange(owner.size, dtype=np.int64)
-        nxt += shift[owner]
-        cols = [c[owner] for c in cols]
-        cols.append(nxt)
-        del prev, counts, owner, shift  # not held while the residuals form
+        nxt += (prev - (np.cumsum(counts) - counts))[owner]
+        if j:  # the children's multisets, numbered on from start, cut to lo..hi-1
+            ends = np.cumsum(_multisets(runs.run_end[nxt] - nxt, j)) + start
+            first = int(np.searchsorted(ends, lo, "right"))
+            keep = slice(first, int(np.searchsorted(ends, hi, "left")) + 1)
+            start = int(ends[first - 1]) if first else start
+        else:  # each child is one multiset
+            keep = slice(lo - start, hi - start)
+        cols = [c[owner[keep]] for c in cols] + [nxt[keep]]
+        del prev, counts, owner, nxt  # not held while the residuals form
     return cols
 
 

@@ -91,6 +91,18 @@ def test_search_rejects_unsafe_bound(capsys, monkeypatch):
     assert "over the memory budget of 2147483648 bytes" in err
 
 
+def test_search_whose_free_answer_exceeds_the_budget_exits_2(capsys, monkeypatch):
+    # at n = 24 the residual 1728 has 371796 decompositions into 1200
+    # squares; the descent refuses them once they pass the budget
+    monkeypatch.setattr(importlib.import_module("psituples.arith"), "_memory_budget",
+                        lambda: 2**20)
+    code, out, err = run(capsys, "search", "--power", "2", "--equal", "1", "--free", "1200",
+                         "--bound", "30")
+    assert code == 2 and out == ""
+    assert err.startswith("error: the 1200-entry decompositions of 1728 needs ")
+    assert err.count("\n") == 1
+
+
 def test_search_rejects_unknown_kind(capsys):
     assert run_expecting_input_error(
         capsys, "search", "--kind", "sextic", "--bound", "10"

@@ -113,6 +113,22 @@ def test_descents_take_a_free_count_deeper_than_the_recursion_limit():
     assert search_module._oracle_free_part(1203, 1200, pw, root_of) == one
 
 
+def test_descent_refuses_an_answer_over_the_memory_budget(monkeypatch):
+    # 1728 is a sum of 1200 squares in 371796 ways (the partitions of 528
+    # into parts b**2 - 1), 3.3 GiB as tuples of 40 + 8 * 1200 bytes each;
+    # the descent counts the tuples it holds against the budget as they come
+    arith = importlib.import_module("psituples.arith")
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 2**20)
+    with pytest.raises(InputError, match="1200-entry decompositions of 1728 needs"):
+        decompose_sum_of_powers(1728, 1200, 2, 41)
+    one = [(1,) * 1199 + (2,)]
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 9640)
+    assert decompose_sum_of_powers(1203, 1200, 2, 2) == one
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 9639)
+    with pytest.raises(InputError, match="needs 9640 bytes [(]1 found so far[)]"):
+        decompose_sum_of_powers(1203, 1200, 2, 2)
+
+
 def test_descent_stack_does_not_grow_with_the_cap():
     # the stack holds one frame per entry, each taking its next candidate
     # from a range, not one item per candidate.  cap**4 - 7 is 9 mod 16 for
@@ -892,6 +908,28 @@ def test_block_columns_decode_every_range(equal, bound):
             cols = search_module._block_columns(runs, equal, lo, hi)
             assert all(c.dtype == np.int64 for c in cols)
             assert list(zip(*(c.tolist() for c in cols))) == multisets[lo:hi], (size, lo)
+
+
+def test_block_columns_hold_the_block_and_two_runs():
+    # the largest entry of (2, 6, 1) to 1000 starts 169911 multisets; a
+    # block inside them expands its rows' children, which are at most the
+    # rest of a 27-entry run beyond the block, never those 169911 whole
+    runs = _build_class_runs(1000, TupleKind(2, 6, 1))
+    first = int(np.argmax(np.diff(runs.tuple_start)))
+    lo, hi = runs.tuple_start[first : first + 2].tolist()
+    rest = range(first, int(runs.run_end[first]))
+    assert (hi - lo, len(rest)) == (169911, 27)
+    multisets = [(first,) + c for c in combinations_with_replacement(rest, 5)]
+    mid = (lo + hi) // 2
+    for size, peak_under in [(1, 16 * 1024), (16384, 1_100_000)]:
+        tracemalloc.start()
+        try:
+            cols = search_module._block_columns(runs, 6, mid, mid + size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert list(zip(*(c.tolist() for c in cols))) == multisets[mid - lo : mid - lo + size]
+        assert peak < peak_under, (size, peak)
 
 
 def test_blocks_and_split_pieces_hold_at_most_the_kernel_block(monkeypatch):
