@@ -149,27 +149,27 @@ def _mitm4(
     times the head, so its complements residual - tail, ascending when the
     tail is read backwards, are searched in the head, _KERNEL_BLOCK of them
     at a time; the temporaries stay that small however large the table is.
+    The head runs to the tail's end, a sum >= every complement, so a
+    block's window, cut one entry past its last complement, holds each
+    complement's searchsorted index.
     _split_pairs recovers the pairs of each matched head sum and its tail,
     and the b2 <= x junction keeps each canonical 4-tuple unique; with no
     head sum matched, there is nothing to recover.  The tuples come back
     sorted.
     """
     sums = table.sums
-    half = int(np.searchsorted(sums, residual // 2, side="right"))
     t_lo = int(np.searchsorted(sums, residual - residual // 2, side="left"))
     t_hi = int(np.searchsorted(sums, residual - 2, side="right"))
-    if half == 0 or t_lo >= t_hi:
+    if t_lo >= t_hi:
         return []
-    head = sums[:half]
+    head = sums[:t_hi]
     matched = [head[:0]]
     for hi in range(t_hi, t_lo, -_KERNEL_BLOCK):
         needles = residual - sums[max(t_lo, hi - _KERNEL_BLOCK) : hi][::-1]
-        # only the head entries within the needles' range can match
+        # the head entries from the first needle to one past the last
         lo = np.searchsorted(head, needles[0])
-        window = head[lo : np.searchsorted(head, needles[-1], "right")]
-        if window.size:
-            idx = np.searchsorted(window, needles)
-            matched.append(needles[window[np.minimum(idx, window.size - 1)] == needles])
+        window = head[lo : np.searchsorted(head, needles[-1], "right") + 1]
+        matched.append(needles[window[np.searchsorted(window, needles)] == needles])
     heads = np.concatenate(matched)  # ascending, block after block
     heads = heads[np.diff(heads, prepend=0) > 0]  # distinct
     if not heads.size:
@@ -276,26 +276,23 @@ def _split_pairs(
     Each sum s splits into (s, u) for u = u_lo..floor((s // 2) ** (1/p)),
     since 2 * u**p <= s exactly when u <= v, and every s - u**p passes one
     exact perfect-power test (_exact_root_vec); a root above cap is
-    dropped.  The splits are numbered in order, and a piece is the index
-    range lo..hi-1 of _KERNEL_BLOCK of them, which may divide one sum's
-    splits, so memory does not grow with the sums or their roots.  u_lo is
-    one bound for all sums or one per sum.  All values stay below s, so
-    int64 is exact wherever s is.
+    dropped.  The splits are numbered in order, sum i owning start[i]..
+    start[i+1]-1, and a piece is the index range lo..hi-1 of _KERNEL_BLOCK
+    of them, so memory does not grow with the sums or their roots.  Every
+    sum's share of a piece, whole, cut or none, is clip(start[i+1], lo,
+    hi) - clip(start[i], lo, hi).  u_lo is one bound for all sums or one
+    per sum.  All values stay below s, so int64 is exact wherever s is.
     """
-    counts = np.maximum(np.minimum(_floor_root_vec(sums // 2, power), cap) - u_lo + 1, 0)
-    start = np.concatenate(([0], np.cumsum(counts)))
+    u_hi = np.minimum(_floor_root_vec(sums // 2, power), cap)  # each sum's largest u
+    start = np.concatenate(([0], np.cumsum(np.maximum(u_hi - u_lo + 1, 0))))
     first = start[:-1] - u_lo  # split j of row i has u = j - first[i]
     total = int(start[-1])
     for lo in range(0, total, _KERNEL_BLOCK):
         hi = min(lo + _KERNEL_BLOCK, total)
-        # the rows whose splits meet lo..hi-1: only the first and the last
-        # can reach past it, so only their counts are clipped
+        # the rows whose splits meet lo..hi-1, each repeated for its share
         r_lo = int(np.searchsorted(start, lo, "right")) - 1
         r_hi = int(np.searchsorted(start, hi, "left"))
-        clipped = counts[r_lo:r_hi].copy()
-        clipped[0] -= lo - start[r_lo]
-        clipped[-1] -= start[r_hi] - hi
-        rows = np.repeat(np.arange(r_lo, r_hi), clipped)
+        rows = np.repeat(np.arange(r_lo, r_hi), np.diff(np.clip(start[r_lo : r_hi + 1], lo, hi)))
         u = np.arange(lo, hi) - first[rows]
         v, hits = _exact_root_vec(sums[rows] - u**power, power)
         hits &= v <= cap

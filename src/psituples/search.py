@@ -12,10 +12,11 @@ sized once per search for the largest residual.  Chunks, blocks and
 pieces are all index ranges, so no piece of work grows with the classes.
 Each builder refuses up front, with InputError, what it cannot hold:
 class runs past the memory budget, multiset counts past int64, a table
-past int64 or the budget (one check, arith._check_memory).  The chunks
-run through the fork pool of pool.py.  The brute-force oracle at the
-bottom re-derives the same sets with plain nested loops and no shared
-machinery; differential tests compare the two.
+past int64 or the budget (one check, arith._check_memory); the
+solutions found are checked against the same budget as they grow.  The
+chunks run through the fork pool of pool.py.  The brute-force oracle at
+the bottom re-derives the same sets with plain nested loops and no
+shared machinery; differential tests compare the two.
 
 Bound semantics: N limits equal-class entries only; free entries are
 bounded by the residual automatically.  Output is always the canonical
@@ -247,7 +248,8 @@ def _search_runs(
     one free entry, the positive int64 residuals take one perfect-power
     test; with two, _split_pairs splits them.  Every other residual of at
     least `free` goes to decompose_sum_of_powers, with the shared pair-sum
-    table.
+    table.  The solutions held are checked against the memory budget
+    after each block (_check_solutions).
     """
     p, e, f = kind.power, kind.equal, kind.free
     out: list[Solution] = []
@@ -277,14 +279,23 @@ def _search_runs(
                 free = zip(*(b.tolist() for b in frees))
                 for v, eq, fr in zip(runs.psis[cols[0][rows]].tolist(), equal, free):
                     out.append(Solution(kind, eq, fr, v, v**p))
-            continue
-        live = np.flatnonzero(residual >= f)
-        for i, r in zip(live.tolist(), residual[live].tolist()):
-            found = decompose_sum_of_powers(r, f, p, int_kth_root(r, p), table)
-            if found:
-                v, eq = int(runs.psis[cols[0][i]]), tuple(int(runs.ns[c[i]]) for c in cols)
-                out.extend(Solution(kind, eq, fr, v, v**p) for fr in found)
+        else:
+            live = np.flatnonzero(residual >= f)
+            for i, r in zip(live.tolist(), residual[live].tolist()):
+                found = decompose_sum_of_powers(r, f, p, int_kth_root(r, p), table)
+                if found:
+                    v, eq = int(runs.psis[cols[0][i]]), tuple(int(runs.ns[c[i]]) for c in cols)
+                    out.extend(Solution(kind, eq, fr, v, v**p) for fr in found)
+        _check_solutions(kind, len(out))
     return out
+
+
+def _check_solutions(kind: TupleKind, count: int) -> None:
+    """Refuse count solutions of kind past the memory budget, sized as
+    sys.getsizeof does: 72 bytes a Solution, and 40 + 8 per entry for
+    each of its two tuples."""
+    _check_memory((152 + 8 * (kind.equal + kind.free)) * count,
+                  f"the solutions of search {kind.signature()}", f" ({count} found so far)")
 
 
 # --- planning and running chunks --------------------------------------------
@@ -319,7 +330,9 @@ def search(
     runs and the table; the chunks are dealt round-robin over the
     processes.  progress (if given) is called with (chunk_index,
     chunk_count, chunk_solutions) in chunk order, once a chunk and all
-    before it are done.  A dead child raises SearchWorkerError; an
+    before it are done.  Each chunk's solutions, and the merged list as
+    each chunk joins it, are checked against the memory budget
+    (_check_solutions).  A dead child raises SearchWorkerError; an
     exception that a chunk raises in a child is raised here, as it would
     be in this process.
     """
@@ -340,6 +353,7 @@ def search(
             if progress is not None:
                 progress(i, len(chunks), part)
             results.extend(part)
+            _check_solutions(kind, len(results))
     finally:
         parts.close()  # if progress raised, the children stop now
     return sort_solutions(results)

@@ -103,6 +103,19 @@ def test_search_whose_free_answer_exceeds_the_budget_exits_2(capsys, monkeypatch
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_search_whose_solutions_exceed_the_budget_exits_2(capsys, monkeypatch, jobs):
+    # (2, 1, 4) to 80 holds 4242 solutions, 814464 bytes: one process counts
+    # its own list, and a pool the list it merges
+    monkeypatch.setattr(importlib.import_module("psituples.arith"), "_memory_budget",
+                        lambda: 400_000)
+    code, out, err = run(capsys, "search", "--power", "2", "--equal", "1", "--free", "4",
+                         "--bound", "80", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err.startswith("error: the solutions of search (2, 1, 4) needs ")
+    assert err.count("\n") == 1
+
+
 def test_search_rejects_unknown_kind(capsys):
     assert run_expecting_input_error(
         capsys, "search", "--kind", "sextic", "--bound", "10"

@@ -129,6 +129,22 @@ def test_descent_refuses_an_answer_over_the_memory_budget(monkeypatch):
         decompose_sum_of_powers(1203, 1200, 2, 2)
 
 
+def test_search_refuses_solutions_over_the_memory_budget(monkeypatch):
+    # (2, 1, 4) to 80 has 4242 solutions of 72 + (40 + 8) + (40 + 32) = 192
+    # bytes each (sys.getsizeof of a Solution and its two tuples), 814464
+    # bytes, far more than its pair-sum table; the list is counted as it grows
+    arith = importlib.import_module("psituples.arith")
+    config = SearchConfig(TupleKind(2, 1, 4), 80)
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 400_000)
+    with pytest.raises(InputError, match="solutions of search [(]2, 1, 4[)] needs "):
+        search(config)
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 814_463)
+    with pytest.raises(InputError, match="needs 814464 bytes [(]4242 found so far[)]"):
+        search(config)
+    monkeypatch.setattr(arith, "_memory_budget", lambda: 814_464)
+    assert len(search(config)) == 4242
+
+
 def test_descent_stack_does_not_grow_with_the_cap():
     # the stack holds one frame per entry, each taking its next candidate
     # from a range, not one item per candidate.  cap**4 - 7 is 9 mod 16 for
